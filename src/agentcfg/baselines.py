@@ -33,15 +33,14 @@ from .numeric import (
     MaskedCategorical,
     adam_step,
     clip_grad_norm,
-    entropy,
-    entropy_grad_logits,
     log_prob,
-    log_prob_grad_logits,
     sample,
+    score_choices,
+    score_vjp,
 )
-from .policy import HEAD_SIZES, MaskTable, default_mask_table, head_slice
+from .policy import HEAD_SIZES, MaskTable, default_mask_table
 from .reward import RewardConfig, shaped_reward
-from .train import PPOConfig, _normalize, _surrogate_and_coeff
+from .train import PPOConfig, _normalize, _ppo_terms, _value_regression
 
 
 @dataclass(frozen=True)
@@ -299,7 +298,6 @@ class FlatDecision:
     action: int
     log_prob: float
     target: float = 0.0
-    adv: float = 0.0
 
 
 @dataclass
@@ -490,37 +488,20 @@ def _flat_collect(policy, env, n, reward_cfg, run_seed, start, gamma,
 def _flat_ppo_update(policy, episodes: Sequence[FlatEpisode], cfg: PPOConfig,
                      opt_net: AdamState, opt_value: AdamState):
     decisions = [d for ep in episodes for d in ep.decisions]
-    advs = _normalize(
-        np.array([d.target - float(policy.value_net.forward(d.input_vec)[0]) for d in decisions])
-    )
-    for d, a in zip(decisions, advs):
-        d.adv = float(a)
+    inputs = np.stack([d.input_vec for d in decisions])
+    masks = np.stack([d.mask for d in decisions])
+    actions = np.array([d.action for d in decisions])
+    old_lp = np.array([d.log_prob for d in decisions])
+    targets = np.array([d.target for d in decisions])
+    advs = _normalize(targets - policy.value_net.forward_batch(inputs)[0][:, 0])
+    value_scale = cfg.value_coef / len(decisions)
     diag = {}
     for _ in range(cfg.epochs_per_batch):
-        g_net = policy.net.zero_grads()
-        g_val = policy.value_net.zero_grads()
-        loss = 0.0
-        n = len(decisions)
-        for d in decisions:
-            dist = MaskedCategorical(policy.net.forward(d.input_vec), d.mask)
-            new_lp = log_prob(dist, d.action)
-            ratio = math.exp(new_lp - d.log_prob)
-            surr, coeff = _surrogate_and_coeff(ratio, d.adv, cfg.clip_eps)
-            h = entropy(dist)
-            loss += (-surr - cfg.entropy_coef * h) / n
-            g = (-coeff / n) * log_prob_grad_logits(dist, d.action)
-            g += (-cfg.entropy_coef / n) * entropy_grad_logits(dist)
-            gl, _ = policy.net.backward(d.input_vec, g)
-            for acc, gg in zip(g_net, gl):
-                acc += gg
-            v = float(policy.value_net.forward(d.input_vec)[0])
-            err = v - d.target
-            loss += cfg.value_coef * err * err / n
-            gl, _ = policy.value_net.backward(
-                d.input_vec, np.array([2.0 * cfg.value_coef * err / n])
-            )
-            for acc, gg in zip(g_val, gl):
-                acc += gg
+        new_lp, ent, cache = score_choices(policy.net, inputs, masks, actions)
+        loss, dlogp, dent, _ = _ppo_terms(new_lp, ent, old_lp, advs, cfg)
+        g_net = score_vjp(cache, dlogp, dent)
+        sq, g_val = _value_regression(policy.value_net, inputs, targets, value_scale)
+        loss += value_scale * sq
         if not math.isfinite(loss):
             raise TrainingDivergenceError("non-finite flat-policy loss")
         adam_step(policy.net.params, clip_grad_norm(g_net, cfg.max_grad_norm),

@@ -38,6 +38,7 @@ from .policy import (
 from .runtime import (
     RunConfig,
     build_components,
+    build_mask_table,
     dump_config,
     load_buffer,
     load_config,
@@ -205,7 +206,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_enumerate_masks(args) -> int:
     cfg = _load_run_config(args)
-    _, table, _, _, _ = build_components(cfg)
+    table = build_mask_table(cfg)
     report = {
         "all_ones": enumerate_valid(all_ones_mask_table()),
         "configured_closed_form": enumerate_valid(table),

@@ -415,12 +415,22 @@ class SyntheticEnv:
     s_max: int = 7   # max reasoning steps (EvaluatorOptimizer worst case)
     u_max: int = 4   # max tools invokable
     a_max: int = 8   # max tools allocatable (two agents x 4)
+    _embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def embed(self, query: Query) -> StateEmbedding:
-        return StateEmbedding(
-            semantic=hash_embed(query.text, self.semantic_dim),
-            features=extract_features(query.text).as_vector(),
-        )
+        """The query's embedding, computed once per (id, text) and shared:
+        its arrays are read-only."""
+        key = (query.id, query.text)
+        state = self._embeddings.get(key)
+        if state is None:
+            state = StateEmbedding(
+                semantic=hash_embed(query.text, self.semantic_dim),
+                features=extract_features(query.text).as_vector(),
+            )
+            state.semantic.flags.writeable = False
+            state.features.flags.writeable = False
+            self._embeddings[key] = state
+        return state
 
     def spec_for(self, query: Query) -> SyntheticQuerySpec:
         return self.specs[query.id]

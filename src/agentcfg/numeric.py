@@ -55,40 +55,62 @@ class DenseNet:
         return len(self.sizes) - 1
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self._forward_cached(x)[0]
-
-    def _forward_cached(self, x):
+        """Output for one input row."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.input_size,):
             raise ShapeError(f"expected input shape ({self.input_size},), got {x.shape}")
-        activations = [x]
-        h = x
+        return self._forward(x)[0]
+
+    def forward_batch(self, X: np.ndarray):
+        """Outputs for a (B, input) batch of rows, plus the activations that
+        `backward` reuses instead of a second forward pass."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.input_size:
+            raise ShapeError(f"expected input shape (B, {self.input_size}), got {X.shape}")
+        return self._forward(X)
+
+    def _forward(self, h):
+        # h is one row (input,) or a batch (B, input); `h @ W.T` serves both.
+        activations = [h]
         for layer in range(self.n_layers):
             W, b = self.params[2 * layer], self.params[2 * layer + 1]
-            z = W @ h + b
+            z = h @ W.T + b
             h = np.tanh(z) if layer < self.n_layers - 1 else z
             activations.append(h)
         return h, activations
 
-    def backward(self, x: np.ndarray, upstream_grad: np.ndarray):
-        """Gradients of (upstream_grad . forward(x)) w.r.t. params and input."""
+    def backward(self, x: np.ndarray, upstream_grad: np.ndarray, cache=None):
+        """Gradients of sum over rows of (upstream_grad . forward(x)).
+
+        x is one row (input,) with upstream (output,), or a batch (B, input)
+        with upstream (B, output). Parameter gradients are summed over rows;
+        the input gradient has x's shape. `cache` is the activation list
+        `forward_batch(x)` returned; without it the forward pass runs again.
+        """
         upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
-        if upstream_grad.shape != (self.output_size,):
+        one_row = upstream_grad.ndim == 1
+        if one_row:
+            upstream_grad = upstream_grad[None]
+        if upstream_grad.ndim != 2 or upstream_grad.shape[1] != self.output_size:
             raise ShapeError(
-                f"expected upstream shape ({self.output_size},), got {upstream_grad.shape}"
+                f"expected upstream shape (..., {self.output_size}), got {upstream_grad.shape}"
             )
-        _, acts = self._forward_cached(x)
+        if cache is None:
+            x = np.asarray(x, dtype=np.float64)
+            _, cache = self.forward_batch(x[None] if one_row else x)
+        if cache[0].shape[0] != upstream_grad.shape[0]:
+            raise ShapeError("input and upstream gradient differ in row count")
         grads = [np.zeros_like(p) for p in self.params]
         delta = upstream_grad
         for layer in reversed(range(self.n_layers)):
             W = self.params[2 * layer]
-            h_in, h_out = acts[layer], acts[layer + 1]
+            h_in, h_out = cache[layer], cache[layer + 1]
             if layer < self.n_layers - 1:
                 delta = delta * (1.0 - h_out * h_out)  # tanh'
-            grads[2 * layer] = np.outer(delta, h_in)
-            grads[2 * layer + 1] = delta.copy()
-            delta = W.T @ delta
-        return grads, delta
+            grads[2 * layer] = delta.T @ h_in
+            grads[2 * layer + 1] = delta.sum(axis=0)
+            delta = delta @ W
+        return grads, delta[0] if one_row else delta
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -149,8 +171,44 @@ def load_net(path) -> DenseNet:
 # ---------------------------------------------------------------------------
 
 
+def masked_categorical(logits: np.ndarray, mask: np.ndarray):
+    """Masked categoricals over the last axis of (..., K) logits.
+
+    Returns (probs, log_probs, entropy): probs and log_probs have the logits'
+    shape and are 0 on masked entries, entropy (nats) has the leading shape.
+    Max-subtraction over the unmasked support keeps large logits finite.
+    Every row must leave at least one entry unmasked.
+    """
+    # ndarray methods rather than np.max/np.sum: on one short row the
+    # function wrappers cost more than the arithmetic.
+    valid = mask > 0
+    z = np.where(valid, logits, -np.inf)
+    z -= z.max(axis=-1, keepdims=True)
+    probs = np.exp(z)
+    total = probs.sum(axis=-1, keepdims=True)
+    probs /= total
+    log_probs = np.where(valid, z - np.log(total), 0.0)
+    entropy = -(probs * log_probs).sum(axis=-1)
+    return probs, log_probs, entropy
+
+
+def categorical_grad_logits(probs, log_probs, entropy, actions, dlogp, dentropy):
+    """Gradient w.r.t. the logits of dlogp * log p(action) + dentropy * H,
+    row by row: dlogp (onehot - p) - dentropy p (log p + H). Takes the
+    outputs of `masked_categorical`; zero on masked entries."""
+    dlogp = np.asarray(dlogp, dtype=np.float64)[..., None]
+    dentropy = np.asarray(dentropy, dtype=np.float64)[..., None]
+    onehot = np.arange(probs.shape[-1]) == np.asarray(actions)[..., None]
+    return dlogp * (onehot - probs) - dentropy * probs * (
+        log_probs + np.asarray(entropy)[..., None]
+    )
+
+
 @dataclass
 class MaskedCategorical:
+    """One masked categorical; the functions below are one-row views of
+    `masked_categorical`, computed once per distribution."""
+
     logits: np.ndarray
     mask: np.ndarray
 
@@ -159,30 +217,27 @@ class MaskedCategorical:
         self.mask = np.asarray(self.mask, dtype=np.float64)
         if self.logits.shape != self.mask.shape or self.logits.ndim != 1:
             raise ShapeError("logits and mask must be 1-d vectors of equal length")
-        if not np.any(self.mask > 0):
+        if not (self.mask > 0).any():
             raise InvalidMaskError("mask leaves no valid entry")
+        self._stats = None
+
+    @property
+    def stats(self):
+        """(probs, log_probs, entropy) of `masked_categorical`."""
+        if self._stats is None:
+            self._stats = masked_categorical(self.logits, self.mask)
+        return self._stats
 
 
 def masked_softmax(d: MaskedCategorical) -> np.ndarray:
-    """Probabilities with masked entries exactly 0; max-subtraction over the
-    unmasked support for stability."""
-    valid = d.mask > 0
-    z = d.logits[valid]
-    z = z - np.max(z)
-    e = np.exp(z)
-    probs = np.zeros_like(d.logits)
-    probs[valid] = e / np.sum(e)
-    return probs
+    """Probabilities with masked entries exactly 0."""
+    return d.stats[0].copy()
 
 
 def log_prob(d: MaskedCategorical, index: int) -> float:
     if not d.mask[index] > 0:
         raise InvalidActionError(f"action {index} is masked")
-    valid = d.mask > 0
-    z = d.logits[valid]
-    m = np.max(z)
-    lse = m + np.log(np.sum(np.exp(z - m)))
-    return float(d.logits[index] - lse)
+    return float(d.stats[1][index])
 
 
 def sample(d: MaskedCategorical, rng: np.random.Generator):
@@ -196,26 +251,54 @@ def sample(d: MaskedCategorical, rng: np.random.Generator):
 
 def entropy(d: MaskedCategorical) -> float:
     """Shannon entropy in nats over the unmasked support."""
-    probs = masked_softmax(d)
-    nz = probs > 0
-    return float(-np.sum(probs[nz] * np.log(probs[nz])))
+    return float(d.stats[2])
 
 
 def log_prob_grad_logits(d: MaskedCategorical, index: int) -> np.ndarray:
     """d log p(index) / d logits = onehot(index) - probs (zero on masked)."""
-    g = -masked_softmax(d)
-    g[index] += 1.0
-    return g
+    return categorical_grad_logits(*d.stats, index, 1.0, 0.0)
 
 
 def entropy_grad_logits(d: MaskedCategorical) -> np.ndarray:
     """dH/dz_j = -p_j (log p_j + H); zero on masked entries."""
-    probs = masked_softmax(d)
-    H = entropy(d)
-    g = np.zeros_like(probs)
-    nz = probs > 0
-    g[nz] = -probs[nz] * (np.log(probs[nz]) + H)
-    return g
+    return categorical_grad_logits(*d.stats, -1, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Batched replay of fixed choices
+# ---------------------------------------------------------------------------
+
+
+def score_choices(net: DenseNet, inputs, masks, actions, columns=None):
+    """Log-probabilities and entropies of fixed choices under one net, with
+    one batched forward pass.
+
+    Without `columns`, input row i makes one choice over the whole output,
+    masked by masks[i] (B, K). With `columns` (G, K) -- each row the output
+    columns of one head, padded with -1 -- row i makes G choices, masked by
+    masks[i] (B, G, K), padding masked. actions index into each (padded)
+    head. Returns (log_probs, entropy, cache), both shaped like actions.
+    """
+    out, activations = net.forward_batch(inputs)
+    logits = out if columns is None else out[:, columns]
+    probs, log_probs, ent = masked_categorical(logits, masks)
+    chosen = np.take_along_axis(log_probs, actions[..., None], axis=-1)[..., 0]
+    return chosen, ent, (net, activations, probs, log_probs, ent, actions, columns)
+
+
+def score_vjp(cache, dlogp, dentropy) -> list[np.ndarray]:
+    """Parameter gradients of sum(dlogp * log_probs + dentropy * entropy)
+    for the log-probs and entropies `score_choices` returned with `cache`;
+    dlogp and dentropy broadcast to their shape."""
+    net, activations, probs, log_probs, ent, actions, columns = cache
+    g = categorical_grad_logits(probs, log_probs, ent, actions, dlogp, dentropy)
+    if columns is not None:
+        slots = np.flatnonzero(columns.ravel() >= 0)
+        position = np.empty(net.output_size, dtype=np.intp)
+        position[columns.ravel()[slots]] = slots
+        g = g.reshape(len(g), columns.size)[:, position]
+    grads, _ = net.backward(None, g, activations)
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .core import (
     TIER_NAMES,
     WORKFLOW_BY_NAME,
     WORKFLOWS,
+    Configuration,
     PromptAtom,
     StateEmbedding,
     StructureAction,
@@ -38,8 +39,11 @@ from .numeric import (
     entropy,
     load_net,
     log_prob,
+    masked_softmax,
     sample,
     save_net,
+    score_choices,
+    score_vjp,
 )
 
 HEAD_SIZES = (N_WORKFLOWS, N_TOOL_SUBSETS, N_TOOL_SUBSETS, N_TIERS, N_TIERS, N_TIERS)
@@ -212,10 +216,28 @@ def iter_valid_actions(table: MaskTable):
 # ---------------------------------------------------------------------------
 
 _HEAD_OFFSETS = np.cumsum((0,) + HEAD_SIZES)
+_HEAD_WIDTH = max(HEAD_SIZES)
+# Trunk output column of every (head, choice) slot, padded with -1 to the
+# widest head: the layout in which `replay` scores all six heads at once.
+_HEAD_COLUMNS = np.array([
+    [int(_HEAD_OFFSETS[h]) + k if k < size else -1 for k in range(_HEAD_WIDTH)]
+    for h, size in enumerate(HEAD_SIZES)
+])
 
 
 def head_slice(i: int) -> slice:
     return slice(int(_HEAD_OFFSETS[i]), int(_HEAD_OFFSETS[i + 1]))
+
+
+def _padded_head_masks(table: MaskTable) -> np.ndarray:
+    """(workflow, head, slot) masks in the _HEAD_COLUMNS layout: entry wf
+    holds the workflow mask and the five masks conditioned on wf."""
+    masks = np.zeros((N_WORKFLOWS, len(HEAD_SIZES), _HEAD_WIDTH))
+    masks[:, 0, :N_WORKFLOWS] = table.workflow_mask
+    for head, name in enumerate(("tools1", "tools2", "budget1", "budget2", "budget3"), 1):
+        m = getattr(table, name)
+        masks[:, head, : m.shape[1]] = m
+    return masks
 
 
 class StructurePolicy:
@@ -236,9 +258,6 @@ class StructurePolicy:
         logits = self.head_logits(s_vec)
         masks = [table.workflow_mask] + table.masks_for(workflow_id)
         return [MaskedCategorical(z, m) for z, m in zip(logits, masks)]
-
-    def value(self, s_vec) -> float:
-        return float(self.value_net.forward(s_vec)[0])
 
     def save(self, directory) -> None:
         directory = Path(directory)
@@ -291,11 +310,6 @@ def log_prob_structure(
     dists = policy.distributions(s.as_vector(), table, a.workflow_id)
     choices = (a.workflow_id, a.tools1, a.tools2, *a.budgets)
     return sum(log_prob(d, c) for d, c in zip(dists, choices))
-
-
-def value_estimate(net: DenseNet, x) -> float:
-    """Scalar value prediction for a state or prompt-step input."""
-    return float(net.forward(np.asarray(x, dtype=np.float64))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +368,6 @@ class PromptPolicy:
                 mask[a] = 0.0
         return mask
 
-    def value(self, step_input) -> float:
-        return float(self.value_net.forward(step_input)[0])
-
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -369,15 +380,11 @@ class PromptPolicy:
         self.value_net = load_net(directory / "prompt_value.params")
 
 
-def sample_prompts(
-    policy: PromptPolicy,
-    s: StateEmbedding,
-    a_struct: StructureAction,
-    rng: np.random.Generator,
-):
-    """One STOP-terminated sequence per active agent; agent i takes role
-    ROLES[i]. Returns (sequences, steps) with stepwise log-probs recorded."""
-    s_vec = s.as_vector()
+def _walk_prompts(policy: PromptPolicy, s_vec, a_struct: StructureAction, choose):
+    """The one prompt-decision loop, shared by sampling, greedy decoding and
+    replay. Agent i takes role ROLES[i]; at each step choose(agent, position,
+    input, mask) returns (atom or STOP index, log-prob) until STOP. Returns
+    (sequences, steps)."""
     sequences: list[tuple[int, ...]] = []
     steps: list[PromptStep] = []
     for agent in range(a_struct.workflow.agents_active):
@@ -386,14 +393,46 @@ def sample_prompts(
         while True:
             x = policy.step_input(s_vec, a_struct.workflow_id, chosen)
             mask = policy.step_mask(role, chosen, len(chosen))
-            dist = MaskedCategorical(policy.net.forward(x), mask)
-            action, lp = sample(dist, rng)
+            action, lp = choose(agent, len(chosen), x, mask)
             steps.append(PromptStep(agent, x, mask, action, lp))
             if action == policy.stop_index:
                 break
             chosen.append(action)
         sequences.append(tuple(chosen))
     return tuple(sequences), steps
+
+
+def _given_prompt_steps(policy: PromptPolicy, s_vec, a_struct: StructureAction, sequences):
+    """Steps that produce the given sequences, each STOP included; raises on
+    any atom the masks forbid."""
+    if len(sequences) != a_struct.workflow.agents_active:
+        raise InvalidActionError("one prompt sequence required per active agent")
+
+    def given(agent, position, x, mask):
+        seq = sequences[agent]
+        atom = seq[position] if position < len(seq) else policy.stop_index
+        if not mask[atom] > 0:
+            raise InvalidActionError(
+                f"atom {atom} invalid for role {ROLES[agent]} at position {position}"
+            )
+        return atom, 0.0
+
+    return _walk_prompts(policy, s_vec, a_struct, given)[1]
+
+
+def sample_prompts(
+    policy: PromptPolicy,
+    s: StateEmbedding,
+    a_struct: StructureAction,
+    rng: np.random.Generator,
+):
+    """One STOP-terminated sequence per active agent; agent i takes role
+    ROLES[i]. Returns (sequences, steps) with stepwise log-probs recorded."""
+
+    def draw(agent, position, x, mask):
+        return sample(MaskedCategorical(policy.net.forward(x), mask), rng)
+
+    return _walk_prompts(policy, s.as_vector(), a_struct, draw)
 
 
 def greedy_configuration(
@@ -404,31 +443,20 @@ def greedy_configuration(
 ):
     """Deterministic argmax decode of both policies: the mode of each masked
     head (workflow first), then the argmax prompt step for every agent."""
-    from .core import Configuration
-    from .numeric import masked_softmax
+
+    def mode(logits, mask) -> int:
+        return int(np.argmax(masked_softmax(MaskedCategorical(logits, mask))))
 
     s_vec = s.as_vector()
     logits = struct_policy.head_logits(s_vec)
-    wf = int(np.argmax(masked_softmax(MaskedCategorical(logits[0], table.workflow_mask))))
-    choices = []
-    for head, mask in enumerate(table.masks_for(wf), start=1):
-        probs = masked_softmax(MaskedCategorical(logits[head], mask))
-        choices.append(int(np.argmax(probs)))
+    wf = mode(logits[0], table.workflow_mask)
+    choices = [mode(z, m) for z, m in zip(logits[1:], table.masks_for(wf))]
     action = StructureAction(wf, choices[0], choices[1], tuple(choices[2:]))
-    sequences = []
-    for agent in range(action.workflow.agents_active):
-        role = ROLES[agent]
-        chosen: list[int] = []
-        while True:
-            x = prompt_policy.step_input(s_vec, wf, chosen)
-            mask = prompt_policy.step_mask(role, chosen, len(chosen))
-            probs = masked_softmax(MaskedCategorical(prompt_policy.net.forward(x), mask))
-            pick = int(np.argmax(probs))
-            if pick == prompt_policy.stop_index:
-                break
-            chosen.append(pick)
-        sequences.append(tuple(chosen))
-    return Configuration(action, tuple(sequences))
+    sequences, _ = _walk_prompts(
+        prompt_policy, s_vec, action,
+        lambda agent, position, x, mask: (mode(prompt_policy.net.forward(x), mask), 0.0),
+    )
+    return Configuration(action, sequences)
 
 
 def log_prob_prompts(
@@ -438,22 +466,107 @@ def log_prob_prompts(
     sequences: Sequence[Sequence[int]],
 ) -> float:
     """Total log-probability of given sequences (including each STOP)."""
-    if len(sequences) != a_struct.workflow.agents_active:
-        raise InvalidActionError("one prompt sequence required per active agent")
-    s_vec = s.as_vector()
-    total = 0.0
-    for agent, seq in enumerate(sequences):
-        role = ROLES[agent]
-        chosen: list[int] = []
-        for atom in list(seq) + [policy.stop_index]:
-            x = policy.step_input(s_vec, a_struct.workflow_id, chosen)
-            mask = policy.step_mask(role, chosen, len(chosen))
-            if not mask[atom] > 0:
-                raise InvalidActionError(
-                    f"atom {atom} invalid for role {role} at position {len(chosen)}"
-                )
-            dist = MaskedCategorical(policy.net.forward(x), mask)
-            total += log_prob(dist, atom)
-            if atom != policy.stop_index:
-                chosen.append(atom)
-    return total
+    steps = _given_prompt_steps(policy, s.as_vector(), a_struct, sequences)
+    logp, _, _ = score_choices(
+        policy.net,
+        np.stack([st.input_vec for st in steps]),
+        np.stack([st.mask for st in steps]),
+        np.array([st.action for st in steps]),
+    )
+    return float(logp.sum())
+
+
+# ---------------------------------------------------------------------------
+# Batched replay: the scoring core of every training objective
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ReplayBatch:
+    """Fixed configurations laid out for one batched replay: one structure
+    row per configuration, then every prompt step (STOP included) in order."""
+
+    states: np.ndarray          # (N, state_dim)
+    struct_masks: np.ndarray    # (N, heads, widest head), _HEAD_COLUMNS layout
+    struct_actions: np.ndarray  # (N, heads) choice of each head
+    step_inputs: np.ndarray     # (M, prompt input_dim)
+    step_masks: np.ndarray      # (M, atoms + 1)
+    step_actions: np.ndarray    # (M,)
+    step_owner: np.ndarray      # (M,) configuration each step belongs to
+
+    @classmethod
+    def build(cls, prompt_policy: PromptPolicy, table: MaskTable, states, actions, steps):
+        """From state vectors, structure actions and each configuration's
+        list of PromptSteps."""
+        flat = [st for per_config in steps for st in per_config]
+        n, m = len(actions), len(flat)
+        return cls(
+            states=np.reshape(np.array(states, dtype=np.float64), (n, prompt_policy.state_dim)),
+            struct_masks=_padded_head_masks(table)[[a.workflow_id for a in actions]],
+            struct_actions=np.reshape(np.array(
+                [(a.workflow_id, a.tools1, a.tools2, *a.budgets) for a in actions],
+                dtype=np.intp), (n, len(HEAD_SIZES))),
+            step_inputs=np.reshape(np.array([st.input_vec for st in flat], dtype=np.float64),
+                                   (m, prompt_policy.input_dim)),
+            step_masks=np.reshape(np.array([st.mask for st in flat], dtype=np.float64),
+                                  (m, prompt_policy.n_atoms + 1)),
+            step_actions=np.array([st.action for st in flat], dtype=np.intp),
+            step_owner=np.repeat(np.arange(n), [len(per_config) for per_config in steps]),
+        )
+
+    @property
+    def n(self) -> int:
+        return len(self.states)
+
+    def per_config(self, struct_values, step_values) -> np.ndarray:
+        """Each configuration's structure value plus its prompt steps' values."""
+        return struct_values + np.bincount(self.step_owner, weights=step_values,
+                                           minlength=self.n)
+
+
+def replay_batch(prompt_policy: PromptPolicy, table: MaskTable, records) -> ReplayBatch:
+    """Lay out recorded configurations (anything with state,
+    structure_action and prompt_actions) for `replay`; raises
+    InvalidActionError on any choice the masks forbid."""
+    states, actions, steps = [], [], []
+    for r in records:
+        a = r.structure_action
+        if not table.is_valid(a):
+            raise InvalidActionError(f"structure action invalid under mask table: {a}")
+        s_vec = r.state.as_vector()
+        states.append(s_vec)
+        actions.append(a)
+        steps.append(_given_prompt_steps(prompt_policy, s_vec, a, r.prompt_actions))
+    return ReplayBatch.build(prompt_policy, table, states, actions, steps)
+
+
+def replay(policies, table: MaskTable, records):
+    """Log-probabilities and entropies of fixed configurations under
+    policies = (structure policy, prompt policy): one trunk pass over the
+    states and one prompt-net pass over every step.
+
+    records are recorded configurations or their ReplayBatch (objectives
+    that revisit a fixed batch lay it out once). Returns (log_probs,
+    entropy, cache); each of the first two is a pair (structure (N,),
+    summed over the six heads; prompt steps (M,)).
+    """
+    struct_policy, prompt_policy = policies
+    batch = records if isinstance(records, ReplayBatch) else replay_batch(
+        prompt_policy, table, records)
+    s_lp, s_h, s_cache = score_choices(struct_policy.trunk, batch.states, batch.struct_masks,
+                                       batch.struct_actions, _HEAD_COLUMNS)
+    p_lp, p_h, p_cache = score_choices(prompt_policy.net, batch.step_inputs,
+                                       batch.step_masks, batch.step_actions)
+    return (s_lp.sum(axis=1), p_lp), (s_h.sum(axis=1), p_h), (s_cache, p_cache)
+
+
+def vjp(cache, dlogp, dentropy) -> dict:
+    """Gradients of sum(dlogp * log_probs + dentropy * entropy) over a
+    `replay`, keyed struct_trunk and prompt_net. dlogp and dentropy are
+    (structure, steps) pairs broadcasting to the shapes replay returned."""
+    s_cache, p_cache = cache
+    return {
+        "struct_trunk": score_vjp(s_cache, np.asarray(dlogp[0])[..., None],
+                                  np.asarray(dentropy[0])[..., None]),
+        "prompt_net": score_vjp(p_cache, dlogp[1], dentropy[1]),
+    }

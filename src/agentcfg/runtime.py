@@ -79,6 +79,27 @@ class EnvConfig:
     difficulty_high: float = 0.8
     noise_scale: float = 0.0
 
+    def __post_init__(self):
+        for name in ("n_queries", "semantic_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"env.{name} must be >= 1, got {getattr(self, name)!r}")
+        probs = self.depth_probs
+        if (len(probs) != 3 or any(isinstance(p, bool) or not isinstance(p, (int, float))
+                                   or not p >= 0 for p in probs)
+                or abs(sum(probs) - 1.0) > 1e-9):
+            raise ConfigError(
+                f"env.depth_probs must be 3 non-negative numbers summing to 1, got {probs!r}"
+            )
+        if not 0.0 <= self.tool_prob <= 1.0:
+            raise ConfigError(f"env.tool_prob must be in [0, 1], got {self.tool_prob!r}")
+        if not self.noise_scale >= 0:
+            raise ConfigError(f"env.noise_scale must be >= 0, got {self.noise_scale!r}")
+        if not self.difficulty_low <= self.difficulty_high:
+            raise ConfigError(
+                f"env.difficulty_low ({self.difficulty_low!r}) must not exceed "
+                f"env.difficulty_high ({self.difficulty_high!r})"
+            )
+
 
 @dataclass(frozen=True)
 class BackendEndpoint:
@@ -573,8 +594,19 @@ class TrainingArtifacts:
     env: SyntheticEnv
 
 
+def build_mask_table(cfg: RunConfig) -> MaskTable:
+    return mask_table_from_config(cfg.mask_table) if cfg.mask_table else default_mask_table()
+
+
 def build_components(cfg: RunConfig):
-    """(env, table, library, policies) from a validated RunConfig."""
+    """(env, table, library, policies) from a validated RunConfig. Only the
+    synthetic environment exists so far: real mode is reached through
+    `execute_real`, so a real-mode config is refused here."""
+    if cfg.mode != "synthetic":
+        raise ConfigError(
+            f"mode: {cfg.mode} is not supported yet: train, simulate, eval and search "
+            "support only mode: synthetic (real mode runs through execute_real)"
+        )
     library = (
         load_atom_library(cfg.atom_library)
         if cfg.atom_library
@@ -591,7 +623,7 @@ def build_components(cfg: RunConfig):
         dist, cfg.env.n_queries, cfg.seed, library=library,
         semantic_dim=cfg.env.semantic_dim,
     )
-    table = mask_table_from_config(cfg.mask_table) if cfg.mask_table else default_mask_table()
+    table = build_mask_table(cfg)
     state_dim = cfg.env.semantic_dim + 5
     struct_policy = StructurePolicy(state_dim, rng=np.random.default_rng([cfg.seed, 1]))
     prompt_policy = PromptPolicy(state_dim, library, rng=np.random.default_rng([cfg.seed, 2]))

@@ -8,7 +8,6 @@ parameters so gradient correctness is testable against finite differences.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -30,27 +29,21 @@ from .errors import (
     NoPairsError,
     TrainingDivergenceError,
 )
-from .numeric import (
-    AdamState,
-    MaskedCategorical,
-    adam_step,
-    clip_grad_norm,
-    entropy,
-    entropy_grad_logits,
-    log_prob,
-    log_prob_grad_logits,
-    masked_softmax,
-)
+from .numeric import AdamState, DenseNet, adam_step, clip_grad_norm
+from .numeric import log_prob  # noqa: F401  (re-exported: train.log_prob is public)
 from .policy import (
-    HEAD_SIZES,
     MaskTable,
     PromptPolicy,
     PromptStep,
+    ReplayBatch,
     StructurePolicy,
-    head_slice,
+    log_prob_prompts,
     log_prob_structure,
+    replay,
+    replay_batch,
     sample_prompts,
     sample_structure,
+    vjp,
 )
 from .reward import RewardConfig, shaped_reward
 
@@ -209,28 +202,24 @@ def compute_advantages(
     normalized per batch, ranking-preserving."""
     if not rollouts:
         raise ContractError("cannot compute advantages for an empty batch")
-    struct_raw = []
-    for r in rollouts:
+    states = np.stack([r.state.as_vector() for r in rollouts])
+    values = struct_policy.value_net.forward_batch(states)[0][:, 0]
+    for r, a in zip(rollouts, _normalize(np.array([r.record.reward for r in rollouts]) - values)):
         r.struct_target = r.record.reward
-        struct_raw.append(r.struct_target - struct_policy.value(r.state.as_vector()))
-    struct_norm = _normalize(np.array(struct_raw))
-    for r, a in zip(rollouts, struct_norm):
         r.struct_adv = float(a)
 
-    step_raw = []
+    steps = [step for r in rollouts for step in r.prompt_steps]
     for r in rollouts:
         k = len(r.prompt_steps)
-        r.step_targets = [
-            gamma ** (k - 1 - j) * r.record.reward for j in range(k)
-        ]
+        r.step_targets = [gamma ** (k - 1 - j) * r.record.reward for j in range(k)]
         r.step_advs = []
-        for step, target in zip(r.prompt_steps, r.step_targets):
-            step_raw.append(target - prompt_policy.value(step.input_vec))
-    if step_raw:
-        step_norm = _normalize(np.array(step_raw))
+    if steps:
+        inputs = np.stack([step.input_vec for step in steps])
+        targets = np.array([t for r in rollouts for t in r.step_targets])
+        step_norm = _normalize(targets - prompt_policy.value_net.forward_batch(inputs)[0][:, 0])
         idx = 0
         for r in rollouts:
-            r.step_advs = [float(step_norm[idx + j]) for j in range(len(r.prompt_steps))]
+            r.step_advs = [float(a) for a in step_norm[idx: idx + len(r.prompt_steps)]]
             idx += len(r.prompt_steps)
 
 
@@ -247,14 +236,32 @@ def grpo_advantages(rewards: Sequence[float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _surrogate_and_coeff(ratio: float, adv: float, clip_eps: float):
-    """min(rho*A, clip(rho)*A) and d(surrogate)/d(new log-prob)."""
-    clipped = min(max(ratio, 1.0 - clip_eps), 1.0 + clip_eps)
+def _surrogate_and_coeff(ratio, adv, clip_eps: float):
+    """min(rho*A, clip(rho)*A) and d(surrogate)/d(new log-prob), elementwise."""
     unclipped_term = ratio * adv
-    clipped_term = clipped * adv
-    if unclipped_term <= clipped_term:
-        return unclipped_term, ratio * adv
-    return clipped_term, 0.0
+    clipped_term = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * adv
+    take = unclipped_term <= clipped_term
+    return np.where(take, unclipped_term, clipped_term), np.where(take, unclipped_term, 0.0)
+
+
+def _ppo_terms(new_lp, entropy, old_lp, adv, cfg: PPOConfig):
+    """Clipped-surrogate and entropy terms averaged over a set of decisions.
+    Returns (loss, dloss/dlogp, dloss/dentropy, clipped-ratio count)."""
+    n = max(len(new_lp), 1)
+    ratio = np.exp(new_lp - old_lp)
+    surr, coeff = _surrogate_and_coeff(ratio, adv, cfg.clip_eps)
+    loss = float(np.sum(-surr - cfg.entropy_coef * entropy)) / n
+    hits = int(np.sum(np.abs(ratio - 1.0) > cfg.clip_eps))
+    return loss, -coeff / n, -cfg.entropy_coef / n, hits
+
+
+def _value_regression(net: DenseNet, inputs, targets, scale: float):
+    """Sum of squared errors of net's scalar predictions and the gradients of
+    scale times it."""
+    v, activations = net.forward_batch(inputs)
+    err = v[:, 0] - targets
+    grads, _ = net.backward(inputs, (2.0 * scale * err)[:, None], activations)
+    return float(err @ err), grads
 
 
 def ppo_loss_and_grads(
@@ -267,88 +274,47 @@ def ppo_loss_and_grads(
 ):
     """Clipped-surrogate PPO loss over one batch, with value MSE and entropy
     regularization; masks are applied identically to old and new log-probs.
+    Structure terms are averaged over episodes, prompt terms over steps.
 
     Returns (loss, grads, diagnostics) where grads maps net name -> gradient
     list aligned with that net's parameters.
     """
-    n_struct = len(rollouts)
-    n_steps = sum(len(r.prompt_steps) for r in rollouts)
-    grads = {
-        "struct_trunk": struct_policy.trunk.zero_grads(),
-        "struct_value": struct_policy.value_net.zero_grads(),
-        "prompt_net": prompt_policy.net.zero_grads(),
-        "prompt_value": prompt_policy.value_net.zero_grads(),
-    }
-    loss = 0.0
-    clip_hits = 0
-    sum_entropy = 0.0
-    sum_value_loss = 0.0
+    steps = [step for r in rollouts for step in r.prompt_steps]
+    batch = ReplayBatch.build(
+        prompt_policy, table, [r.state.as_vector() for r in rollouts],
+        [r.record.structure_action for r in rollouts], [r.prompt_steps for r in rollouts])
+    (s_lp, p_lp), (s_h, p_h), cache = replay((struct_policy, prompt_policy), table, batch)
+    s_loss, s_dlogp, s_dh, s_hits = _ppo_terms(
+        s_lp, s_h, np.array([r.struct_log_prob for r in rollouts]),
+        np.array([r.struct_adv for r in rollouts]), cfg)
+    p_loss, p_dlogp, p_dh, p_hits = _ppo_terms(
+        p_lp, p_h, np.array([step.log_prob for step in steps]),
+        np.array([a for r in rollouts for a in r.step_advs]), cfg)
+    loss = s_loss + p_loss
+    grads = vjp(cache, (s_dlogp, p_dlogp), (s_dh, p_dh))
+    n_struct, n_steps = len(rollouts), len(steps)
+    sq_err = 0.0
+    if use_value_loss:
+        for name, net, inputs, targets, n in (
+            ("struct_value", struct_policy.value_net, batch.states,
+             [r.struct_target for r in rollouts], n_struct),
+            ("prompt_value", prompt_policy.value_net, batch.step_inputs,
+             [t for r in rollouts for t in r.step_targets], n_steps),
+        ):
+            scale = cfg.value_coef / max(n, 1)
+            sq, grads[name] = _value_regression(net, inputs, np.array(targets), scale)
+            loss += scale * sq
+            sq_err += sq
+    else:
+        grads["struct_value"] = struct_policy.value_net.zero_grads()
+        grads["prompt_value"] = prompt_policy.value_net.zero_grads()
 
-    for r in rollouts:
-        s_vec = r.state.as_vector()
-        a = r.record.structure_action
-        dists = struct_policy.distributions(s_vec, table, a.workflow_id)
-        choices = (a.workflow_id, a.tools1, a.tools2, *a.budgets)
-        new_lp = sum(log_prob(d, c) for d, c in zip(dists, choices))
-        ratio = math.exp(new_lp - r.struct_log_prob)
-        surr, coeff = _surrogate_and_coeff(ratio, r.struct_adv, cfg.clip_eps)
-        if abs(ratio - 1.0) > cfg.clip_eps:
-            clip_hits += 1
-        ep_entropy = sum(entropy(d) for d in dists)
-        sum_entropy += ep_entropy
-        loss += (-surr - cfg.entropy_coef * ep_entropy) / n_struct
-
-        dlogits = np.zeros(sum(HEAD_SIZES))
-        for head, (d, c) in enumerate(zip(dists, choices)):
-            g = (-coeff / n_struct) * log_prob_grad_logits(d, c)
-            g += (-cfg.entropy_coef / n_struct) * entropy_grad_logits(d)
-            dlogits[head_slice(head)] = g
-        g_trunk, _ = struct_policy.trunk.backward(s_vec, dlogits)
-        for acc, g in zip(grads["struct_trunk"], g_trunk):
-            acc += g
-
-        if use_value_loss:
-            v = struct_policy.value(s_vec)
-            err = v - r.struct_target
-            sum_value_loss += err * err
-            loss += cfg.value_coef * err * err / n_struct
-            g_val, _ = struct_policy.value_net.backward(
-                s_vec, np.array([2.0 * cfg.value_coef * err / n_struct])
-            )
-            for acc, g in zip(grads["struct_value"], g_val):
-                acc += g
-
-        for step, adv, target in zip(r.prompt_steps, r.step_advs, r.step_targets):
-            dist = MaskedCategorical(prompt_policy.net.forward(step.input_vec), step.mask)
-            new_lp = log_prob(dist, step.action)
-            ratio = math.exp(new_lp - step.log_prob)
-            surr, coeff = _surrogate_and_coeff(ratio, adv, cfg.clip_eps)
-            if abs(ratio - 1.0) > cfg.clip_eps:
-                clip_hits += 1
-            h = entropy(dist)
-            sum_entropy += h
-            loss += (-surr - cfg.entropy_coef * h) / n_steps
-            g = (-coeff / n_steps) * log_prob_grad_logits(dist, step.action)
-            g += (-cfg.entropy_coef / n_steps) * entropy_grad_logits(dist)
-            g_net, _ = prompt_policy.net.backward(step.input_vec, g)
-            for acc, gg in zip(grads["prompt_net"], g_net):
-                acc += gg
-            if use_value_loss:
-                v = prompt_policy.value(step.input_vec)
-                err = v - target
-                sum_value_loss += err * err
-                loss += cfg.value_coef * err * err / n_steps
-                g_val, _ = prompt_policy.value_net.backward(
-                    step.input_vec, np.array([2.0 * cfg.value_coef * err / n_steps])
-                )
-                for acc, gg in zip(grads["prompt_value"], g_val):
-                    acc += gg
-
+    n_decisions = max(n_struct + n_steps, 1)
     diagnostics = {
         "loss": loss,
-        "clip_fraction": clip_hits / max(n_struct + n_steps, 1),
-        "mean_entropy": sum_entropy / max(n_struct + n_steps, 1),
-        "value_loss": sum_value_loss / max(n_struct + n_steps, 1),
+        "clip_fraction": (s_hits + p_hits) / n_decisions,
+        "mean_entropy": float(s_h.sum() + p_h.sum()) / n_decisions,
+        "value_loss": sq_err / n_decisions,
         "mean_reward": float(np.mean([r.record.reward for r in rollouts])),
     }
     return loss, grads, diagnostics
@@ -482,7 +448,7 @@ def action_key(structure: StructureAction, prompts) -> tuple:
 @dataclass
 class EliteSet:
     """Correct, above-threshold episodes plus their empirical distribution
-    over quantized state keys."""
+    over quantized state keys, indexed once by `filter_elite`."""
 
     records: list[EpisodeRecord]
     tau_eff: float
@@ -490,28 +456,21 @@ class EliteSet:
     action_counts: dict          # (state_key, action_key) -> count
     state_examples: dict         # state_key -> StateEmbedding
     action_examples: dict        # (state_key, action_key) -> EpisodeRecord
+    actions_by_state: dict = field(default_factory=dict)  # state_key -> {action_key: count}
+    action_rewards: dict = field(default_factory=dict)    # (state_key, action_key) -> rewards
 
     def __len__(self):
         return len(self.records)
 
     def p_hat(self, state_key) -> dict:
         n_s = self.state_counts[state_key]
-        return {
-            a_key: count / n_s
-            for (s_key, a_key), count in self.action_counts.items()
-            if s_key == state_key
-        }
+        return {a_key: count / n_s for a_key, count in self.actions_by_state[state_key].items()}
 
     def elite_actions(self, state_key) -> set:
-        return {a for (s, a) in self.action_counts if s == state_key}
+        return set(self.actions_by_state.get(state_key, ()))
 
     def rewards_for(self, state_key, a_key) -> list[float]:
-        return [
-            r.reward
-            for r in self.records
-            if r.state.key() == state_key
-            and action_key(r.structure_action, r.prompt_actions) == a_key
-        ]
+        return list(self.action_rewards.get((state_key, a_key), ()))
 
 
 def filter_elite(buffer: ExperienceBuffer, cfg: SFTConfig) -> EliteSet:
@@ -527,70 +486,35 @@ def filter_elite(buffer: ExperienceBuffer, cfg: SFTConfig) -> EliteSet:
         raise EmptyEliteError(
             f"no correct episodes with reward >= {tau_eff:.4f} among {len(buffer)}"
         )
-    state_counts: dict = {}
-    action_counts: dict = {}
-    state_examples: dict = {}
-    action_examples: dict = {}
+    elite = EliteSet(records, tau_eff, {}, {}, {}, {})
     for r in records:
         s_key = r.state.key()
         a_key = action_key(r.structure_action, r.prompt_actions)
-        state_counts[s_key] = state_counts.get(s_key, 0) + 1
-        action_counts[(s_key, a_key)] = action_counts.get((s_key, a_key), 0) + 1
-        state_examples.setdefault(s_key, r.state)
-        action_examples.setdefault((s_key, a_key), r)
-    return EliteSet(records, tau_eff, state_counts, action_counts,
-                    state_examples, action_examples)
+        elite.state_counts[s_key] = elite.state_counts.get(s_key, 0) + 1
+        elite.action_counts[(s_key, a_key)] = elite.action_counts.get((s_key, a_key), 0) + 1
+        by_state = elite.actions_by_state.setdefault(s_key, {})
+        by_state[a_key] = by_state.get(a_key, 0) + 1
+        elite.action_rewards.setdefault((s_key, a_key), []).append(r.reward)
+        elite.state_examples.setdefault(s_key, r.state)
+        elite.action_examples.setdefault((s_key, a_key), r)
+    return elite
 
 
 def sft_loss_and_grads(
     struct_policy: StructurePolicy,
     prompt_policy: PromptPolicy,
     table: MaskTable,
-    records: Sequence[EpisodeRecord],
+    records,
     entropy_reg: float = 0.0,
 ):
     """Mean negative log-likelihood of the elite demonstrations (structure
     action and every prompt step), minus entropy_reg times the mean policy
-    entropy at the visited decisions."""
-    n = len(records)
-    grads = {
-        "struct_trunk": struct_policy.trunk.zero_grads(),
-        "prompt_net": prompt_policy.net.zero_grads(),
-    }
-    loss = 0.0
-    for r in records:
-        s_vec = r.state.as_vector()
-        a = r.structure_action
-        dists = struct_policy.distributions(s_vec, table, a.workflow_id)
-        choices = (a.workflow_id, a.tools1, a.tools2, *a.budgets)
-        dlogits = np.zeros(sum(HEAD_SIZES))
-        for head, (d, c) in enumerate(zip(dists, choices)):
-            loss += (-log_prob(d, c) - entropy_reg * entropy(d)) / n
-            g = (-1.0 / n) * log_prob_grad_logits(d, c)
-            g += (-entropy_reg / n) * entropy_grad_logits(d)
-            dlogits[head_slice(head)] = g
-        g_trunk, _ = struct_policy.trunk.backward(s_vec, dlogits)
-        for acc, g in zip(grads["struct_trunk"], g_trunk):
-            acc += g
-
-        chosen_per_agent = r.prompt_actions
-        from .core import ROLES  # local import to avoid a cycle at module load
-
-        for agent, seq in enumerate(chosen_per_agent):
-            role = ROLES[agent]
-            chosen: list[int] = []
-            for atom in list(seq) + [prompt_policy.stop_index]:
-                x = prompt_policy.step_input(s_vec, a.workflow_id, chosen)
-                mask = prompt_policy.step_mask(role, chosen, len(chosen))
-                dist = MaskedCategorical(prompt_policy.net.forward(x), mask)
-                loss += (-log_prob(dist, atom) - entropy_reg * entropy(dist)) / n
-                g = (-1.0 / n) * log_prob_grad_logits(dist, atom)
-                g += (-entropy_reg / n) * entropy_grad_logits(dist)
-                g_net, _ = prompt_policy.net.backward(x, g)
-                for acc, gg in zip(grads["prompt_net"], g_net):
-                    acc += gg
-                if atom != prompt_policy.stop_index:
-                    chosen.append(atom)
+    entropy at the visited decisions. records: EpisodeRecords or their
+    ReplayBatch."""
+    (s_lp, p_lp), (s_h, p_h), cache = replay((struct_policy, prompt_policy), table, records)
+    n = max(len(s_lp), 1)
+    loss = -float(s_lp.sum() + p_lp.sum() + entropy_reg * (s_h.sum() + p_h.sum())) / n
+    grads = vjp(cache, (-1.0 / n, -1.0 / n), (-entropy_reg / n, -entropy_reg / n))
     return loss, grads
 
 
@@ -605,12 +529,13 @@ def sft_update(
     elite without touching the policies."""
     if len(elite) == 0:
         raise EmptyEliteError("sft_update requires a non-empty elite set")
+    batch = replay_batch(prompt_policy, table, elite.records)
     opt_struct = AdamState.for_params(struct_policy.trunk.params)
     opt_prompt = AdamState.for_params(prompt_policy.net.params)
     losses = []
     for _ in range(cfg.epochs):
         loss, grads = sft_loss_and_grads(
-            struct_policy, prompt_policy, table, elite.records, cfg.entropy_reg
+            struct_policy, prompt_policy, table, batch, cfg.entropy_reg
         )
         if not math.isfinite(loss):
             raise TrainingDivergenceError("non-finite SFT loss")
@@ -626,8 +551,6 @@ def sft_update(
 
 
 def _config_log_prob(struct_policy, prompt_policy, table, record: EpisodeRecord) -> float:
-    from .policy import log_prob_prompts
-
     return log_prob_structure(
         struct_policy, table, record.state, record.structure_action
     ) + log_prob_prompts(
@@ -659,24 +582,23 @@ def dpo_update(
     buffer: ExperienceBuffer,
     cfg: DPOConfig,
 ):
-    """Preference refinement against a frozen pre-update reference snapshot.
+    """Preference refinement against the pre-update policy as reference.
     Positives pair with their nearest-state negative, one pair per positive."""
     pairs = _dpo_pairs(buffer, cfg)
-    ref_struct = copy.deepcopy(struct_policy)
-    ref_prompt = copy.deepcopy(prompt_policy)
     ref_lps = [
         (
-            _config_log_prob(ref_struct, ref_prompt, table, pos),
-            _config_log_prob(ref_struct, ref_prompt, table, neg),
+            _config_log_prob(struct_policy, prompt_policy, table, pos),
+            _config_log_prob(struct_policy, prompt_policy, table, neg),
         )
         for pos, neg in pairs
     ]
+    batch = _pair_batch(prompt_policy, table, pairs)
     opt_struct = AdamState.for_params(struct_policy.trunk.params)
     opt_prompt = AdamState.for_params(prompt_policy.net.params)
     losses = []
     for _ in range(cfg.epochs):
         loss, grads = dpo_loss_and_grads(
-            struct_policy, prompt_policy, table, pairs, ref_lps, cfg
+            struct_policy, prompt_policy, table, batch, ref_lps, cfg
         )
         if not math.isfinite(loss):
             raise TrainingDivergenceError("non-finite DPO loss")
@@ -688,70 +610,29 @@ def dpo_update(
     return losses
 
 
+def _pair_batch(prompt_policy, table, pairs) -> ReplayBatch:
+    """Every positive, then every negative, laid out for replay."""
+    return replay_batch(prompt_policy, table,
+                        [pos for pos, _ in pairs] + [neg for _, neg in pairs])
+
+
 def dpo_loss_and_grads(struct_policy, prompt_policy, table, pairs, ref_lps, cfg: DPOConfig):
     """loss = -log sigmoid(beta * [(l(a+) - l_ref(a+)) - (l(a-) - l_ref(a-))])
-    averaged over pairs."""
-    n = len(pairs)
-    grads = {
-        "struct_trunk": struct_policy.trunk.zero_grads(),
-        "prompt_net": prompt_policy.net.zero_grads(),
-    }
-    loss = 0.0
-    for (pos, neg), (ref_pos, ref_neg) in zip(pairs, ref_lps):
-        lp_pos = _config_log_prob(struct_policy, prompt_policy, table, pos)
-        lp_neg = _config_log_prob(struct_policy, prompt_policy, table, neg)
-        margin = cfg.beta * ((lp_pos - ref_pos) - (lp_neg - ref_neg))
-        loss += -_log_sigmoid(margin) / n
-        # d loss / d lp_pos = -beta * sigmoid(-margin); flipped sign for lp_neg
-        coeff = -cfg.beta * _sigmoid(-margin) / n
-        for record, sign in ((pos, 1.0), (neg, -1.0)):
-            _accumulate_config_logp_grads(
-                struct_policy, prompt_policy, table, record, sign * coeff, grads
-            )
+    averaged over pairs. pairs: (positive, negative) records, or their
+    `_pair_batch`."""
+    batch = pairs if isinstance(pairs, ReplayBatch) else _pair_batch(
+        prompt_policy, table, pairs)
+    logp, _, cache = replay((struct_policy, prompt_policy), table, batch)
+    lp = batch.per_config(*logp)
+    n = batch.n // 2
+    ref = np.reshape(np.asarray(ref_lps, dtype=np.float64), (n, 2))
+    margin = cfg.beta * ((lp[:n] - ref[:, 0]) - (lp[n:] - ref[:, 1]))
+    loss = float(np.sum(np.logaddexp(0.0, -margin))) / max(n, 1)
+    # d loss / d lp_pos = -beta * sigmoid(-margin); flipped sign for lp_neg
+    coeff = -cfg.beta * np.exp(-np.logaddexp(0.0, margin)) / max(n, 1)
+    dlogp = np.concatenate([coeff, -coeff])
+    grads = vjp(cache, (dlogp, dlogp[batch.step_owner]), (0.0, 0.0))
     return loss, grads
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def _log_sigmoid(x: float) -> float:
-    return -math.log1p(math.exp(-x)) if x >= 0 else x - math.log1p(math.exp(x))
-
-
-def _accumulate_config_logp_grads(
-    struct_policy, prompt_policy, table, record: EpisodeRecord, coeff: float, grads
-):
-    """Add coeff * d(log pi(config|s))/d(params) into the accumulators."""
-    from .core import ROLES
-
-    s_vec = record.state.as_vector()
-    a = record.structure_action
-    dists = struct_policy.distributions(s_vec, table, a.workflow_id)
-    choices = (a.workflow_id, a.tools1, a.tools2, *a.budgets)
-    dlogits = np.zeros(sum(HEAD_SIZES))
-    for head, (d, c) in enumerate(zip(dists, choices)):
-        dlogits[head_slice(head)] = coeff * log_prob_grad_logits(d, c)
-    g_trunk, _ = struct_policy.trunk.backward(s_vec, dlogits)
-    for acc, g in zip(grads["struct_trunk"], g_trunk):
-        acc += g
-    for agent, seq in enumerate(record.prompt_actions):
-        role = ROLES[agent]
-        chosen: list[int] = []
-        for atom in list(seq) + [prompt_policy.stop_index]:
-            x = prompt_policy.step_input(s_vec, a.workflow_id, chosen)
-            mask = prompt_policy.step_mask(role, chosen, len(chosen))
-            dist = MaskedCategorical(prompt_policy.net.forward(x), mask)
-            g_net, _ = prompt_policy.net.backward(
-                x, coeff * log_prob_grad_logits(dist, atom)
-            )
-            for acc, gg in zip(grads["prompt_net"], g_net):
-                acc += gg
-            if atom != prompt_policy.stop_index:
-                chosen.append(atom)
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +678,7 @@ def verify_reward_floor(
     the estimate is >= tau_eff - 1e-9 and no sampled action falls outside the
     recorded support. Returns (estimate, passed, n_support_violations)."""
     reward_lookup = {
-        key: float(np.mean(elite.rewards_for(*key))) for key in elite.action_counts
+        key: float(np.mean(rewards)) for key, rewards in elite.action_rewards.items()
     }
     total_weight = sum(elite.state_counts.values())
     estimate = 0.0
@@ -825,12 +706,14 @@ def kl_to_empirical(
     """State-frequency-weighted KL(p_hat || pi) over elite actions; policy
     probabilities floored at 1e-12 so the report stays finite."""
     total = sum(elite.state_counts.values())
+    terms = [
+        (elite.state_counts[s_key] / total, p, elite.action_examples[(s_key, a_key)])
+        for s_key in elite.state_examples
+        for a_key, p in elite.p_hat(s_key).items()
+    ]
+    batch = replay_batch(prompt_policy, table, [record for _, _, record in terms])
+    lp = batch.per_config(*replay((struct_policy, prompt_policy), table, batch)[0])
     kl = 0.0
-    for s_key, state in elite.state_examples.items():
-        weight = elite.state_counts[s_key] / total
-        for a_key, p in elite.p_hat(s_key).items():
-            record = elite.action_examples[(s_key, a_key)]
-            lp = _config_log_prob(struct_policy, prompt_policy, table, record)
-            pi = max(math.exp(lp), 1e-12)
-            kl += weight * p * math.log(p / pi)
+    for (weight, p, _), l in zip(terms, lp):
+        kl += weight * p * math.log(p / max(math.exp(l), 1e-12))
     return kl

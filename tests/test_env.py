@@ -16,6 +16,7 @@ from agentcfg.core import (
 from agentcfg.env import (
     QueryDistribution,
     SuccessModel,
+    SyntheticEnv,
     SyntheticQuerySpec,
     atom_class,
     brute_force_best,
@@ -269,3 +270,13 @@ class TestQueryGeneration:
         s = env.embed(env.queries[0])
         assert s.semantic.shape == (32,)
         assert s.dim == 37
+
+    def test_embedding_computed_once_and_read_only(self):
+        env = build_env(QueryDistribution(), 4, seed=5, semantic_dim=32)
+        s = env.embed(env.queries[0])
+        assert env.embed(env.queries[0]) is s
+        fresh = SyntheticEnv(queries=env.queries, specs=env.specs, semantic_dim=32)
+        assert fresh.embed(env.queries[0]).key() == s.key()
+        for arr in (s.semantic, s.features):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0

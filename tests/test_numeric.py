@@ -178,6 +178,22 @@ class TestSampling:
             se = math.sqrt(probs[i] * (1 - probs[i]) / n)
             assert abs(freq[i] - probs[i]) <= 3 * se + 1e-12
 
+    @given(st.lists(st.floats(-30, 30), min_size=1, max_size=12),
+           st.lists(st.booleans(), min_size=12, max_size=12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_draws_follow_rng_choice_over_valid_support(self, logits, keep, seed):
+        logits = np.array(logits)
+        mask = np.array(keep[: len(logits)], dtype=float)
+        mask[int(np.argmin(logits))] = 1.0
+        valid = np.flatnonzero(mask > 0)
+        e = np.exp(logits[valid] - logits[valid].max())
+        rng = np.random.default_rng(seed)
+        twin = np.random.default_rng(seed)
+        idx, lp = sample(MaskedCategorical(logits, mask), rng)
+        assert idx == valid[twin.choice(len(valid), p=e / e.sum())]
+        assert lp == pytest.approx(math.log(e[list(valid).index(idx)] / e.sum()), abs=1e-9)
+        assert rng.random() == twin.random()  # same number of draws consumed
+
     def test_log_prob_invalid_index(self):
         d = MaskedCategorical(np.zeros(3), np.array([1.0, 0.0, 1.0]))
         with pytest.raises(InvalidActionError):

@@ -116,6 +116,37 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             BackendEndpoint(max_retries=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_queries", 0), ("semantic_dim", 0), ("depth_probs", (0.5, 0.5)),
+        ("depth_probs", (1.2, -0.1, -0.1)), ("depth_probs", (0.5, 0.3, 0.3)),
+        ("tool_prob", 1.5), ("tool_prob", -0.1), ("noise_scale", -1.0),
+        ("difficulty_low", 0.9),
+    ])
+    def test_env_section_validated(self, field, value):
+        with pytest.raises(ConfigError, match=f"env.{field}"):
+            EnvConfig(**{field: value})
+
+    @pytest.mark.parametrize("command, env", [
+        ("train", {"n_queries": 0}), ("simulate", {"depth_probs": [1.0]}),
+    ])
+    def test_bad_env_section_fails_as_config_error(self, tmp_path, capsys, command, env):
+        from agentcfg.cli import main
+
+        path = write_yaml(tmp_path, {"env": env})
+        with pytest.raises(ConfigError, match=f"env.{next(iter(env))}"):
+            load_config(path)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: env.{next(iter(env))}" in capsys.readouterr().err
+
+    def test_real_mode_refused_until_a_real_env_exists(self, tmp_path, capsys):
+        from agentcfg.cli import main
+
+        with pytest.raises(ConfigError, match="only mode: synthetic"):
+            run_training(RunConfig(mode="real"))
+        assert main(["train", "--mode", "real", "--out", str(tmp_path / "out")]) == 1
+        assert "only mode: synthetic" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_api_key_is_env_indirection_only(self):
         # the config names an environment variable, never a secret value
         endpoint = BackendEndpoint()

@@ -307,6 +307,7 @@ class TestEliteFiltering:
         p_hat = elite.p_hat(s_key)
         assert sorted(p_hat.values()) == pytest.approx([0.25, 0.75])
         assert len(elite.elite_actions(s_key)) == 2
+        assert sorted(len(elite.rewards_for(*key)) for key in elite.action_counts) == [1, 3]
 
 
 def _converge_sft(records, seed=11, epochs=400, lr=0.05):
@@ -463,6 +464,39 @@ class TestDPO:
         assert after > before
         assert losses[-1] < losses[0] < math.log(2.0) + 1e-9
 
+    def test_gradient_finite_differences(self):
+        struct, prompt = make_policies(23)
+        pairs = [
+            (make_record(5.0, workflow=2, prompts=((0,), (2,), (3,)), seed=1),
+             make_record(1.0, correct=False, workflow=0, prompts=((1,),), seed=2)),
+            (make_record(4.5, workflow=1, prompts=((0, 1), ()), seed=3),
+             make_record(0.5, correct=False, workflow=0, prompts=((),), seed=4)),
+        ]
+        # a reference away from the policy, so the margins are not zero
+        ref_lps = [(-9.0, -2.0), (-4.0, -6.0)]
+        cfg = DPOConfig(beta=0.5)
+        _, grads = dpo_loss_and_grads(struct, prompt, TABLE, pairs, ref_lps, cfg)
+        rng = np.random.default_rng(2)
+        h = 1e-5
+        worst = 0.0
+        for name, net in (("struct_trunk", struct.trunk), ("prompt_net", prompt.net)):
+            flat_g = np.concatenate([g.ravel() for g in grads[name]])
+            flat0 = net.get_flat()
+            for i in rng.choice(net.n_params, size=25, replace=False):
+                vals = {}
+                for sign in (+1, -1):
+                    flat = flat0.copy()
+                    flat[i] += sign * h
+                    net.set_flat(flat)
+                    vals[sign], _ = dpo_loss_and_grads(struct, prompt, TABLE, pairs,
+                                                       ref_lps, cfg)
+                net.set_flat(flat0)
+                fd = (vals[1] - vals[-1]) / (2 * h)
+                if abs(fd - flat_g[i]) < 1e-9:  # both effectively zero: FD noise floor
+                    continue
+                worst = max(worst, abs(fd - flat_g[i]) / max(abs(fd), abs(flat_g[i]), 1e-7))
+        assert worst < 1e-4
+
     def test_missing_side_raises(self):
         struct, prompt = make_policies(18)
         buf = ExperienceBuffer()
@@ -509,3 +543,198 @@ class TestTrainPolicies:
             results.append(np.concatenate([struct.trunk.get_flat(),
                                            prompt.net.get_flat()]))
         assert np.array_equal(results[0], results[1])
+
+
+# ---------------------------------------------------------------------------
+# The batched scoring core against a per-row reference
+# ---------------------------------------------------------------------------
+
+
+def _row_categorical(logits, mask, action, dlogp, dentropy):
+    """Per-row reference of one masked categorical, written out here:
+    (log p(action), entropy, gradient of dlogp * log p + dentropy * H)."""
+    valid = mask > 0
+    p = np.zeros_like(logits)
+    e = np.exp(logits[valid] - logits[valid].max())
+    p[valid] = e / e.sum()
+    logp = np.zeros_like(logits)
+    logp[valid] = np.log(p[valid])
+    h = -float(np.sum(p * logp))
+    onehot = np.zeros_like(logits)
+    onehot[action] = 1.0
+    return float(logp[action]), h, dlogp * (onehot - p) - dentropy * p * (logp + h)
+
+
+def _row_config_terms(struct, prompt, table, record, dlogp, dentropy, grads):
+    """Per-row reference: log-prob and entropy of one configuration, one
+    decision at a time, adding the gradient of dlogp * logp + dentropy * H
+    (per decision) into grads. Returns (struct logp, struct H, step logps,
+    step Hs)."""
+    from agentcfg.core import ROLES
+    from agentcfg.policy import HEAD_SIZES, head_slice
+
+    s_vec = record.state.as_vector()
+    a = record.structure_action
+    out = struct.trunk.forward(s_vec)
+    masks = [table.workflow_mask] + table.masks_for(a.workflow_id)
+    choices = (a.workflow_id, a.tools1, a.tools2, *a.budgets)
+    dlogits = np.zeros(sum(HEAD_SIZES))
+    s_lp = s_h = 0.0
+    for head, (m, c) in enumerate(zip(masks, choices)):
+        lp, h, dlogits[head_slice(head)] = _row_categorical(
+            out[head_slice(head)], m, c, dlogp[0], dentropy[0])
+        s_lp += lp
+        s_h += h
+    for acc, g in zip(grads["struct_trunk"], struct.trunk.backward(s_vec, dlogits)[0]):
+        acc += g
+    step_lps, step_hs, j = [], [], 0
+    for agent, seq in enumerate(record.prompt_actions):
+        chosen = []
+        for atom in list(seq) + [prompt.stop_index]:
+            x = prompt.step_input(s_vec, a.workflow_id, chosen)
+            lp, h, g = _row_categorical(
+                prompt.net.forward(x), prompt.step_mask(ROLES[agent], chosen, len(chosen)),
+                atom, dlogp[1][j], dentropy[1][j])
+            for acc, gg in zip(grads["prompt_net"], prompt.net.backward(x, g)[0]):
+                acc += gg
+            step_lps.append(lp)
+            step_hs.append(h)
+            j += 1
+            if atom != prompt.stop_index:
+                chosen.append(atom)
+    return s_lp, s_h, step_lps, step_hs
+
+
+def _zero_grads(struct, prompt):
+    return {"struct_trunk": struct.trunk.zero_grads(), "struct_value": struct.value_net.zero_grads(),
+            "prompt_net": prompt.net.zero_grads(), "prompt_value": prompt.value_net.zero_grads()}
+
+
+def _n_steps(record):
+    return sum(len(seq) + 1 for seq in record.prompt_actions)
+
+
+def reference_ppo(struct, prompt, table, rollouts, cfg, use_value_loss):
+    """PPO loss and gradients one decision and one row at a time."""
+    grads = _zero_grads(struct, prompt)
+    n_struct = len(rollouts)
+    n_steps = sum(len(r.prompt_steps) for r in rollouts)
+    loss = 0.0
+    for r in rollouts:
+        k = len(r.prompt_steps)
+        # first pass: log-probs only, to get the surrogate coefficients
+        s_lp, _, step_lps, _ = _row_config_terms(
+            struct, prompt, table, r.record, (0.0, [0.0] * k), (0.0, [0.0] * k),
+            _zero_grads(struct, prompt))
+        surr, coeff = _surrogate_and_coeff(math.exp(s_lp - r.struct_log_prob), r.struct_adv,
+                                           cfg.clip_eps)
+        step_terms = [_surrogate_and_coeff(math.exp(lp - st.log_prob), adv, cfg.clip_eps)
+                      for lp, st, adv in zip(step_lps, r.prompt_steps, r.step_advs)]
+        _, s_h, _, step_hs = _row_config_terms(
+            struct, prompt, table, r.record,
+            (-coeff / n_struct, [-c / n_steps for _, c in step_terms]),
+            (-cfg.entropy_coef / n_struct, [-cfg.entropy_coef / n_steps] * k), grads)
+        loss += (-surr - cfg.entropy_coef * s_h) / n_struct
+        loss += sum((-sv - cfg.entropy_coef * h) / n_steps for (sv, _), h in zip(step_terms, step_hs))
+        if use_value_loss:
+            pairs = [(struct.value_net, r.state.as_vector(), r.struct_target, n_struct,
+                      "struct_value")]
+            pairs += [(prompt.value_net, st.input_vec, t, n_steps, "prompt_value")
+                      for st, t in zip(r.prompt_steps, r.step_targets)]
+            for net, x, target, n, name in pairs:
+                err = net.forward(x)[0] - target
+                loss += cfg.value_coef * err * err / n
+                for acc, g in zip(grads[name], net.backward(
+                        x, np.array([2.0 * cfg.value_coef * err / n]))[0]):
+                    acc += g
+    return loss, grads
+
+
+def reference_sft(struct, prompt, table, records, entropy_reg):
+    grads = _zero_grads(struct, prompt)
+    n = len(records)
+    loss = 0.0
+    for r in records:
+        k = _n_steps(r)
+        s_lp, s_h, lps, hs = _row_config_terms(
+            struct, prompt, table, r, (-1.0 / n, [-1.0 / n] * k),
+            (-entropy_reg / n, [-entropy_reg / n] * k), grads)
+        loss += (-s_lp - entropy_reg * s_h - sum(lps) - entropy_reg * sum(hs)) / n
+    return loss, grads
+
+
+def reference_dpo(struct, prompt, table, pairs, ref_lps, beta):
+    grads = _zero_grads(struct, prompt)
+    n = len(pairs)
+    loss = 0.0
+    def config_lp(record):
+        k = _n_steps(record)
+        s_lp, _, lps, _ = _row_config_terms(struct, prompt, table, record, (0.0, [0.0] * k),
+                                            (0.0, [0.0] * k), _zero_grads(struct, prompt))
+        return s_lp + sum(lps)
+
+    for (pos, neg), (ref_pos, ref_neg) in zip(pairs, ref_lps):
+        margin = beta * ((config_lp(pos) - ref_pos) - (config_lp(neg) - ref_neg))
+        loss += math.log1p(math.exp(-margin)) / n
+        coeff = -beta / (1.0 + math.exp(margin)) / n
+        for record, sign in ((pos, 1.0), (neg, -1.0)):
+            k = _n_steps(record)
+            _row_config_terms(struct, prompt, table, record, (sign * coeff, [sign * coeff] * k),
+                              (0.0, [0.0] * k), grads)
+    return loss, grads
+
+
+def _max_rel_diff(got, want):
+    worst = 0.0
+    for name, ref in want.items():
+        if name not in got:
+            continue
+        a = np.concatenate([g.ravel() for g in got[name]])
+        b = np.concatenate([g.ravel() for g in ref])
+        worst = max(worst, float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), 1e-300))
+    return worst
+
+
+class TestScoringCore:
+    @pytest.fixture(scope="class")
+    def default_batch(self):
+        from agentcfg.runtime import RunConfig, build_components
+
+        cfg = RunConfig()
+        env, table, _, struct, prompt = build_components(cfg)
+        rollouts = collect_rollouts(struct, prompt, table, env, 6, cfg.reward, run_seed=4)
+        compute_advantages(rollouts, struct, prompt, cfg.ppo.gamma)
+        # move the policy off the sampling parameters so ratios differ from 1
+        for net in (struct.trunk, prompt.net):
+            for p in net.params:
+                p += np.random.default_rng(0).normal(0.0, 0.05, size=p.shape)
+        return cfg, table, struct, prompt, rollouts
+
+    @pytest.mark.parametrize("use_value_loss", [True, False])
+    def test_ppo_matches_per_row_reference(self, default_batch, use_value_loss):
+        cfg, table, struct, prompt, rollouts = default_batch
+        ppo = PPOConfig(clip_eps=0.05)
+        loss, grads, _ = ppo_loss_and_grads(struct, prompt, table, rollouts, ppo,
+                                            use_value_loss)
+        ref_loss, ref_grads = reference_ppo(struct, prompt, table, rollouts, ppo,
+                                            use_value_loss)
+        assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+        assert _max_rel_diff(grads, ref_grads) <= 1e-10
+
+    def test_sft_matches_per_row_reference(self, default_batch):
+        cfg, table, struct, prompt, rollouts = default_batch
+        records = [r.record for r in rollouts]
+        loss, grads = sft_loss_and_grads(struct, prompt, table, records, 0.01)
+        ref_loss, ref_grads = reference_sft(struct, prompt, table, records, 0.01)
+        assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+        assert _max_rel_diff(grads, ref_grads) <= 1e-10
+
+    def test_dpo_matches_per_row_reference(self, default_batch):
+        cfg, table, struct, prompt, rollouts = default_batch
+        records = [r.record for r in rollouts]
+        pairs = list(zip(records[:3], records[3:]))
+        ref_lps = [(-3.0 - i, -4.0 + i) for i in range(3)]
+        loss, grads = dpo_loss_and_grads(struct, prompt, table, pairs, ref_lps, cfg.dpo)
+        ref_loss, ref_grads = reference_dpo(struct, prompt, table, pairs, ref_lps, cfg.dpo.beta)
+        assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+        assert _max_rel_diff(grads, ref_grads) <= 1e-10
