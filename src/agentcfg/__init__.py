@@ -40,7 +40,6 @@ from .policy import (
 from .reward import RewardConfig, shaped_reward
 from .train import (
     DPOConfig,
-    GRPOConfig,
     PPOConfig,
     SFTConfig,
     collect_episodes,

@@ -38,7 +38,7 @@ from .numeric import (
     score_choices,
     score_vjp,
 )
-from .policy import HEAD_SIZES, MaskTable, default_mask_table
+from .policy import HEAD_SIZES, MaskTable, default_mask_table, head_columns
 from .reward import RewardConfig, shaped_reward
 from .train import PPOConfig, _normalize, _ppo_terms, _value_regression
 
@@ -293,10 +293,14 @@ def greedy_search(
 
 @dataclass
 class FlatDecision:
+    """One net input and the choice made from it; with a policy's `columns`
+    layout, one choice per head (action, log_prob and mask gain a leading
+    head axis)."""
+
     input_vec: np.ndarray
     mask: np.ndarray
-    action: int
-    log_prob: float
+    action: int | np.ndarray
+    log_prob: float | np.ndarray
     target: float = 0.0
 
 
@@ -310,7 +314,8 @@ class FlatEpisode:
 class BanditPolicy:
     """One-shot flat policy: six structure heads plus a single prompt-atom
     head (last index = no atom), all sampled simultaneously from the state.
-    No hierarchy and no workflow-conditioned masking."""
+    No hierarchy and no workflow-conditioned masking. An episode is one
+    decision row of seven choices in the padded `columns` layout."""
 
     def __init__(self, state_dim: int, n_atoms: int, hidden=(64, 64), rng=None):
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -320,6 +325,8 @@ class BanditPolicy:
         self.net = DenseNet([state_dim, *hidden, sum(self.head_sizes)], rng=rng)
         self.value_net = DenseNet([state_dim, *hidden, 1], rng=rng)
         self._offsets = np.cumsum((0,) + self.head_sizes)
+        self.columns = head_columns(self.head_sizes)
+        self._mask = (self.columns >= 0).astype(np.float64)
 
     def head_logits(self, s_vec):
         out = self.net.forward(s_vec)
@@ -329,20 +336,12 @@ class BanditPolicy:
         ]
 
     def act(self, s_vec, rng) -> FlatEpisode:
-        # Decisions are recorded against the full concatenated output so the
-        # shared flat PPO update can re-evaluate them with one forward pass:
-        # each head's mask selects only its own logit slice.
-        full_logits = self.net.forward(s_vec)
-        decisions = []
-        choices = []
-        for i in range(len(self.head_sizes)):
-            lo, hi = int(self._offsets[i]), int(self._offsets[i + 1])
-            mask = np.zeros(len(full_logits))
-            mask[lo:hi] = 1.0
-            dist = MaskedCategorical(full_logits, mask)
-            c, lp = sample(dist, rng)
-            decisions.append(FlatDecision(s_vec, mask, c, lp))
-            choices.append(c - lo)
+        choices, log_probs = [], []
+        for z in self.head_logits(s_vec):
+            c, lp = sample(MaskedCategorical(z, np.ones(len(z))), rng)
+            choices.append(c)
+            log_probs.append(lp)
+        decision = FlatDecision(s_vec, self._mask, np.array(choices), np.array(log_probs))
         wf, t1, t2, b1, b2, b3, atom = choices
         n_agents = WORKFLOWS[wf].agents_active
         prompts = []
@@ -352,7 +351,7 @@ class BanditPolicy:
             else:
                 prompts.append(())
         config = Configuration(StructureAction(wf, t1, t2, (b1, b2, b3)), tuple(prompts))
-        return FlatEpisode(decisions=decisions, config=config)
+        return FlatEpisode(decisions=[decision], config=config)
 
     def probability_of(self, s_vec, config: Configuration, atom: Optional[int]) -> float:
         """Joint probability of a flat choice tuple (probe helper)."""
@@ -373,6 +372,7 @@ class FlatEpisodePolicy:
     injected for support-equivalence checks but are off by default."""
 
     STRUCT_STAGES = 6
+    columns = None  # one choice per decision, over the whole output
 
     def __init__(self, state_dim: int, library: Sequence[PromptAtom],
                  hidden=(64, 64), rng=None):
@@ -487,6 +487,8 @@ def _flat_collect(policy, env, n, reward_cfg, run_seed, start, gamma,
 
 def _flat_ppo_update(policy, episodes: Sequence[FlatEpisode], cfg: PPOConfig,
                      opt_net: AdamState, opt_value: AdamState):
+    """Clipped surrogate and entropy averaged over every choice, value loss
+    over every decision row."""
     decisions = [d for ep in episodes for d in ep.decisions]
     inputs = np.stack([d.input_vec for d in decisions])
     masks = np.stack([d.mask for d in decisions])
@@ -494,10 +496,11 @@ def _flat_ppo_update(policy, episodes: Sequence[FlatEpisode], cfg: PPOConfig,
     old_lp = np.array([d.log_prob for d in decisions])
     targets = np.array([d.target for d in decisions])
     advs = _normalize(targets - policy.value_net.forward_batch(inputs)[0][:, 0])
+    advs = advs.reshape(advs.shape + (1,) * (actions.ndim - 1))  # shared by a row's heads
     value_scale = cfg.value_coef / len(decisions)
     diag = {}
     for _ in range(cfg.epochs_per_batch):
-        new_lp, ent, cache = score_choices(policy.net, inputs, masks, actions)
+        new_lp, ent, cache = score_choices(policy.net, inputs, masks, actions, policy.columns)
         loss, dlogp, dent, _ = _ppo_terms(new_lp, ent, old_lp, advs, cfg)
         g_net = score_vjp(cache, dlogp, dent)
         sq, g_val = _value_regression(policy.value_net, inputs, targets, value_scale)

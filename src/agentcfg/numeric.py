@@ -80,12 +80,13 @@ class DenseNet:
         return h, activations
 
     def backward(self, x: np.ndarray, upstream_grad: np.ndarray, cache=None):
-        """Gradients of sum over rows of (upstream_grad . forward(x)).
+        """Parameter gradients of sum over rows of (upstream_grad . forward(x)),
+        aligned with `params`.
 
         x is one row (input,) with upstream (output,), or a batch (B, input)
-        with upstream (B, output). Parameter gradients are summed over rows;
-        the input gradient has x's shape. `cache` is the activation list
-        `forward_batch(x)` returned; without it the forward pass runs again.
+        with upstream (B, output); gradients are summed over rows. `cache` is
+        the activation list `forward_batch(x)` returned; without it the
+        forward pass runs again. No input gradient is formed.
         """
         upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
         one_row = upstream_grad.ndim == 1
@@ -100,7 +101,7 @@ class DenseNet:
             _, cache = self.forward_batch(x[None] if one_row else x)
         if cache[0].shape[0] != upstream_grad.shape[0]:
             raise ShapeError("input and upstream gradient differ in row count")
-        grads = [np.zeros_like(p) for p in self.params]
+        grads = [None] * len(self.params)  # every entry is set below
         delta = upstream_grad
         for layer in reversed(range(self.n_layers)):
             W = self.params[2 * layer]
@@ -109,13 +110,11 @@ class DenseNet:
                 delta = delta * (1.0 - h_out * h_out)  # tanh'
             grads[2 * layer] = delta.T @ h_in
             grads[2 * layer + 1] = delta.sum(axis=0)
-            delta = delta @ W
-        return grads, delta[0] if one_row else delta
+            if layer:
+                delta = delta @ W
+        return grads
 
     # -- parameter plumbing -------------------------------------------------
-
-    def zero_grads(self) -> list[np.ndarray]:
-        return [np.zeros_like(p) for p in self.params]
 
     def get_flat(self) -> np.ndarray:
         return np.concatenate([p.ravel() for p in self.params])
@@ -297,8 +296,7 @@ def score_vjp(cache, dlogp, dentropy) -> list[np.ndarray]:
         position = np.empty(net.output_size, dtype=np.intp)
         position[columns.ravel()[slots]] = slots
         g = g.reshape(len(g), columns.size)[:, position]
-    grads, _ = net.backward(None, g, activations)
-    return grads
+    return net.backward(None, g, activations)
 
 
 # ---------------------------------------------------------------------------

@@ -215,14 +215,18 @@ def iter_valid_actions(table: MaskTable):
 # Structure policy
 # ---------------------------------------------------------------------------
 
+def head_columns(sizes) -> np.ndarray:
+    """(heads, widest head) output column of every (head, choice) slot of
+    consecutive heads of the given sizes, padded with -1: the layout in
+    which `score_choices` scores all heads of a row at once."""
+    offsets = np.cumsum((0,) + tuple(sizes))
+    return np.array([[int(offsets[h]) + k if k < size else -1 for k in range(max(sizes))]
+                     for h, size in enumerate(sizes)])
+
+
 _HEAD_OFFSETS = np.cumsum((0,) + HEAD_SIZES)
 _HEAD_WIDTH = max(HEAD_SIZES)
-# Trunk output column of every (head, choice) slot, padded with -1 to the
-# widest head: the layout in which `replay` scores all six heads at once.
-_HEAD_COLUMNS = np.array([
-    [int(_HEAD_OFFSETS[h]) + k if k < size else -1 for k in range(_HEAD_WIDTH)]
-    for h, size in enumerate(HEAD_SIZES)
-])
+_HEAD_COLUMNS = head_columns(HEAD_SIZES)  # the trunk's six heads, as `replay` scores them
 
 
 def head_slice(i: int) -> slice:

@@ -54,11 +54,10 @@ from .policy import (
 from .reward import RewardConfig
 from .train import (
     DPOConfig,
-    GRPOConfig,
     PPOConfig,
     SFTConfig,
+    _require_positive_int,
     filter_elite,
-    grpo_to_ppo_config,
     kl_to_empirical,
     sft_update,
     train_policies,
@@ -80,9 +79,7 @@ class EnvConfig:
     noise_scale: float = 0.0
 
     def __post_init__(self):
-        for name in ("n_queries", "semantic_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"env.{name} must be >= 1, got {getattr(self, name)!r}")
+        _require_positive_int("env", self, "n_queries", "semantic_dim")
         probs = self.depth_probs
         if (len(probs) != 3 or any(isinstance(p, bool) or not isinstance(p, (int, float))
                                    or not p >= 0 for p in probs)
@@ -128,7 +125,6 @@ class RunConfig:
     env: EnvConfig = field(default_factory=EnvConfig)
     reward: RewardConfig = field(default_factory=RewardConfig)
     ppo: PPOConfig = field(default_factory=PPOConfig)
-    grpo: GRPOConfig = field(default_factory=GRPOConfig)
     sft: SFTConfig = field(default_factory=SFTConfig)
     dpo: DPOConfig = field(default_factory=DPOConfig)
     mask_table: dict = field(default_factory=dict)
@@ -149,7 +145,6 @@ _SECTION_TYPES = {
     "env": EnvConfig,
     "reward": RewardConfig,
     "ppo": PPOConfig,
-    "grpo": GRPOConfig,
     "sft": SFTConfig,
     "dpo": DPOConfig,
     "backend": BackendEndpoint,
@@ -336,17 +331,22 @@ def run_tool(name: str, argument: str, allocated: Sequence[str]) -> str:
 
 
 def default_transport(payload: dict, endpoint: BackendEndpoint) -> dict:
-    import requests
+    """POST the payload as JSON and parse the JSON reply. An HTTP error
+    status raises `urllib.error.HTTPError`, which `chat_call` retries."""
+    # Imported here: urllib.request pulls in http.client, email and ssl, about
+    # 3 MB of resident memory that only real mode needs.
+    import urllib.request
 
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(endpoint.api_key_env)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    response = requests.post(
-        endpoint.base_url, json=payload, headers=headers, timeout=endpoint.timeout
+    request = urllib.request.Request(
+        endpoint.base_url, data=json.dumps(payload).encode("utf-8"), headers=headers,
+        method="POST",
     )
-    response.raise_for_status()
-    return response.json()
+    with urllib.request.urlopen(request, timeout=endpoint.timeout) as response:
+        return json.loads(response.read())
 
 
 def chat_call(
@@ -631,13 +631,12 @@ def build_components(cfg: RunConfig):
 
 
 def run_training(cfg: RunConfig) -> TrainingArtifacts:
-    """Full pipeline: RL phase (PPO or GRPO), elite filtering, SFT
-    refinement, and a summary report. Deterministic given cfg.seed in
-    synthetic single-executor mode."""
+    """Full pipeline: RL phase (PPO or GRPO, both on cfg.ppo), elite
+    filtering, SFT refinement, and a summary report. Deterministic given
+    cfg.seed in synthetic single-executor mode."""
     env, table, library, struct_policy, prompt_policy = build_components(cfg)
-    ppo_cfg = cfg.ppo if cfg.objective == "ppo" else grpo_to_ppo_config(cfg.grpo)
     buffer, diagnostics = train_policies(
-        struct_policy, prompt_policy, table, env, ppo_cfg, cfg.reward,
+        struct_policy, prompt_policy, table, env, cfg.ppo, cfg.reward,
         cfg.seed, objective=cfg.objective,
     )
     report: dict = {

@@ -1,6 +1,7 @@
-"""End-to-end training: masked PPO with per-batch advantage normalization,
-elite filtering, SFT refinement, GRPO and DPO alternatives, and executable
-checks of the SFT concentration guarantees.
+"""End-to-end training: masked PPO with per-batch advantage normalization
+(or group-relative advantages without a critic, GRPO), elite filtering, SFT
+refinement, a DPO alternative, and executable checks of the SFT concentration
+guarantees.
 
 All losses are exposed as pure (loss, grads) functions of the current
 parameters so gradient correctness is testable against finite differences.
@@ -24,6 +25,7 @@ from .core import (
 )
 from .env import SyntheticEnv
 from .errors import (
+    ConfigError,
     ContractError,
     EmptyEliteError,
     NoPairsError,
@@ -52,8 +54,18 @@ from .reward import RewardConfig, shaped_reward
 # ---------------------------------------------------------------------------
 
 
+def _require_positive_int(section: str, cfg, *names) -> None:
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{section}.{name} must be >= 1, got {getattr(cfg, name)!r}")
+
+
 @dataclass(frozen=True)
 class PPOConfig:
+    """Clipped-surrogate hyperparameters of the RL phase, for both
+    objectives. GRPO trains no value net, so it reads neither gamma nor
+    value_coef."""
+
     lr_struct: float = 3e-4
     lr_prompt: float = 5e-5
     batch_size: int = 32
@@ -64,6 +76,12 @@ class PPOConfig:
     max_grad_norm: float = 0.5
     epochs_per_batch: int = 4
     total_episodes: int = 4000
+
+    def __post_init__(self):
+        # total_episodes <= 0 is refused by train_policies (ContractError)
+        _require_positive_int("ppo", self, "batch_size", "epochs_per_batch")
+        if not self.clip_eps > 0:
+            raise ConfigError(f"ppo.clip_eps must be > 0, got {self.clip_eps!r}")
 
 
 @dataclass(frozen=True)
@@ -78,31 +96,21 @@ class SFTConfig:
     def __post_init__(self):
         if not 0 < self.elite_fraction <= 1:
             raise ContractError("elite_fraction must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class GRPOConfig:
-    lr: float = 3e-4
-    batch_size: int = 64
-    clip_eps: float = 0.2
-    gamma: float = 0.99
-    entropy_coef: float = 0.05
-    kl_coef: float = 0.0
-    epochs_per_batch: int = 4
-    total_episodes: int = 4000
+        _require_positive_int("sft", self, "epochs")
 
 
 @dataclass(frozen=True)
 class DPOConfig:
     lr_struct: float = 1e-4
     lr_prompt: float = 1e-5
-    batch_size: int = 16
     beta: float = 0.05
-    entropy_coef: float = 0.05
     epochs: int = 3
     max_grad_norm: float = 0.5
     positive_reward: float = 4.0   # positives additionally require correctness
     negative_reward: float = 2.0
+
+    def __post_init__(self):
+        _require_positive_int("dpo", self, "epochs")
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +236,7 @@ def grpo_advantages(rewards: Sequence[float]) -> np.ndarray:
     rewards = np.asarray(rewards, dtype=np.float64)
     if rewards.size == 0:
         raise ContractError("grpo_advantages needs at least one reward")
-    return (rewards - rewards.mean()) / (rewards.std() + 1e-8)
+    return _normalize(rewards)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +253,10 @@ def _surrogate_and_coeff(ratio, adv, clip_eps: float):
 
 
 def _ppo_terms(new_lp, entropy, old_lp, adv, cfg: PPOConfig):
-    """Clipped-surrogate and entropy terms averaged over a set of decisions.
-    Returns (loss, dloss/dlogp, dloss/dentropy, clipped-ratio count)."""
-    n = max(len(new_lp), 1)
+    """Clipped-surrogate and entropy terms averaged over a set of decisions
+    (every entry of new_lp; adv broadcasts to its shape). Returns (loss,
+    dloss/dlogp, dloss/dentropy, clipped-ratio count)."""
+    n = max(new_lp.size, 1)
     ratio = np.exp(new_lp - old_lp)
     surr, coeff = _surrogate_and_coeff(ratio, adv, cfg.clip_eps)
     loss = float(np.sum(-surr - cfg.entropy_coef * entropy)) / n
@@ -260,7 +269,7 @@ def _value_regression(net: DenseNet, inputs, targets, scale: float):
     scale times it."""
     v, activations = net.forward_batch(inputs)
     err = v[:, 0] - targets
-    grads, _ = net.backward(inputs, (2.0 * scale * err)[:, None], activations)
+    grads = net.backward(inputs, (2.0 * scale * err)[:, None], activations)
     return float(err @ err), grads
 
 
@@ -277,7 +286,8 @@ def ppo_loss_and_grads(
     Structure terms are averaged over episodes, prompt terms over steps.
 
     Returns (loss, grads, diagnostics) where grads maps net name -> gradient
-    list aligned with that net's parameters.
+    list aligned with that net's parameters. Without the value loss (GRPO)
+    grads holds no value-net entries.
     """
     steps = [step for r in rollouts for step in r.prompt_steps]
     batch = ReplayBatch.build(
@@ -305,9 +315,6 @@ def ppo_loss_and_grads(
             sq, grads[name] = _value_regression(net, inputs, np.array(targets), scale)
             loss += scale * sq
             sq_err += sq
-    else:
-        grads["struct_value"] = struct_policy.value_net.zero_grads()
-        grads["prompt_value"] = prompt_policy.value_net.zero_grads()
 
     n_decisions = max(n_struct + n_steps, 1)
     diagnostics = {
@@ -347,7 +354,9 @@ def ppo_update(
     use_value_loss: bool = True,
 ):
     """epochs_per_batch gradient steps on the batch; per-network gradient
-    clipping and per-policy learning rates."""
+    clipping and per-policy learning rates. Only the nets that receive a
+    gradient are stepped: without the value loss the value nets and their
+    Adam states stay as they are."""
     last = None
     for _ in range(cfg.epochs_per_batch):
         loss, grads, last = ppo_loss_and_grads(
@@ -361,8 +370,8 @@ def ppo_update(
             ("prompt_net", prompt_policy.net, opt.prompt_net, cfg.lr_prompt),
             ("prompt_value", prompt_policy.value_net, opt.prompt_value, cfg.lr_prompt),
         ):
-            g = clip_grad_norm(grads[name], cfg.max_grad_norm)
-            adam_step(net.params, g, state, lr)
+            if name in grads:
+                adam_step(net.params, clip_grad_norm(grads[name], cfg.max_grad_norm), state, lr)
     return last
 
 
@@ -379,6 +388,8 @@ def train_policies(
 ):
     """RL phase of the training pipeline: collect a batch, normalize
     advantages, run clipped-surrogate epochs; repeat until total_episodes.
+    objective "grpo" uses group-relative advantages (every decision of an
+    episode gets the episode's standardized reward) and no value loss.
 
     Returns (buffer, diagnostics list)."""
     if cfg.total_episodes <= 0:
@@ -398,42 +409,19 @@ def train_policies(
         episode += n
         buffer.extend(r.record for r in rollouts)
         if objective == "grpo":
-            advs = grpo_advantages([r.record.reward for r in rollouts])
-            for r, a in zip(rollouts, advs):
+            for r, a in zip(rollouts, grpo_advantages([r.record.reward for r in rollouts])):
                 r.struct_adv = float(a)
-                k = len(r.prompt_steps)
-                r.step_targets = [cfg.gamma ** (k - 1 - j) * r.record.reward for j in range(k)]
-                r.step_advs = [float(a)] * k
-            diag = ppo_update(
-                struct_policy, prompt_policy, table, rollouts, cfg, opt,
-                use_value_loss=False,
-            )
+                r.step_advs = [float(a)] * len(r.prompt_steps)
         else:
             compute_advantages(rollouts, struct_policy, prompt_policy, cfg.gamma)
-            diag = ppo_update(struct_policy, prompt_policy, table, rollouts, cfg, opt)
+        diag = ppo_update(struct_policy, prompt_policy, table, rollouts, cfg, opt,
+                          use_value_loss=objective == "ppo")
         diag = dict(diag or {}, batch=batch_idx, episodes=episode)
         diagnostics.append(diag)
         if on_batch:
             on_batch(batch_idx, diag)
         batch_idx += 1
     return buffer, diagnostics
-
-
-def grpo_to_ppo_config(cfg: GRPOConfig) -> PPOConfig:
-    """GRPO runs through the same clipped-surrogate machinery with
-    group-relative advantages and no learned baseline."""
-    return PPOConfig(
-        lr_struct=cfg.lr,
-        lr_prompt=cfg.lr,
-        batch_size=cfg.batch_size,
-        clip_eps=cfg.clip_eps,
-        gamma=cfg.gamma,
-        entropy_coef=cfg.entropy_coef,
-        value_coef=0.0,
-        max_grad_norm=0.5,
-        epochs_per_batch=cfg.epochs_per_batch,
-        total_episodes=cfg.total_episodes,
-    )
 
 
 # ---------------------------------------------------------------------------

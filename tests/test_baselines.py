@@ -13,6 +13,7 @@ from agentcfg.core import (
     Query,
     StructureAction,
 )
+from agentcfg import baselines
 from agentcfg.baselines import (
     BanditPolicy,
     FlatEpisodePolicy,
@@ -34,13 +35,14 @@ from agentcfg.env import (
     compact_atom_library,
 )
 from agentcfg.errors import ContractError
+from agentcfg.numeric import AdamState, score_choices, score_vjp
 from agentcfg.policy import (
     default_mask_table,
     iter_valid_actions,
     mask_table_from_config,
 )
 from agentcfg.reward import RewardConfig
-from agentcfg.train import PPOConfig
+from agentcfg.train import PPOConfig, _normalize, _ppo_terms, _value_regression
 
 REWARD = RewardConfig()
 
@@ -223,6 +225,52 @@ class TestBanditPolicy:
             assert math.isfinite(diagnostics[-1]["loss"])
             finals.append(policy.net.get_flat())
         assert np.array_equal(finals[0], finals[1])
+
+    def test_update_matches_seven_row_reference(self, monkeypatch):
+        env = build_env(QueryDistribution(), 4, seed=3,
+                        library=compact_atom_library(), semantic_dim=8)
+        policy = BanditPolicy(13, len(env.library), hidden=(16,),
+                              rng=np.random.default_rng(4))
+        episodes = baselines._flat_collect(policy, env, 12, REWARD, 5, 0, 0.0)
+        assert all(len(ep.decisions) == 1 for ep in episodes)
+        # move the policy off the sampling parameters so ratios differ from 1
+        for p in policy.net.params:
+            p += np.random.default_rng(6).normal(0.0, 0.1, size=p.shape)
+        cfg = PPOConfig(clip_eps=0.05, epochs_per_batch=1, max_grad_norm=1e9)
+        ref_loss, ref_grads = _seven_row_reference(policy, episodes, cfg)
+        steps = []
+        monkeypatch.setattr(baselines, "adam_step",
+                            lambda params, grads, state, lr: steps.append(grads))
+        diag = baselines._flat_ppo_update(policy, episodes, cfg,
+                                          AdamState.for_params(policy.net.params),
+                                          AdamState.for_params(policy.value_net.params))
+        assert abs(diag["loss"] - ref_loss) <= 1e-10 * abs(ref_loss)
+        assert len(steps) == 2  # one step of the policy net, one of the value net
+        for got, want in zip(steps, ref_grads):
+            a = np.concatenate([g.ravel() for g in got])
+            b = np.concatenate([g.ravel() for g in want])
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def _seven_row_reference(policy, episodes, cfg):
+    """The bandit objective laid out as seven decision rows per episode, one
+    per head, each over the whole output with a mask that keeps only that
+    head's slice. Returns (loss, (net grads, value-net grads))."""
+    offsets = np.cumsum((0,) + policy.head_sizes)
+    rows = []
+    for ep in episodes:
+        (d,) = ep.decisions
+        for head, (choice, lp) in enumerate(zip(d.action, d.log_prob)):
+            mask = np.zeros(offsets[-1])
+            mask[offsets[head]:offsets[head + 1]] = 1.0
+            rows.append((d.input_vec, mask, offsets[head] + choice, lp, d.target))
+    inputs, masks, actions, old_lp, targets = (np.array(col) for col in zip(*rows))
+    advs = _normalize(targets - policy.value_net.forward_batch(inputs)[0][:, 0])
+    new_lp, ent, cache = score_choices(policy.net, inputs, masks, actions)
+    loss, dlogp, dent, _ = _ppo_terms(new_lp, ent, old_lp, advs, cfg)
+    scale = cfg.value_coef / len(rows)
+    sq, g_value = _value_regression(policy.value_net, inputs, targets, scale)
+    return loss + scale * sq, (score_vjp(cache, dlogp, dent), g_value)
 
 
 class TestFlatEpisodePolicy:

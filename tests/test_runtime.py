@@ -2,8 +2,11 @@
 training orchestrator."""
 
 import dataclasses
+import io
 import json
 import math
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from agentcfg.runtime import (
     RunConfig,
     build_components,
     chat_call,
+    default_transport,
     dump_config,
     execute_real,
     load_atom_library,
@@ -63,7 +67,7 @@ class TestRunConfig:
         assert cfg == RunConfig()
         assert cfg.ppo.batch_size == 32 and cfg.ppo.total_episodes == 4000
         assert cfg.sft.tau == 4.0 and cfg.sft.elite_fraction == 0.30
-        assert cfg.grpo.batch_size == 64 and cfg.dpo.beta == 0.05
+        assert cfg.dpo.beta == 0.05
 
     def test_unknown_top_level_key(self, tmp_path):
         path = write_yaml(tmp_path, {"learning_rate": 1.0})
@@ -74,6 +78,14 @@ class TestRunConfig:
         path = write_yaml(tmp_path, {"ppo": {"lr": 0.1}})
         with pytest.raises(ConfigError, match=r"ppo\.lr"):
             load_config(path)
+        # GRPO reads ppo:, and DPO uses every pair in one batch
+        path = write_yaml(tmp_path, {"grpo": {"batch_size": 64}})
+        with pytest.raises(ConfigError, match="unknown config key: grpo"):
+            load_config(path)
+        for key in ("entropy_coef", "batch_size"):
+            path = write_yaml(tmp_path, {"dpo": {key: 1}})
+            with pytest.raises(ConfigError, match=rf"unknown config key: dpo\.{key}"):
+                load_config(path)
         path = write_yaml(tmp_path, {"mask_table": {"NotAWorkflow": {}}})
         with pytest.raises(ConfigError, match="NotAWorkflow"):
             load_config(path)
@@ -137,6 +149,21 @@ class TestRunConfig:
             load_config(path)
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"error: env.{next(iter(env))}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, field", [
+        ({"ppo": {"epochs_per_batch": 0}}, "ppo.epochs_per_batch"),
+        ({"ppo": {"batch_size": 0}}, "ppo.batch_size"),
+        ({"ppo": {"clip_eps": -1.0}}, "ppo.clip_eps"),
+        ({"sft": {"epochs": 0}}, "sft.epochs"),
+        ({"refinement": "dpo", "dpo": {"epochs": 0}}, "dpo.epochs"),
+    ])
+    def test_bad_training_value_fails_as_config_error(self, tmp_path, capsys, data, field):
+        from agentcfg.cli import main
+
+        path = write_yaml(tmp_path, data)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_real_mode_refused_until_a_real_env_exists(self, tmp_path, capsys):
         from agentcfg.cli import main
@@ -295,6 +322,34 @@ class TestChatCall:
         assert payload["model"] == "test-model"
         assert payload["max_tokens"] == 256
         assert payload["temperature"] == 0.5
+
+    def test_default_transport_posts_json_and_retries_http_errors(self, monkeypatch):
+        requests_seen = []
+
+        def urlopen(request, timeout):
+            requests_seen.append((request, timeout))
+            if len(requests_seen) == 1:
+                raise urllib.error.HTTPError(request.full_url, 503, "unavailable", {}, None)
+            return io.BytesIO(json.dumps(ok_response("hello", 42)).encode("utf-8"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        monkeypatch.setenv("TEST_BACKEND_KEY", "secret")
+        endpoint = BackendEndpoint(base_url="http://localhost:9/v1/chat", model="m",
+                                   api_key_env="TEST_BACKEND_KEY", timeout=7.5)
+        sleeps = []
+        messages = [{"role": "user", "content": "hi"}]
+        content, tokens = chat_call(endpoint, messages, 64, default_transport,
+                                    sleep=sleeps.append)
+        assert (content, tokens) == ("hello", 42)
+        assert len(requests_seen) == 2 and sleeps == [1.0]
+        request, timeout = requests_seen[-1]
+        assert timeout == 7.5
+        assert request.full_url == "http://localhost:9/v1/chat"
+        assert request.get_method() == "POST"
+        assert request.get_header("Content-type") == "application/json"
+        assert request.get_header("Authorization") == "Bearer secret"
+        assert json.loads(request.data) == {"model": "m", "messages": messages,
+                                            "max_tokens": 64, "temperature": 0.0}
 
 
 class TestRunTool:

@@ -38,7 +38,6 @@ from agentcfg.train import (
     dpo_update,
     filter_elite,
     grpo_advantages,
-    grpo_to_ppo_config,
     kl_to_empirical,
     ppo_loss_and_grads,
     ppo_update,
@@ -222,13 +221,28 @@ class TestPPOGradients:
         assert set(diag) >= {"loss", "clip_fraction", "mean_entropy",
                              "value_loss", "mean_reward"}
 
-    def test_grpo_config_mapping(self):
-        from agentcfg.train import GRPOConfig
-
-        ppo = grpo_to_ppo_config(GRPOConfig())
-        assert ppo.value_coef == 0.0
-        assert ppo.lr_struct == ppo.lr_prompt == 3e-4
-        assert ppo.batch_size == 64 and ppo.gamma == 0.99
+    def test_update_without_value_loss_leaves_value_nets_alone(self):
+        struct, prompt = make_policies(24)
+        cfg = PPOConfig(batch_size=8, total_episodes=8)
+        rollouts = collect_rollouts(struct, prompt, TABLE, small_env(9), 8, REWARD, run_seed=6)
+        for r, a in zip(rollouts, grpo_advantages([r.record.reward for r in rollouts])):
+            r.struct_adv = float(a)
+            r.step_advs = [float(a)] * len(r.prompt_steps)
+        _, grads, _ = ppo_loss_and_grads(struct, prompt, TABLE, rollouts, cfg,
+                                         use_value_loss=False)
+        assert set(grads) == {"struct_trunk", "prompt_net"}
+        nets = (struct.trunk, struct.value_net, prompt.net, prompt.value_net)
+        before = [net.get_flat() for net in nets]
+        opt = OptimizerSet.create(struct, prompt)
+        ppo_update(struct, prompt, TABLE, rollouts, cfg, opt, use_value_loss=False)
+        assert opt.struct_value.t == 0 and opt.prompt_value.t == 0
+        assert opt.struct_trunk.t == opt.prompt_net.t == cfg.epochs_per_batch
+        for state in (opt.struct_value, opt.prompt_value):
+            assert not any(a.any() for a in state.m + state.v)
+        after = [net.get_flat() for net in nets]
+        assert np.array_equal(after[1], before[1]) and np.array_equal(after[3], before[3])
+        assert not np.array_equal(after[0], before[0])
+        assert not np.array_equal(after[2], before[2])
 
 
 class TestCollection:
@@ -527,8 +541,7 @@ class TestTrainPolicies:
 
     def test_grpo_objective_runs(self):
         struct, prompt = make_policies(21)
-        cfg = grpo_to_ppo_config(__import__("agentcfg.train", fromlist=["GRPOConfig"])
-                                 .GRPOConfig(batch_size=8, total_episodes=16))
+        cfg = PPOConfig(batch_size=8, total_episodes=16)
         buffer, diagnostics = train_policies(struct, prompt, TABLE, small_env(7),
                                              cfg, REWARD, run_seed=4, objective="grpo")
         assert len(buffer) == 16
@@ -585,7 +598,7 @@ def _row_config_terms(struct, prompt, table, record, dlogp, dentropy, grads):
             out[head_slice(head)], m, c, dlogp[0], dentropy[0])
         s_lp += lp
         s_h += h
-    for acc, g in zip(grads["struct_trunk"], struct.trunk.backward(s_vec, dlogits)[0]):
+    for acc, g in zip(grads["struct_trunk"], struct.trunk.backward(s_vec, dlogits)):
         acc += g
     step_lps, step_hs, j = [], [], 0
     for agent, seq in enumerate(record.prompt_actions):
@@ -595,7 +608,7 @@ def _row_config_terms(struct, prompt, table, record, dlogp, dentropy, grads):
             lp, h, g = _row_categorical(
                 prompt.net.forward(x), prompt.step_mask(ROLES[agent], chosen, len(chosen)),
                 atom, dlogp[1][j], dentropy[1][j])
-            for acc, gg in zip(grads["prompt_net"], prompt.net.backward(x, g)[0]):
+            for acc, gg in zip(grads["prompt_net"], prompt.net.backward(x, g)):
                 acc += gg
             step_lps.append(lp)
             step_hs.append(h)
@@ -606,8 +619,9 @@ def _row_config_terms(struct, prompt, table, record, dlogp, dentropy, grads):
 
 
 def _zero_grads(struct, prompt):
-    return {"struct_trunk": struct.trunk.zero_grads(), "struct_value": struct.value_net.zero_grads(),
-            "prompt_net": prompt.net.zero_grads(), "prompt_value": prompt.value_net.zero_grads()}
+    nets = {"struct_trunk": struct.trunk, "struct_value": struct.value_net,
+            "prompt_net": prompt.net, "prompt_value": prompt.value_net}
+    return {name: [np.zeros_like(p) for p in net.params] for name, net in nets.items()}
 
 
 def _n_steps(record):
@@ -645,7 +659,7 @@ def reference_ppo(struct, prompt, table, rollouts, cfg, use_value_loss):
                 err = net.forward(x)[0] - target
                 loss += cfg.value_coef * err * err / n
                 for acc, g in zip(grads[name], net.backward(
-                        x, np.array([2.0 * cfg.value_coef * err / n]))[0]):
+                        x, np.array([2.0 * cfg.value_coef * err / n]))):
                     acc += g
     return loss, grads
 
