@@ -1,4 +1,5 @@
-"""Domain types shared by every module: queries, workflows, actions, episodes.
+"""Domain types shared by every module: queries, workflows, actions, episodes,
+plus the atomic file write that every saved artifact goes through.
 
 The structure action space is 9 workflows x 16^2 tool subsets x 3^3 budget
 tiers = 62,208 joint actions, indexed with a workflow-major mixed-radix
@@ -7,7 +8,10 @@ encoding so actions round-trip losslessly through a single integer.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -386,3 +390,19 @@ class ExperienceBuffer:
 
     def __getitem__(self, i):
         return self.records[i]
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file beside path for writing. When the block ends
+    normally the file replaces path in one `os.replace`; when it raises, the
+    file is removed and path keeps its old contents."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -9,12 +9,14 @@ to logits before the softmax, so masked entries carry exactly zero mass.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidActionError, InvalidMaskError, ShapeError
+from .core import atomic_write
+from .errors import InvalidActionError, InvalidMaskError, ShapeError, TrainingDivergenceError
 
 # ---------------------------------------------------------------------------
 # Dense networks
@@ -146,7 +148,7 @@ def save_net(net: DenseNet, path) -> None:
         }
     ).encode("utf-8")
     blob = net.get_flat().astype("<f8").tobytes()
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
         fh.write(blob)
@@ -228,6 +230,18 @@ class MaskedCategorical:
         return self._stats
 
 
+def masked_categoricals(logits: np.ndarray, masks: np.ndarray) -> list[MaskedCategorical]:
+    """One MaskedCategorical per row of (G, K) logits and masks, with the
+    statistics of all rows computed in one `masked_categorical` pass."""
+    stats = masked_categorical(logits, masks)
+    dists = []
+    for g in range(len(logits)):
+        d = MaskedCategorical(logits[g], masks[g])
+        d._stats = tuple(x[g] for x in stats)
+        dists.append(d)
+    return dists
+
+
 def masked_softmax(d: MaskedCategorical) -> np.ndarray:
     """Probabilities with masked entries exactly 0."""
     return d.stats[0].copy()
@@ -239,12 +253,29 @@ def log_prob(d: MaskedCategorical, index: int) -> float:
     return float(d.stats[1][index])
 
 
+def draw(probs: np.ndarray, mask: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn from one row of `masked_categorical` probabilities, over
+    the entries its mask leaves valid, with one uniform from rng.
+
+    This is the inverse CDF that `rng.choice(len(valid), p=q / q.sum())`
+    computes for the valid probabilities q, step for step: the same generator
+    gives the same index and is left in the same state. A masked index is
+    never drawn. Raises TrainingDivergenceError when the valid probabilities
+    do not sum to a finite number (non-finite logits).
+    """
+    valid = np.flatnonzero(mask > 0)
+    q = probs[valid]
+    total = q.sum()
+    if not math.isfinite(total):
+        raise TrainingDivergenceError(f"non-finite logits: valid probabilities sum to {total}")
+    cdf = (q / total).cumsum()
+    cdf /= cdf[-1]
+    return int(valid[cdf.searchsorted(rng.random(), "right")])
+
+
 def sample(d: MaskedCategorical, rng: np.random.Generator):
     """Draw an index from the masked distribution; returns (index, log_prob)."""
-    probs = masked_softmax(d)
-    # Never draw a masked index: sample over the valid support only.
-    valid = np.flatnonzero(d.mask > 0)
-    idx = int(valid[rng.choice(len(valid), p=probs[valid] / probs[valid].sum())])
+    idx = draw(masked_softmax(d), d.mask, rng)
     return idx, log_prob(d, idx)
 
 

@@ -36,10 +36,12 @@ from .numeric import (
     DEFAULT_HIDDEN,
     DenseNet,
     MaskedCategorical,
+    draw,
     entropy,
     load_net,
     log_prob,
-    masked_softmax,
+    masked_categorical,
+    masked_categoricals,
     sample,
     save_net,
     score_choices,
@@ -275,31 +277,35 @@ class StructurePolicy:
         self.value_net = load_net(directory / "structure_value.params")
 
 
+def _conditioned_heads(logits: np.ndarray, table: MaskTable, workflow_id: int):
+    """Logits and masks of the five heads after the workflow head, under the
+    masks the chosen workflow conditions: two (5, widest head) arrays in the
+    _HEAD_COLUMNS layout, padding masked."""
+    return logits[_HEAD_COLUMNS[1:]], _padded_head_masks(table)[workflow_id, 1:]
+
+
 def sample_structure(
     policy: StructurePolicy,
     table: MaskTable,
     s: StateEmbedding,
     rng: np.random.Generator,
 ):
-    """Sample workflow first, then the remaining heads under its masks.
+    """Sample workflow first, then the remaining heads under its masks; the
+    five conditioned heads share one padded `masked_categorical` pass.
 
     Returns (action, joint_log_prob, per_head_entropies).
     """
-    s_vec = s.as_vector()
-    logits = policy.head_logits(s_vec)
-    wf_dist = MaskedCategorical(logits[0], table.workflow_mask)
-    wf, lp = sample(wf_dist, rng)
-    entropies = [entropy(wf_dist)]
-    joint_lp = lp
+    logits = policy.trunk.forward(s.as_vector())
+    wf_dist = MaskedCategorical(logits[head_slice(0)], table.workflow_mask)
+    wf, joint_lp = sample(wf_dist, rng)
+    dists = [wf_dist, *masked_categoricals(*_conditioned_heads(logits, table, wf))]
     choices = []
-    for head, mask in enumerate(table.masks_for(wf), start=1):
-        dist = MaskedCategorical(logits[head], mask)
+    for dist in dists[1:]:
         c, lp = sample(dist, rng)
         joint_lp += lp
-        entropies.append(entropy(dist))
         choices.append(c)
     action = StructureAction(wf, choices[0], choices[1], tuple(choices[2:]))
-    return action, joint_lp, entropies
+    return action, joint_lp, [entropy(d) for d in dists]
 
 
 def log_prob_structure(
@@ -384,44 +390,101 @@ class PromptPolicy:
         self.value_net = load_net(directory / "prompt_value.params")
 
 
-def _walk_prompts(policy: PromptPolicy, s_vec, a_struct: StructureAction, choose):
+def _walk_prompts(policy: PromptPolicy, s_vecs, actions: Sequence[StructureAction], choose):
     """The one prompt-decision loop, shared by sampling, greedy decoding and
-    replay. Agent i takes role ROLES[i]; at each step choose(agent, position,
-    input, mask) returns (atom or STOP index, log-prob) until STOP. Returns
-    (sequences, steps)."""
-    sequences: list[tuple[int, ...]] = []
-    steps: list[PromptStep] = []
-    for agent in range(a_struct.workflow.agents_active):
-        role = ROLES[agent]
-        chosen: list[int] = []
-        while True:
-            x = policy.step_input(s_vec, a_struct.workflow_id, chosen)
-            mask = policy.step_mask(role, chosen, len(chosen))
-            action, lp = choose(agent, len(chosen), x, mask)
-            steps.append(PromptStep(agent, x, mask, action, lp))
-            if action == policy.stop_index:
-                break
-            chosen.append(action)
-        sequences.append(tuple(chosen))
-    return tuple(sequences), steps
+    replay. It walks a list of episodes (state vector and structure action
+    each) in lockstep: agent i of an episode takes role ROLES[i] and picks
+    atoms until STOP. At each step, choose(rows, agents, positions, inputs,
+    masks) gets the episodes still choosing, with their agents, positions,
+    step inputs and masks (lists of rows), and returns each one's action
+    (atom or STOP index) and log-prob. Returns each episode's (sequences,
+    steps)."""
+    stop = policy.stop_index
+    chosen_at = policy.state_dim + N_WORKFLOWS  # the multi-hot of atoms chosen
+    stop_only = policy.step_mask(ROLES[0], (), MAX_PROMPT_LEN)
+    n = len(actions)
+    # Each episode's current step input and mask, updated in place per choice.
+    inputs = [policy.step_input(s_vec, a.workflow_id, ()) for s_vec, a in zip(s_vecs, actions)]
+    masks = [policy.step_mask(ROLES[0], (), 0) for _ in range(n)]
+    n_agents = [a.workflow.agents_active for a in actions]
+    agent = [0] * n
+    chosen: list[list[int]] = [[] for _ in range(n)]
+    sequences: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    steps: list[list[PromptStep]] = [[] for _ in range(n)]
+    rows = [e for e in range(n) if n_agents[e] > 0]
+    while rows:
+        x = [inputs[e].copy() for e in rows]
+        m = [(masks[e] if len(chosen[e]) < MAX_PROMPT_LEN else stop_only).copy() for e in rows]
+        picked, log_probs = choose(rows, [agent[e] for e in rows],
+                                   [len(chosen[e]) for e in rows], x, m)
+        still = []
+        for i, e in enumerate(rows):
+            a = int(picked[i])
+            steps[e].append(PromptStep(agent[e], x[i], m[i], a, float(log_probs[i])))
+            if a == stop:
+                sequences[e].append(tuple(chosen[e]))
+                chosen[e] = []
+                agent[e] += 1
+                if agent[e] == n_agents[e]:
+                    continue
+                inputs[e][chosen_at:] = 0.0
+                masks[e] = policy.step_mask(ROLES[agent[e]], (), 0)
+            else:
+                chosen[e].append(a)
+                inputs[e][chosen_at + a] = 1.0
+                masks[e][a] = 0.0
+            still.append(e)
+        rows = still
+    return [(tuple(seqs), st) for seqs, st in zip(sequences, steps)]
 
 
-def _given_prompt_steps(policy: PromptPolicy, s_vec, a_struct: StructureAction, sequences):
-    """Steps that produce the given sequences, each STOP included; raises on
-    any atom the masks forbid."""
-    if len(sequences) != a_struct.workflow.agents_active:
-        raise InvalidActionError("one prompt sequence required per active agent")
+def _prompt_probs(policy: PromptPolicy, inputs, masks):
+    """Masked-categorical (probs, log_probs) of a batch of prompt steps, from
+    one prompt-net pass."""
+    probs, log_probs, _ = masked_categorical(
+        policy.net.forward_batch(np.array(inputs))[0], np.array(masks))
+    return probs, log_probs
 
-    def given(agent, position, x, mask):
-        seq = sequences[agent]
-        atom = seq[position] if position < len(seq) else policy.stop_index
-        if not mask[atom] > 0:
-            raise InvalidActionError(
-                f"atom {atom} invalid for role {ROLES[agent]} at position {position}"
-            )
-        return atom, 0.0
 
-    return _walk_prompts(policy, s_vec, a_struct, given)[1]
+def _given_prompt_steps(policy: PromptPolicy, s_vecs, actions, sequences):
+    """Each episode's steps that produce its given sequences, each STOP
+    included; raises on any atom the masks forbid."""
+    for a, seqs in zip(actions, sequences):
+        if len(seqs) != a.workflow.agents_active:
+            raise InvalidActionError("one prompt sequence required per active agent")
+
+    def given(rows, agents, positions, inputs, masks):
+        picked = []
+        for e, agent, position, mask in zip(rows, agents, positions, masks):
+            seq = sequences[e][agent]
+            atom = seq[position] if position < len(seq) else policy.stop_index
+            if not (0 <= atom <= policy.stop_index and mask[atom] > 0):
+                raise InvalidActionError(
+                    f"atom {atom} invalid for role {ROLES[agent]} at position {position}"
+                )
+            picked.append(atom)
+        return picked, [0.0] * len(rows)
+
+    return [st for _, st in _walk_prompts(policy, s_vecs, actions, given)]
+
+
+def sample_prompts_lockstep(
+    policy: PromptPolicy,
+    states: Sequence[StateEmbedding],
+    actions: Sequence[StructureAction],
+    rngs: Sequence[np.random.Generator],
+):
+    """`sample_prompts` for a list of episodes at once: one prompt-net pass
+    per step over the episodes still choosing. Episode e draws from rngs[e],
+    in the order `sample_prompts` would. Returns each episode's (sequences,
+    steps)."""
+
+    def drawn(rows, agents, positions, inputs, masks):
+        probs, log_probs = _prompt_probs(policy, inputs, masks)
+        picked = [draw(p, mask, rngs[e]) for p, mask, e in zip(probs, masks, rows)]
+        return picked, log_probs[np.arange(len(rows)), picked]
+
+    return _walk_prompts(policy, [s.as_vector() for s in states], actions, drawn)
 
 
 def sample_prompts(
@@ -432,11 +495,7 @@ def sample_prompts(
 ):
     """One STOP-terminated sequence per active agent; agent i takes role
     ROLES[i]. Returns (sequences, steps) with stepwise log-probs recorded."""
-
-    def draw(agent, position, x, mask):
-        return sample(MaskedCategorical(policy.net.forward(x), mask), rng)
-
-    return _walk_prompts(policy, s.as_vector(), a_struct, draw)
+    return sample_prompts_lockstep(policy, [s], [a_struct], [rng])[0]
 
 
 def greedy_configuration(
@@ -447,19 +506,17 @@ def greedy_configuration(
 ):
     """Deterministic argmax decode of both policies: the mode of each masked
     head (workflow first), then the argmax prompt step for every agent."""
-
-    def mode(logits, mask) -> int:
-        return int(np.argmax(masked_softmax(MaskedCategorical(logits, mask))))
-
     s_vec = s.as_vector()
-    logits = struct_policy.head_logits(s_vec)
-    wf = mode(logits[0], table.workflow_mask)
-    choices = [mode(z, m) for z, m in zip(logits[1:], table.masks_for(wf))]
-    action = StructureAction(wf, choices[0], choices[1], tuple(choices[2:]))
-    sequences, _ = _walk_prompts(
-        prompt_policy, s_vec, action,
-        lambda agent, position, x, mask: (mode(prompt_policy.net.forward(x), mask), 0.0),
-    )
+    logits = struct_policy.trunk.forward(s_vec)
+    wf = int(np.argmax(masked_categorical(logits[head_slice(0)], table.workflow_mask)[0]))
+    c = [int(i) for i in masked_categorical(
+        *_conditioned_heads(logits, table, wf))[0].argmax(axis=1)]
+    action = StructureAction(wf, c[0], c[1], tuple(c[2:]))
+
+    def mode(rows, agents, positions, inputs, masks):
+        return _prompt_probs(prompt_policy, inputs, masks)[0].argmax(axis=1), [0.0] * len(rows)
+
+    sequences, _ = _walk_prompts(prompt_policy, [s_vec], [action], mode)[0]
     return Configuration(action, sequences)
 
 
@@ -470,7 +527,7 @@ def log_prob_prompts(
     sequences: Sequence[Sequence[int]],
 ) -> float:
     """Total log-probability of given sequences (including each STOP)."""
-    steps = _given_prompt_steps(policy, s.as_vector(), a_struct, sequences)
+    steps = _given_prompt_steps(policy, [s.as_vector()], [a_struct], [sequences])[0]
     logp, _, _ = score_choices(
         policy.net,
         np.stack([st.input_vec for st in steps]),
@@ -532,15 +589,14 @@ def replay_batch(prompt_policy: PromptPolicy, table: MaskTable, records) -> Repl
     """Lay out recorded configurations (anything with state,
     structure_action and prompt_actions) for `replay`; raises
     InvalidActionError on any choice the masks forbid."""
-    states, actions, steps = [], [], []
-    for r in records:
-        a = r.structure_action
+    records = list(records)
+    actions = [r.structure_action for r in records]
+    for a in actions:
         if not table.is_valid(a):
             raise InvalidActionError(f"structure action invalid under mask table: {a}")
-        s_vec = r.state.as_vector()
-        states.append(s_vec)
-        actions.append(a)
-        steps.append(_given_prompt_steps(prompt_policy, s_vec, a, r.prompt_actions))
+    states = [r.state.as_vector() for r in records]
+    steps = _given_prompt_steps(prompt_policy, states, actions,
+                                [r.prompt_actions for r in records])
     return ReplayBatch.build(prompt_policy, table, states, actions, steps)
 
 

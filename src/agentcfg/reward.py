@@ -3,10 +3,11 @@ asymmetric tool shaping."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import ExecutionOutcome
-from .errors import ContractError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -21,11 +22,12 @@ class RewardConfig:
     t_max: int = 4096
 
     def __post_init__(self):
-        fields = ("alpha", "beta_s", "beta_t", "eta", "delta1", "delta2", "delta3")
-        if any(getattr(self, f) < 0 for f in fields):
-            raise ContractError("reward coefficients must be non-negative")
+        for name in ("alpha", "beta_s", "beta_t", "eta", "delta1", "delta2", "delta3"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"reward.{name} must be finite and >= 0, got {value!r}")
         if self.t_max <= 0:
-            raise ContractError("t_max must be positive")
+            raise ConfigError(f"reward.t_max must be >= 1, got {self.t_max!r}")
 
 
 def tool_shaping(n_used: int, n_alloc: int, correct: bool, cfg: RewardConfig) -> float:

@@ -32,6 +32,7 @@ from .core import (
     ExperienceBuffer,
     PromptAtom,
     Query,
+    atomic_write,
     toolset_members,
 )
 from .analysis import diversity_report, safe_eval_arithmetic
@@ -280,9 +281,11 @@ def load_atom_library(path) -> tuple[PromptAtom, ...]:
 
 
 def persist_buffer(buffer: ExperienceBuffer, path) -> None:
+    """Write one JSON line per record; an interrupted write leaves any
+    earlier file at path as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for record in buffer:
             fh.write(json.dumps(record.to_json_dict()) + "\n")
 
@@ -685,8 +688,8 @@ def save_artifacts(artifacts: TrainingArtifacts, out_dir) -> None:
     artifacts.struct_policy.save(out_dir)
     artifacts.prompt_policy.save(out_dir)
     persist_buffer(artifacts.buffer, out_dir / "episodes.jsonl")
-    with open(out_dir / "report.json", "w") as fh:
+    with atomic_write(out_dir / "report.json") as fh:
         json.dump(artifacts.report, fh, indent=2)
-    with open(out_dir / "diagnostics.jsonl", "w") as fh:
+    with atomic_write(out_dir / "diagnostics.jsonl") as fh:
         for diag in artifacts.diagnostics:
             fh.write(json.dumps(diag) + "\n")

@@ -9,6 +9,7 @@ parameters so gradient correctness is testable against finite differences.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -44,6 +45,7 @@ from .policy import (
     replay,
     replay_batch,
     sample_prompts,
+    sample_prompts_lockstep,
     sample_structure,
     vjp,
 )
@@ -58,6 +60,14 @@ def _require_positive_int(section: str, cfg, *names) -> None:
     for name in names:
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{section}.{name} must be >= 1, got {getattr(cfg, name)!r}")
+
+
+def _require_finite(section: str, cfg) -> None:
+    """Every float field of a config dataclass must be a finite number."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{section}.{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +89,7 @@ class PPOConfig:
 
     def __post_init__(self):
         # total_episodes <= 0 is refused by train_policies (ContractError)
+        _require_finite("ppo", self)
         _require_positive_int("ppo", self, "batch_size", "epochs_per_batch")
         if not self.clip_eps > 0:
             raise ConfigError(f"ppo.clip_eps must be > 0, got {self.clip_eps!r}")
@@ -94,8 +105,10 @@ class SFTConfig:
     epochs: int = 10
 
     def __post_init__(self):
+        _require_finite("sft", self)
         if not 0 < self.elite_fraction <= 1:
-            raise ContractError("elite_fraction must be in (0, 1]")
+            raise ConfigError(
+                f"sft.elite_fraction must be in (0, 1], got {self.elite_fraction!r}")
         _require_positive_int("sft", self, "epochs")
 
 
@@ -110,6 +123,7 @@ class DPOConfig:
     negative_reward: float = 2.0
 
     def __post_init__(self):
+        _require_finite("dpo", self)
         _require_positive_int("dpo", self, "epochs")
 
 
@@ -151,16 +165,25 @@ def collect_rollouts(
     start_episode: int = 0,
 ) -> list[Rollout]:
     """Embed -> sample structure (masked) -> sample prompts -> execute ->
-    shaped reward. Fully deterministic given run_seed and the episode
-    counter (single-executor mode)."""
-    rollouts = []
-    for i in range(n):
-        episode = start_episode + i
+    shaped reward. Episode i draws from its own generator
+    default_rng([run_seed, start_episode + i, 0]); the prompt decisions of
+    the whole batch run in lockstep, each episode in its own draw order.
+    Fully deterministic given run_seed and the episode counter
+    (single-executor mode)."""
+    episodes, states, actions, rngs = [], [], [], []
+    for episode in range(start_episode, start_episode + n):
         rng = np.random.default_rng([run_seed, episode, 0])
         query = env.queries[int(rng.integers(0, len(env.queries)))]
         state = env.embed(query)
         action, struct_lp, _ = sample_structure(struct_policy, table, state, rng)
-        prompts, steps = sample_prompts(prompt_policy, state, action, rng)
+        episodes.append((episode, query, struct_lp))
+        states.append(state)
+        actions.append(action)
+        rngs.append(rng)
+    walks = sample_prompts_lockstep(prompt_policy, states, actions, rngs)
+    rollouts = []
+    for (episode, query, struct_lp), state, action, (prompts, steps) in zip(
+            episodes, states, actions, walks):
         exec_seed = _episode_seed(run_seed, episode)
         config = Configuration(structure=action, prompts=prompts)
         outcome = env.execute(query, config, exec_seed)

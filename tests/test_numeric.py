@@ -7,18 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentcfg.errors import InvalidActionError, InvalidMaskError, ShapeError
+from agentcfg.errors import (
+    InvalidActionError,
+    InvalidMaskError,
+    ShapeError,
+    TrainingDivergenceError,
+)
 from agentcfg.numeric import (
     AdamState,
     DenseNet,
     MaskedCategorical,
     adam_step,
     clip_grad_norm,
+    draw,
     entropy,
     entropy_grad_logits,
     load_net,
     log_prob,
     log_prob_grad_logits,
+    masked_categorical,
+    masked_categoricals,
     masked_softmax,
     sample,
     save_net,
@@ -60,6 +68,13 @@ class TestDenseNetForward:
                 net.forward(x), reference_forward(net.params, net.sizes, x),
                 atol=1e-12, rtol=0,
             )
+
+    @pytest.mark.parametrize("sizes", [(69, 128, 128, 83), (21, 32, 41), (88, 128, 128, 11)])
+    def test_one_row_batch_is_bit_identical_to_forward(self, sizes):
+        # the one-episode sampling and decoding paths rely on this
+        net = DenseNet(sizes, rng=np.random.default_rng(5))
+        for x in np.random.default_rng(6).normal(size=(20, sizes[0])):
+            assert np.array_equal(net.forward_batch(x[None])[0][0], net.forward(x))
 
     def test_shape_error(self):
         net = DenseNet([3, 2])
@@ -186,6 +201,48 @@ class TestSampling:
         assert idx == valid[twin.choice(len(valid), p=e / e.sum())]
         assert lp == pytest.approx(math.log(e[list(valid).index(idx)] / e.sum()), abs=1e-9)
         assert rng.random() == twin.random()  # same number of draws consumed
+
+    @given(st.lists(st.tuples(st.lists(st.floats(-800, 30), min_size=12, max_size=12),
+                              st.lists(st.booleans(), min_size=12, max_size=12)),
+                    min_size=1, max_size=6),
+           st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_draw_matches_rng_choice_on_twin_generators(self, rows, seeds):
+        # logits down to -800 make some valid probabilities exactly 0
+        logits = np.array([r[0] for r in rows])
+        masks = np.array([r[1] for r in rows], dtype=float)
+        masks[np.arange(len(rows)), np.argmin(logits, axis=1)] = 1.0
+        probs = masked_categorical(logits, masks)[0]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        twins = [np.random.default_rng(seed) for seed in seeds]
+        for k in range(3 * len(rows)):  # rows and generators interleaved
+            i, g = k % len(rows), k % len(seeds)
+            valid = np.flatnonzero(masks[i] > 0)
+            q = probs[i][valid]
+            assert draw(probs[i], masks[i], rngs[g]) == valid[twins[g].choice(
+                len(valid), p=q / q.sum())]
+        for rng, twin in zip(rngs, twins):
+            assert rng.random() == twin.random()  # same number of draws consumed
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_logits_raise_divergence(self, bad):
+        d = MaskedCategorical(np.array([0.0, bad, 1.0]), np.ones(3))
+        with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergenceError):
+            sample(d, np.random.default_rng(0))
+        # a non-finite logit on a masked entry is never looked at
+        d = MaskedCategorical(np.array([0.0, bad, 1.0]), np.array([1.0, 0.0, 1.0]))
+        assert sample(d, np.random.default_rng(0))[0] in (0, 2)
+
+    def test_padded_views_match_one_row_distributions(self):
+        rng = np.random.default_rng(7)
+        logits = rng.normal(size=(5, 16)) * 3
+        masks = (rng.random((5, 16)) < 0.4).astype(float)
+        masks[:, 0] = 1.0
+        masks[2:, 3:] = 0.0  # short heads padded to the widest one
+        for view, z, m in zip(masked_categoricals(logits, masks), logits, masks):
+            one_row = MaskedCategorical(z, m)
+            for x, y in zip(view.stats, one_row.stats):
+                assert np.array_equal(x, y)
 
     def test_log_prob_invalid_index(self):
         d = MaskedCategorical(np.zeros(3), np.array([1.0, 0.0, 1.0]))

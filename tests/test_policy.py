@@ -11,13 +11,16 @@ from agentcfg.core import (
     N_TIERS,
     N_TOOL_SUBSETS,
     N_WORKFLOWS,
+    ROLES,
     STRUCT_SPACE_SIZE,
+    Configuration,
     PromptAtom,
     StateEmbedding,
     StructureAction,
 )
 from agentcfg.env import compact_atom_library, default_atom_library
-from agentcfg.errors import InvalidActionError, InvalidMaskError
+from agentcfg.errors import InvalidActionError, InvalidMaskError, TrainingDivergenceError
+from agentcfg.numeric import MaskedCategorical, entropy, masked_softmax, sample
 from agentcfg.policy import (
     HEAD_SIZES,
     MaskTable,
@@ -33,8 +36,51 @@ from agentcfg.policy import (
     log_prob_structure,
     mask_table_from_config,
     sample_prompts,
+    sample_prompts_lockstep,
     sample_structure,
 )
+
+
+def reference_structure(policy, table, s, pick):
+    """Per-head reference: one MaskedCategorical per head, workflow first;
+    pick(dist) returns (choice, log-prob). Returns (action, joint log-prob,
+    per-head entropies)."""
+    logits = policy.head_logits(s.as_vector())
+    wf_dist = MaskedCategorical(logits[0], table.workflow_mask)
+    wf, joint_lp = pick(wf_dist)
+    dists = [wf_dist] + [MaskedCategorical(z, m)
+                         for z, m in zip(logits[1:], table.masks_for(wf))]
+    choices = [wf]
+    for d in dists[1:]:
+        c, lp = pick(d)
+        joint_lp += lp
+        choices.append(c)
+    action = StructureAction(wf, choices[1], choices[2], tuple(choices[3:]))
+    return action, joint_lp, [entropy(d) for d in dists]
+
+
+def reference_prompts(policy, s, a_struct, pick):
+    """Per-row reference of the prompt walk: one step input, mask and
+    forward pass at a time. Returns (sequences, steps as (agent, input,
+    mask, action, log-prob))."""
+    s_vec = s.as_vector()
+    sequences, steps = [], []
+    for agent in range(a_struct.workflow.agents_active):
+        chosen = []
+        while True:
+            x = policy.step_input(s_vec, a_struct.workflow_id, chosen)
+            mask = policy.step_mask(ROLES[agent], chosen, len(chosen))
+            action, lp = pick(MaskedCategorical(policy.net.forward(x), mask))
+            steps.append((agent, x, mask, action, lp))
+            if action == policy.stop_index:
+                break
+            chosen.append(action)
+        sequences.append(tuple(chosen))
+    return tuple(sequences), steps
+
+
+def mode(d):
+    return int(np.argmax(masked_softmax(d))), 0.0
 
 
 def make_state(seed=0, dim=8):
@@ -43,6 +89,8 @@ def make_state(seed=0, dim=8):
 
 
 STATE_DIM = 13  # 8 semantic + 5 features
+PROMPT = PromptPolicy(STATE_DIM, compact_atom_library(), hidden=(16,),
+                      rng=np.random.default_rng(25))
 
 
 class TestMaskTable:
@@ -133,6 +181,23 @@ class TestStructurePolicy:
             if a.workflow.agents_active < 3:
                 assert a.budgets[2] == 0
 
+    @pytest.mark.parametrize("table", [
+        default_mask_table(),
+        mask_table_from_config({"workflows": ["Direct", "ReasonVerifyAns"],
+                                "Direct": {"tools1": [0, 1], "budgets": [[0, 2], [0], [0]]}}),
+    ])
+    def test_padded_heads_match_per_head_reference(self, table):
+        policy = StructurePolicy(STATE_DIM, hidden=(16,), rng=np.random.default_rng(20))
+        for seed in range(300):
+            s = make_state(seed)
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_structure(policy, table, s, rng)
+            want = reference_structure(policy, table, s, lambda d: sample(d, twin))
+            assert got[0] == want[0] and got[1] == want[1] and got[2] == want[2]
+            assert rng.random() == twin.random()
+            greedy = reference_structure(policy, table, s, mode)[0]
+            assert greedy_configuration(policy, PROMPT, table, s).structure == greedy
+
     def test_invalid_action_log_prob_rejected(self):
         policy = StructurePolicy(STATE_DIM, rng=np.random.default_rng(6))
         table = default_mask_table()
@@ -199,6 +264,40 @@ class TestPromptPolicy:
                 log_prob_prompts(policy, s, a, seqs), abs=1e-12
             )
 
+    def test_lockstep_walk_matches_per_episode_reference(self):
+        library = default_atom_library()
+        policy = PromptPolicy(STATE_DIM, library, hidden=(16,), rng=np.random.default_rng(21))
+        pick = np.random.default_rng(22)
+        states = [make_state(i) for i in range(40)]
+        actions = [StructureAction(int(pick.integers(0, 9)), 0, 0, (0, 0, 0)) for _ in states]
+        rngs = [np.random.default_rng([23, i]) for i in range(40)]
+        twins = [np.random.default_rng([23, i]) for i in range(40)]
+        walks = sample_prompts_lockstep(policy, states, actions, rngs)
+        for i, ((seqs, steps), s, a) in enumerate(zip(walks, states, actions)):
+            ref_seqs, ref_steps = reference_prompts(policy, s, a, lambda d: sample(d, twins[i]))
+            assert seqs == ref_seqs
+            assert len(steps) == len(ref_steps)
+            for step, (agent, x, mask, action, lp) in zip(steps, ref_steps):
+                assert (step.agent, step.action) == (agent, action)
+                assert np.array_equal(step.input_vec, x) and np.array_equal(step.mask, mask)
+                assert step.log_prob == pytest.approx(lp, abs=1e-12)
+            assert rngs[i].random() == twins[i].random()
+            # one episode alone walks as the reference does, bit for bit
+            one, twin = np.random.default_rng([23, i]), np.random.default_rng([23, i])
+            alone_seqs, alone_steps = sample_prompts(policy, s, a, one)
+            ref_seqs, ref_steps = reference_prompts(policy, s, a, lambda d: sample(d, twin))
+            assert alone_seqs == ref_seqs
+            assert [st.log_prob for st in alone_steps] == [lp for *_, lp in ref_steps]
+
+    def test_non_finite_prompt_net_raises_divergence(self):
+        policy = PromptPolicy(STATE_DIM, compact_atom_library(), hidden=(16,),
+                              rng=np.random.default_rng(24))
+        policy.net.params[-1][...] = np.nan
+        a = StructureAction(2, 0, 0, (0, 0, 0))
+        with pytest.raises(TrainingDivergenceError):
+            sample_prompts_lockstep(policy, [make_state(0), make_state(1)], [a, a],
+                                    [np.random.default_rng(0), np.random.default_rng(1)])
+
     def test_empty_role_pool_stops_immediately(self):
         library = (PromptAtom(0, "reasoner", "think"),)
         policy = PromptPolicy(STATE_DIM, library, rng=np.random.default_rng(12))
@@ -233,6 +332,15 @@ class TestPromptPolicy:
 
 
 class TestGreedyConfiguration:
+    def test_matches_per_head_and_per_row_reference(self):
+        table = default_mask_table()
+        struct = StructurePolicy(STATE_DIM, hidden=(16,), rng=np.random.default_rng(26))
+        for seed in range(100):
+            s = make_state(seed)
+            action = reference_structure(struct, table, s, mode)[0]
+            want = Configuration(action, reference_prompts(PROMPT, s, action, mode)[0])
+            assert greedy_configuration(struct, PROMPT, table, s) == want
+
     def test_deterministic_and_valid(self):
         table = default_mask_table()
         library = compact_atom_library()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentcfg.core import ExecutionOutcome
-from agentcfg.errors import ContractError
+from agentcfg.errors import ConfigError
 from agentcfg.reward import RewardConfig, shaped_reward, tool_shaping
 
 CFG = RewardConfig()
@@ -26,9 +26,11 @@ class TestDefaults:
         assert CFG.eta == 1.0 and CFG.t_max == 4096
 
     def test_negative_coefficient_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError, match="reward.alpha"):
             RewardConfig(alpha=-1.0)
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError, match="reward.delta3"):
+            RewardConfig(delta3=float("nan"))
+        with pytest.raises(ConfigError, match="reward.t_max"):
             RewardConfig(t_max=0)
 
 

@@ -156,6 +156,11 @@ class TestRunConfig:
         ({"ppo": {"clip_eps": -1.0}}, "ppo.clip_eps"),
         ({"sft": {"epochs": 0}}, "sft.epochs"),
         ({"refinement": "dpo", "dpo": {"epochs": 0}}, "dpo.epochs"),
+        ({"reward": {"alpha": -1.0}}, "reward.alpha"),
+        ({"reward": {"alpha": float("nan")}}, "reward.alpha"),
+        ({"sft": {"elite_fraction": 0.0}}, "sft.elite_fraction"),
+        ({"ppo": {"lr_struct": float("nan")}}, "ppo.lr_struct"),
+        ({"dpo": {"beta": float("inf")}}, "dpo.beta"),
     ])
     def test_bad_training_value_fails_as_config_error(self, tmp_path, capsys, data, field):
         from agentcfg.cli import main
@@ -244,6 +249,25 @@ class TestBufferPersistence:
         path = tmp_path / "empty.jsonl"
         persist_buffer(ExperienceBuffer(), path)
         assert len(load_buffer(path)) == 0
+
+    def test_interrupted_overwrite_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "episodes.jsonl"
+        persist_buffer(ExperienceBuffer([make_record(i) for i in range(4)]), path)
+        before = path.read_bytes()
+        to_json_dict = EpisodeRecord.to_json_dict
+        written = []
+
+        def fail_on_third(record):
+            written.append(record)
+            if len(written) == 3:
+                raise KeyboardInterrupt
+            return to_json_dict(record)
+
+        monkeypatch.setattr(EpisodeRecord, "to_json_dict", fail_on_third)
+        with pytest.raises(KeyboardInterrupt):
+            persist_buffer(ExperienceBuffer([make_record(i) for i in range(10, 16)]), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["episodes.jsonl"]
 
     def test_malformed_line_names_line_number(self, tmp_path):
         buffer = ExperienceBuffer()

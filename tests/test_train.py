@@ -15,14 +15,21 @@ from agentcfg.core import (
     StructureAction,
 )
 from agentcfg.env import QueryDistribution, build_env, compact_atom_library
-from agentcfg.errors import ContractError, EmptyEliteError, NoPairsError
+from agentcfg.errors import (
+    ContractError,
+    EmptyEliteError,
+    NoPairsError,
+    TrainingDivergenceError,
+)
 from agentcfg.policy import (
     PromptPolicy,
     StructurePolicy,
     default_mask_table,
     log_prob_structure,
+    sample_prompts,
+    sample_structure,
 )
-from agentcfg.reward import RewardConfig
+from agentcfg.reward import RewardConfig, shaped_reward
 from agentcfg.train import (
     DPOConfig,
     OptimizerSet,
@@ -30,6 +37,7 @@ from agentcfg.train import (
     Rollout,
     SFTConfig,
     _config_log_prob,
+    _episode_seed,
     _surrogate_and_coeff,
     collect_episodes,
     collect_rollouts,
@@ -266,6 +274,49 @@ class TestCollection:
     def test_zero_episodes_empty(self):
         s, p = make_policies(9)
         assert len(collect_episodes(s, p, TABLE, small_env(), 0, REWARD, 0)) == 0
+
+    def test_lockstep_batch_matches_per_episode_reference(self):
+        struct, prompt = make_policies(12)
+        env = small_env(6)
+        rollouts = collect_rollouts(struct, prompt, TABLE, env, 24, REWARD, run_seed=5,
+                                    start_episode=3)
+        for episode, r in enumerate(rollouts, start=3):
+            rng = np.random.default_rng([5, episode, 0])
+            query = env.queries[int(rng.integers(0, len(env.queries)))]
+            state = env.embed(query)
+            action, struct_lp, _ = sample_structure(struct, TABLE, state, rng)
+            prompts, steps = sample_prompts(prompt, state, action, rng)
+            seed = _episode_seed(5, episode)
+            outcome = env.execute(query, Configuration(action, prompts), seed)
+            reward, _ = shaped_reward(outcome, REWARD)
+            record = r.record
+            assert (record.structure_action, record.prompt_actions, record.reward,
+                    record.seed) == (action, prompts, reward, seed)
+            assert r.struct_log_prob == struct_lp
+            assert [st.action for st in r.prompt_steps] == [st.action for st in steps]
+            assert np.allclose([st.log_prob for st in r.prompt_steps],
+                               [st.log_prob for st in steps], rtol=0, atol=1e-12)
+
+    def test_split_batches_collect_the_same_episodes(self):
+        struct, prompt = make_policies(13)
+        env = small_env(7)
+        whole = collect_rollouts(struct, prompt, TABLE, env, 8, REWARD, run_seed=4)
+        parts = (collect_rollouts(struct, prompt, TABLE, env, 5, REWARD, run_seed=4)
+                 + collect_rollouts(struct, prompt, TABLE, env, 3, REWARD, run_seed=4,
+                                    start_episode=5))
+        assert [r.record.to_json_dict() for r in whole] == [
+            r.record.to_json_dict() for r in parts]
+        for a, b in zip(whole, parts):
+            assert a.struct_log_prob == b.struct_log_prob
+            assert np.allclose([st.log_prob for st in a.prompt_steps],
+                               [st.log_prob for st in b.prompt_steps], rtol=0, atol=1e-12)
+
+    def test_non_finite_prompt_net_raises_divergence(self):
+        struct, prompt = make_policies(14)
+        for p in prompt.net.params:
+            p[...] = np.nan
+        with pytest.raises(TrainingDivergenceError):
+            collect_rollouts(struct, prompt, TABLE, small_env(), 4, REWARD, run_seed=0)
 
     def test_all_rollouts_respect_masks(self):
         s, p = make_policies(10)
