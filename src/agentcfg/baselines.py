@@ -8,24 +8,23 @@ reward config, and seed stream; only the decision procedure differs.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import (
-    N_TIERS,
-    N_TOOL_SUBSETS,
+    MAX_PROMPT_LEN,
     N_WORKFLOWS,
     ROLES,
     WORKFLOWS,
     Configuration,
     PromptAtom,
     StructureAction,
-    index_structure_action,
 )
-from .env import SyntheticEnv
+from .env import SyntheticEnv, rank_key
 from .errors import ContractError, TrainingDivergenceError
 from .numeric import (
     AdamState,
@@ -38,9 +37,16 @@ from .numeric import (
     score_choices,
     score_vjp,
 )
-from .policy import HEAD_SIZES, MaskTable, default_mask_table, head_columns
+from .policy import HEAD_NAMES, HEAD_SIZES, MaskTable, default_mask_table, head_columns
 from .reward import RewardConfig, shaped_reward
-from .train import PPOConfig, _normalize, _ppo_terms, _value_regression
+from .train import (
+    PPOConfig,
+    _episode_seed,
+    _episode_starts,
+    _normalize,
+    _ppo_terms,
+    _value_regression,
+)
 
 
 @dataclass(frozen=True)
@@ -89,15 +95,6 @@ class Harness:
         return total / n
 
 
-def _tie_break_key(value: float, config: Configuration):
-    return (
-        -value,
-        index_structure_action(config.structure),
-        sum(len(p) for p in config.prompts),
-        config.prompts,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Grid search
 # ---------------------------------------------------------------------------
@@ -117,17 +114,11 @@ def default_grid(
     largest-valid tool subsets} x {uniform lowest, uniform highest tiers} x
     {no atoms, one canonical atom per agent}."""
     grid = []
-    for wf in range(N_WORKFLOWS):
-        if not table.workflow_mask[wf]:
-            continue
-        masks = table.masks_for(wf)
-        supports = [np.flatnonzero(m).tolist() for m in masks]
-        t1_opts = sorted({supports[0][0], max(supports[0], key=lambda m: (bin(m).count("1"), -m))})
-        t2_opts = sorted({supports[1][0], max(supports[1], key=lambda m: (bin(m).count("1"), -m))})
-        budget_opts = []
-        for uniform in (min, max):
-            budget_opts.append(tuple(uniform(supports[2 + i]) for i in range(3)))
-        budget_opts = sorted(set(budget_opts))
+    for wf in np.flatnonzero(table.workflow_mask).tolist():
+        supports = table.supports(wf)
+        tool_opts = [sorted({s[0], max(s, key=lambda m: (bin(m).count("1"), -m))})
+                     for s in supports[1:3]]
+        budget_opts = sorted({tuple(uniform(s) for s in supports[3:]) for uniform in (min, max)})
         n_agents = WORKFLOWS[wf].agents_active
         empty = tuple(() for _ in range(n_agents))
         canonical = tuple(
@@ -135,15 +126,8 @@ def default_grid(
             for i in range(n_agents)
         )
         prompt_opts = [empty] if canonical == empty else [empty, canonical]
-        for t1 in t1_opts:
-            for t2 in t2_opts:
-                for budgets in budget_opts:
-                    for prompts in prompt_opts:
-                        grid.append(
-                            Configuration(
-                                StructureAction(wf, t1, t2, budgets), prompts
-                            )
-                        )
+        for t1, t2, budgets, prompts in itertools.product(*tool_opts, budget_opts, prompt_opts):
+            grid.append(Configuration(StructureAction(wf, t1, t2, budgets), prompts))
     return grid
 
 
@@ -162,7 +146,7 @@ def grid_search(
     for config in list(grid)[: budget.max_evaluations]:
         value = harness.evaluate(config, budget.episodes_per_evaluation)
         trace.append((config, value))
-        key = _tie_break_key(value, config)
+        key = rank_key(value, config)
         if best_key is None or key < best_key:
             best, best_key = (config, value), key
     return best[0], best[1], trace
@@ -172,25 +156,15 @@ def grid_search(
 # Greedy coordinate ascent
 # ---------------------------------------------------------------------------
 
-GREEDY_DIMENSIONS = ("workflow", "tools1", "tools2", "budget1", "budget2", "budget3", "atoms")
+GREEDY_DIMENSIONS = HEAD_NAMES + ("atoms",)
 
 
 def _project_config(config: Configuration, wf: int, table: MaskTable) -> Configuration:
-    """Re-fit a configuration onto a different workflow: clamp each dimension
-    to the new valid support and resize the prompt tuple."""
-    masks = table.masks_for(wf)
-    supports = [np.flatnonzero(m).tolist() for m in masks]
-
-    def clamp(value, support):
-        return value if value in support else support[0]
-
-    a = config.structure
-    structure = StructureAction(
-        wf,
-        clamp(a.tools1, supports[0]),
-        clamp(a.tools2, supports[1]),
-        tuple(clamp(a.budgets[i], supports[2 + i]) for i in range(3)),
-    )
+    """Re-fit a configuration onto a valid workflow: clamp each head to the
+    new valid support and resize the prompt tuple."""
+    heads = (wf, *config.structure.heads[1:])
+    structure = StructureAction.from_heads(
+        [c if c in s else s[0] for c, s in zip(heads, table.supports(wf))])
     n_agents = WORKFLOWS[wf].agents_active
     prompts = tuple(
         config.prompts[i] if i < len(config.prompts) else () for i in range(n_agents)
@@ -212,14 +186,8 @@ def greedy_search(
     if missing:
         raise ContractError(f"dimension order must cover {sorted(missing)}")
     wf0 = int(np.flatnonzero(table.workflow_mask)[0])
-    supports0 = [np.flatnonzero(m).tolist() for m in table.masks_for(wf0)]
     start = Configuration(
-        StructureAction(
-            wf0,
-            supports0[0][0],
-            supports0[1][0],
-            tuple(supports0[2 + i][0] for i in range(3)),
-        ),
+        StructureAction.from_heads([s[0] for s in table.supports(wf0)]),
         tuple(() for _ in range(WORKFLOWS[wf0].agents_active)),
     )
     current = start
@@ -229,38 +197,17 @@ def greedy_search(
     def candidates_for(dim: str, config: Configuration):
         a = config.structure
         if dim == "workflow":
+            return [_project_config(config, wf, table)
+                    for wf in table.supports(a.workflow_id)[0] if wf != a.workflow_id]
+        if dim in HEAD_NAMES:
+            h, heads = HEAD_NAMES.index(dim), a.heads
             return [
-                _project_config(config, int(wf), table)
-                for wf in np.flatnonzero(table.workflow_mask)
-                if int(wf) != a.workflow_id
+                Configuration(StructureAction.from_heads((*heads[:h], c, *heads[h + 1:])),
+                              config.prompts)
+                for c in table.supports(a.workflow_id)[h] if c != heads[h]
             ]
-        supports = [np.flatnonzero(m).tolist() for m in table.masks_for(a.workflow_id)]
         out = []
-        if dim == "tools1":
-            out = [
-                Configuration(StructureAction(a.workflow_id, t, a.tools2, a.budgets), config.prompts)
-                for t in supports[0] if t != a.tools1
-            ]
-        elif dim == "tools2":
-            out = [
-                Configuration(StructureAction(a.workflow_id, a.tools1, t, a.budgets), config.prompts)
-                for t in supports[1] if t != a.tools2
-            ]
-        elif dim in ("budget1", "budget2", "budget3"):
-            slot = int(dim[-1]) - 1
-            for tier in supports[2 + slot]:
-                if tier == a.budgets[slot]:
-                    continue
-                budgets = tuple(
-                    tier if i == slot else a.budgets[i] for i in range(3)
-                )
-                out.append(
-                    Configuration(
-                        StructureAction(a.workflow_id, a.tools1, a.tools2, budgets),
-                        config.prompts,
-                    )
-                )
-        elif dim == "atoms":
+        if dim == "atoms":
             for agent in range(len(config.prompts)):
                 role = ROLES[agent]
                 for atom in library:
@@ -274,13 +221,13 @@ def greedy_search(
         return out
 
     for dim in dimension_order:
-        best_key = _tie_break_key(current_value, current)
+        best_key = rank_key(current_value, current)
         for candidate in candidates_for(dim, current):
             if harness.n_evaluations >= budget.max_evaluations:
                 break
             value = harness.evaluate(candidate, budget.episodes_per_evaluation)
             trace.append((dim, candidate, value))
-            key = _tie_break_key(value, candidate)
+            key = rank_key(value, candidate)
             if key < best_key:
                 current, current_value, best_key = candidate, value, key
     return current, current_value, trace
@@ -342,23 +289,17 @@ class BanditPolicy:
             choices.append(c)
             log_probs.append(lp)
         decision = FlatDecision(s_vec, self._mask, np.array(choices), np.array(log_probs))
-        wf, t1, t2, b1, b2, b3, atom = choices
-        n_agents = WORKFLOWS[wf].agents_active
-        prompts = []
-        for agent in range(n_agents):
-            if atom < self.n_atoms:
-                prompts.append((atom,))
-            else:
-                prompts.append(())
-        config = Configuration(StructureAction(wf, t1, t2, (b1, b2, b3)), tuple(prompts))
+        *heads, atom = choices
+        structure = StructureAction.from_heads(heads)
+        prompt = (atom,) if atom < self.n_atoms else ()
+        config = Configuration(structure, (prompt,) * structure.workflow.agents_active)
         return FlatEpisode(decisions=[decision], config=config)
 
     def probability_of(self, s_vec, config: Configuration, atom: Optional[int]) -> float:
         """Joint probability of a flat choice tuple (probe helper)."""
         logits = self.head_logits(s_vec)
-        a = config.structure
         atom_idx = self.n_atoms if atom is None else atom
-        choices = (a.workflow_id, a.tools1, a.tools2, *a.budgets, atom_idx)
+        choices = (*config.structure.heads, atom_idx)
         total = 0.0
         for z, c in zip(logits, choices):
             total += log_prob(MaskedCategorical(z, np.ones(len(z))), c)
@@ -430,12 +371,10 @@ class FlatEpisodePolicy:
             choices.append(c)
             if stage == 0:
                 workflow_id = c
-        wf, t1, t2, b1, b2, b3 = choices
-        n_agents = WORKFLOWS[wf].agents_active
+        structure = StructureAction.from_heads(choices)
+        wf = structure.workflow_id
         sequences = []
-        from .core import MAX_PROMPT_LEN
-
-        for agent in range(n_agents):
+        for agent in range(structure.workflow.agents_active):
             chosen: list[int] = []
             while True:
                 x = self.stage_input(s_vec, self.STRUCT_STAGES, wf, chosen, agent)
@@ -451,10 +390,7 @@ class FlatEpisodePolicy:
                     break
                 chosen.append(c)
             sequences.append(tuple(chosen))
-        config = Configuration(
-            StructureAction(wf, t1, t2, (b1, b2, b3)), tuple(sequences)
-        )
-        return FlatEpisode(decisions=decisions, config=config)
+        return FlatEpisode(decisions=decisions, config=Configuration(structure, tuple(sequences)))
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +400,13 @@ class FlatEpisodePolicy:
 
 def _flat_collect(policy, env, n, reward_cfg, run_seed, start, gamma,
                   table=None) -> list[FlatEpisode]:
+    """Episodes start..start+n-1 of `collect_rollouts`' episode stream,
+    configured by a flat policy (under table, if one is given)."""
     episodes = []
-    for i in range(n):
-        idx = start + i
-        rng = np.random.default_rng([run_seed, idx, 0])
-        query = env.queries[int(rng.integers(0, len(env.queries)))]
-        s_vec = env.embed(query).as_vector()
-        if isinstance(policy, FlatEpisodePolicy):
-            ep = policy.act(s_vec, rng, table)
-        else:
-            ep = policy.act(s_vec, rng)
-        exec_seed = int(np.random.SeedSequence([run_seed, idx]).generate_state(1)[0])
-        outcome = env.execute(query, ep.config, exec_seed)
+    for idx, rng, query, state in _episode_starts(env, run_seed, start, n):
+        s_vec = state.as_vector()
+        ep = policy.act(s_vec, rng) if table is None else policy.act(s_vec, rng, table)
+        outcome = env.execute(query, ep.config, _episode_seed(run_seed, idx))
         ep.reward = shaped_reward(outcome, reward_cfg)[0]
         k = len(ep.decisions)
         for j, d in enumerate(ep.decisions):
@@ -515,6 +446,24 @@ def _flat_ppo_update(policy, episodes: Sequence[FlatEpisode], cfg: PPOConfig,
     return diag
 
 
+def _flat_train(policy, env, cfg: PPOConfig, reward_cfg, run_seed, gamma, table=None):
+    """PPO on a flat policy, batch by batch over the episode stream.
+    Returns (policy, diagnostics)."""
+    opt_net = AdamState.for_params(policy.net.params)
+    opt_value = AdamState.for_params(policy.value_net.params)
+    diagnostics = []
+    episode = 0
+    while episode < cfg.total_episodes:
+        n = min(cfg.batch_size, cfg.total_episodes - episode)
+        episodes = _flat_collect(policy, env, n, reward_cfg, run_seed, episode, gamma, table)
+        episode += n
+        diagnostics.append(
+            dict(_flat_ppo_update(policy, episodes, cfg, opt_net, opt_value),
+                 episodes=episode)
+        )
+    return policy, diagnostics
+
+
 def bandit_policy_train(
     env: SyntheticEnv,
     cfg: PPOConfig,
@@ -524,22 +473,9 @@ def bandit_policy_train(
 ):
     """Contextual-bandit baseline: flat one-shot policy trained by PPO with
     gamma = 0. Returns (policy, diagnostics)."""
-    state_dim = env.semantic_dim + 5
-    policy = BanditPolicy(state_dim, len(env.library), hidden,
+    policy = BanditPolicy(env.semantic_dim + 5, len(env.library), hidden,
                           rng=np.random.default_rng(run_seed))
-    opt_net = AdamState.for_params(policy.net.params)
-    opt_value = AdamState.for_params(policy.value_net.params)
-    diagnostics = []
-    episode = 0
-    while episode < cfg.total_episodes:
-        n = min(cfg.batch_size, cfg.total_episodes - episode)
-        episodes = _flat_collect(policy, env, n, reward_cfg, run_seed, episode, 0.0)
-        episode += n
-        diagnostics.append(
-            dict(_flat_ppo_update(policy, episodes, cfg, opt_net, opt_value),
-                 episodes=episode)
-        )
-    return policy, diagnostics
+    return _flat_train(policy, env, cfg, reward_cfg, run_seed, 0.0)
 
 
 def flat_episode_policy_train(
@@ -553,24 +489,9 @@ def flat_episode_policy_train(
     """Flat sequential baseline: one shared network picks every dimension in
     order without the hierarchical decomposition. Returns (policy,
     diagnostics)."""
-    state_dim = env.semantic_dim + 5
-    policy = FlatEpisodePolicy(state_dim, env.library, hidden,
+    policy = FlatEpisodePolicy(env.semantic_dim + 5, env.library, hidden,
                                rng=np.random.default_rng(run_seed))
-    opt_net = AdamState.for_params(policy.net.params)
-    opt_value = AdamState.for_params(policy.value_net.params)
-    diagnostics = []
-    episode = 0
-    while episode < cfg.total_episodes:
-        n = min(cfg.batch_size, cfg.total_episodes - episode)
-        episodes = _flat_collect(
-            policy, env, n, reward_cfg, run_seed, episode, cfg.gamma, table
-        )
-        episode += n
-        diagnostics.append(
-            dict(_flat_ppo_update(policy, episodes, cfg, opt_net, opt_value),
-                 episodes=episode)
-        )
-    return policy, diagnostics
+    return _flat_train(policy, env, cfg, reward_cfg, run_seed, cfg.gamma, table)
 
 
 def random_policy_utility(
@@ -584,26 +505,21 @@ def random_policy_utility(
     the floor that trained baselines must beat."""
     table = table if table is not None else default_mask_table()
     rng = np.random.default_rng(run_seed)
+
+    def pick(options):
+        return options[int(rng.integers(0, len(options)))]
+
+    wf_support = np.flatnonzero(table.workflow_mask).tolist()
     total = 0.0
     for i in range(n_episodes):
-        query = env.queries[int(rng.integers(0, len(env.queries)))]
-        wf_support = np.flatnonzero(table.workflow_mask)
-        wf = int(wf_support[rng.integers(0, len(wf_support))])
-        supports = [np.flatnonzero(m) for m in table.masks_for(wf)]
-        picks = [int(s[rng.integers(0, len(s))]) for s in supports]
-        n_agents = WORKFLOWS[wf].agents_active
+        query = pick(env.queries)
+        wf = pick(wf_support)
+        structure = StructureAction.from_heads([wf] + [pick(s) for s in table.supports(wf)[1:]])
         prompts = []
-        for agent in range(n_agents):
+        for agent in range(structure.workflow.agents_active):
             role_atoms = [a.id for a in env.library if a.role == ROLES[agent]]
-            if role_atoms and rng.random() < 0.5:
-                prompts.append((int(role_atoms[rng.integers(0, len(role_atoms))]),))
-            else:
-                prompts.append(())
-        config = Configuration(
-            StructureAction(wf, picks[0], picks[1], tuple(picks[2:])),
-            tuple(prompts),
-        )
-        exec_seed = int(np.random.SeedSequence([run_seed, i]).generate_state(1)[0])
-        outcome = env.execute(query, config, exec_seed)
+            prompts.append((pick(role_atoms),) if role_atoms and rng.random() < 0.5 else ())
+        outcome = env.execute(query, Configuration(structure, tuple(prompts)),
+                              _episode_seed(run_seed, i))
         total += shaped_reward(outcome, reward_cfg)[0]
     return total / n_episodes

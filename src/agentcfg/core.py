@@ -210,6 +210,18 @@ class StructureAction:
     def workflow(self) -> Workflow:
         return WORKFLOWS[self.workflow_id]
 
+    @property
+    def heads(self) -> tuple[int, ...]:
+        """The choice of each head, in head order: workflow, tools1, tools2,
+        budget1..3."""
+        return (self.workflow_id, self.tools1, self.tools2, *self.budgets)
+
+    @classmethod
+    def from_heads(cls, heads: Sequence[int]) -> "StructureAction":
+        """The action whose `heads` are the given six choices."""
+        wf, tools1, tools2, b1, b2, b3 = heads
+        return cls(int(wf), int(tools1), int(tools2), (int(b1), int(b2), int(b3)))
+
 
 def index_structure_action(a: StructureAction) -> int:
     """Mixed-radix encoding, workflow-major; bijective with the decoder."""

@@ -233,6 +233,19 @@ def expected_reward(
     return p * branch(True) + (1.0 - p) * branch(False)
 
 
+def rank_key(value: float, config: Configuration) -> tuple:
+    """Sort key of a scored configuration, best first: highest value, then
+    smallest structure index, then shortest total prompt length, then
+    lexicographic prompt ids. The oracle and the search baselines all rank
+    by it."""
+    return (
+        -value,
+        index_structure_action(config.structure),
+        sum(len(p) for p in config.prompts),
+        config.prompts,
+    )
+
+
 def brute_force_best(
     spec: SyntheticQuerySpec,
     subspace: Iterable[Configuration],
@@ -240,21 +253,15 @@ def brute_force_best(
     library: Sequence[PromptAtom],
     reward_cfg: RewardConfig,
 ):
-    """Exact argmax of expected_reward over a finite subspace. Ties break by
-    smallest structure index, then shortest total prompt length, then
-    lexicographic prompt ids."""
+    """Exact argmax of expected_reward over a finite subspace, ties broken
+    by `rank_key`."""
     best = None
     best_key = None
     n_seen = 0
     for config in subspace:
         n_seen += 1
         value = expected_reward(spec, config, model, library, reward_cfg)
-        key = (
-            -value,
-            index_structure_action(config.structure),
-            sum(len(p) for p in config.prompts),
-            config.prompts,
-        )
+        key = rank_key(value, config)
         if best_key is None or key < best_key:
             best, best_key = (config, value), key
     if n_seen == 0:

@@ -10,6 +10,8 @@ always computed over the same valid support.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -31,7 +33,7 @@ from .core import (
     StructureAction,
     validate_library,
 )
-from .errors import ContractError, InvalidActionError, InvalidMaskError
+from .errors import ContractError, InvalidActionError, InvalidMaskError, TrainingDivergenceError
 from .numeric import (
     DEFAULT_HIDDEN,
     DenseNet,
@@ -73,37 +75,32 @@ class MaskTable:
 
     def __post_init__(self):
         self.workflow_mask = np.asarray(self.workflow_mask, dtype=np.float64)
-        for name in ("tools1", "tools2", "budget1", "budget2", "budget3"):
+        for name in HEAD_NAMES[1:]:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         self.validate()
 
     def validate(self) -> None:
         if self.workflow_mask.sum() < 1:
             raise InvalidMaskError("no workflow is valid")
-        for wf in range(N_WORKFLOWS):
-            if not self.workflow_mask[wf]:
-                continue
-            for name in ("tools1", "tools2", "budget1", "budget2", "budget3"):
+        for wf in np.flatnonzero(self.workflow_mask):
+            for name in HEAD_NAMES[1:]:
                 if getattr(self, name)[wf].sum() < 1:
                     raise InvalidMaskError(f"workflow {wf}: dimension {name} fully masked")
 
     def masks_for(self, workflow_id: int) -> list[np.ndarray]:
         """Per-dimension masks conditioned on the chosen workflow, in head
         order after the workflow head."""
-        return [
-            self.tools1[workflow_id],
-            self.tools2[workflow_id],
-            self.budget1[workflow_id],
-            self.budget2[workflow_id],
-            self.budget3[workflow_id],
-        ]
+        return [getattr(self, name)[workflow_id] for name in HEAD_NAMES[1:]]
+
+    def supports(self, workflow_id: int) -> list[list[int]]:
+        """The valid choices of every head, in head order: the workflow
+        head's, then the five conditioned on workflow_id."""
+        return [np.flatnonzero(m).tolist()
+                for m in (self.workflow_mask, *self.masks_for(workflow_id))]
 
     def is_valid(self, a: StructureAction) -> bool:
-        if not self.workflow_mask[a.workflow_id]:
-            return False
-        masks = self.masks_for(a.workflow_id)
-        choices = (a.tools1, a.tools2, *a.budgets)
-        return all(m[c] > 0 for m, c in zip(masks, choices))
+        masks = (self.workflow_mask, *self.masks_for(a.workflow_id))
+        return all(m[c] > 0 for m, c in zip(masks, a.heads))
 
 
 def all_ones_mask_table() -> MaskTable:
@@ -173,9 +170,7 @@ def enumerate_valid(table: MaskTable) -> int:
     """Closed-form count of valid structure actions: sum over unmasked
     workflows of the product of per-dimension support sizes."""
     total = 0
-    for wf in range(N_WORKFLOWS):
-        if not table.workflow_mask[wf]:
-            continue
+    for wf in np.flatnonzero(table.workflow_mask):
         n = 1
         for m in table.masks_for(wf):
             n *= int(m.sum())
@@ -186,10 +181,8 @@ def enumerate_valid(table: MaskTable) -> int:
 def enumerate_valid_exhaustive(table: MaskTable) -> int:
     """Count by explicit iteration over the full 62,208-element space."""
     count = 0
-    for wf in range(N_WORKFLOWS):
-        if not table.workflow_mask[wf]:
-            continue
-        t1s, t2s, b1s, b2s, b3s = (np.flatnonzero(m) for m in table.masks_for(wf))
+    for wf in np.flatnonzero(table.workflow_mask):
+        _, t1s, t2s, b1s, b2s, b3s = table.supports(wf)
         for _t1 in t1s:
             for _t2 in t2s:
                 count += len(b1s) * len(b2s) * len(b3s)
@@ -198,19 +191,9 @@ def enumerate_valid_exhaustive(table: MaskTable) -> int:
 
 def iter_valid_actions(table: MaskTable):
     """Yield every valid StructureAction under the table, canonical order."""
-    for wf in range(N_WORKFLOWS):
-        if not table.workflow_mask[wf]:
-            continue
-        masks = table.masks_for(wf)
-        supports = [np.flatnonzero(m) for m in masks]
-        for t1 in supports[0]:
-            for t2 in supports[1]:
-                for b1 in supports[2]:
-                    for b2 in supports[3]:
-                        for b3 in supports[4]:
-                            yield StructureAction(
-                                wf, int(t1), int(t2), (int(b1), int(b2), int(b3))
-                            )
+    for wf in np.flatnonzero(table.workflow_mask):
+        for heads in itertools.product([wf], *table.supports(wf)[1:]):
+            yield StructureAction.from_heads(heads)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +223,7 @@ def _padded_head_masks(table: MaskTable) -> np.ndarray:
     holds the workflow mask and the five masks conditioned on wf."""
     masks = np.zeros((N_WORKFLOWS, len(HEAD_SIZES), _HEAD_WIDTH))
     masks[:, 0, :N_WORKFLOWS] = table.workflow_mask
-    for head, name in enumerate(("tools1", "tools2", "budget1", "budget2", "budget3"), 1):
+    for head, name in enumerate(HEAD_NAMES[1:], 1):
         m = getattr(table, name)
         masks[:, head, : m.shape[1]] = m
     return masks
@@ -299,13 +282,12 @@ def sample_structure(
     wf_dist = MaskedCategorical(logits[head_slice(0)], table.workflow_mask)
     wf, joint_lp = sample(wf_dist, rng)
     dists = [wf_dist, *masked_categoricals(*_conditioned_heads(logits, table, wf))]
-    choices = []
+    choices = [wf]
     for dist in dists[1:]:
         c, lp = sample(dist, rng)
         joint_lp += lp
         choices.append(c)
-    action = StructureAction(wf, choices[0], choices[1], tuple(choices[2:]))
-    return action, joint_lp, [entropy(d) for d in dists]
+    return StructureAction.from_heads(choices), joint_lp, [entropy(d) for d in dists]
 
 
 def log_prob_structure(
@@ -318,8 +300,7 @@ def log_prob_structure(
             f"structure action invalid under mask table: {a}"
         )
     dists = policy.distributions(s.as_vector(), table, a.workflow_id)
-    choices = (a.workflow_id, a.tools1, a.tools2, *a.budgets)
-    return sum(log_prob(d, c) for d, c in zip(dists, choices))
+    return sum(log_prob(d, c) for d, c in zip(dists, a.heads))
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +479,16 @@ def sample_prompts(
     return sample_prompts_lockstep(policy, [s], [a_struct], [rng])[0]
 
 
+def _mode(probs: np.ndarray) -> np.ndarray:
+    """Argmax over the last axis of `masked_categorical` probabilities.
+    Raises TrainingDivergenceError, as `numeric.draw` does, when they do not
+    sum to a finite number (non-finite logits): argmax would pick a row's
+    first entry, masked or not."""
+    if not math.isfinite(probs.sum()):
+        raise TrainingDivergenceError("non-finite logits: greedy decode has no mode")
+    return probs.argmax(axis=-1)
+
+
 def greedy_configuration(
     struct_policy: StructurePolicy,
     prompt_policy: PromptPolicy,
@@ -508,13 +499,12 @@ def greedy_configuration(
     head (workflow first), then the argmax prompt step for every agent."""
     s_vec = s.as_vector()
     logits = struct_policy.trunk.forward(s_vec)
-    wf = int(np.argmax(masked_categorical(logits[head_slice(0)], table.workflow_mask)[0]))
-    c = [int(i) for i in masked_categorical(
-        *_conditioned_heads(logits, table, wf))[0].argmax(axis=1)]
-    action = StructureAction(wf, c[0], c[1], tuple(c[2:]))
+    wf = int(_mode(masked_categorical(logits[head_slice(0)], table.workflow_mask)[0]))
+    c = _mode(masked_categorical(*_conditioned_heads(logits, table, wf))[0])
+    action = StructureAction.from_heads([wf, *c])
 
     def mode(rows, agents, positions, inputs, masks):
-        return _prompt_probs(prompt_policy, inputs, masks)[0].argmax(axis=1), [0.0] * len(rows)
+        return _mode(_prompt_probs(prompt_policy, inputs, masks)[0]), [0.0] * len(rows)
 
     sequences, _ = _walk_prompts(prompt_policy, [s_vec], [action], mode)[0]
     return Configuration(action, sequences)
@@ -564,9 +554,8 @@ class ReplayBatch:
         return cls(
             states=np.reshape(np.array(states, dtype=np.float64), (n, prompt_policy.state_dim)),
             struct_masks=_padded_head_masks(table)[[a.workflow_id for a in actions]],
-            struct_actions=np.reshape(np.array(
-                [(a.workflow_id, a.tools1, a.tools2, *a.budgets) for a in actions],
-                dtype=np.intp), (n, len(HEAD_SIZES))),
+            struct_actions=np.reshape(np.array([a.heads for a in actions], dtype=np.intp),
+                                      (n, len(HEAD_SIZES))),
             step_inputs=np.reshape(np.array([st.input_vec for st in flat], dtype=np.float64),
                                    (m, prompt_policy.input_dim)),
             step_masks=np.reshape(np.array([st.mask for st in flat], dtype=np.float64),

@@ -392,27 +392,26 @@ def chat_call(
 
 @dataclass(frozen=True)
 class WorkflowPlan:
-    """Call topology of one workflow: how many calls, the fan-out of the
-    parallel stage if any, and the iteration cap for iterative workflows."""
+    """Call topology of one workflow: the fan-out of the parallel stage if
+    any, and the iteration cap for iterative workflows. The call cap is the
+    workflow's `max_calls`."""
 
-    workflow_id: int
     kind: str          # direct | chain | routing | sectioning | voting |
     #                    orchestrator | evaluator_optimizer | autonomous
-    max_calls: int
     fan_out: int = 1
     max_refinements: int = 0
 
 
 PLAN_REGISTRY: dict[int, WorkflowPlan] = {
-    0: WorkflowPlan(0, "direct", 1),
-    1: WorkflowPlan(1, "chain", 2),
-    2: WorkflowPlan(2, "chain", 3),
-    3: WorkflowPlan(3, "routing", 3),
-    4: WorkflowPlan(4, "sectioning", 4, fan_out=3),
-    5: WorkflowPlan(5, "voting", 4, fan_out=3),
-    6: WorkflowPlan(6, "orchestrator", 4, fan_out=2),
-    7: WorkflowPlan(7, "evaluator_optimizer", 7, max_refinements=3),
-    8: WorkflowPlan(8, "autonomous", 4),
+    0: WorkflowPlan("direct"),
+    1: WorkflowPlan("chain"),
+    2: WorkflowPlan("chain"),
+    3: WorkflowPlan("routing"),
+    4: WorkflowPlan("sectioning", fan_out=3),
+    5: WorkflowPlan("voting", fan_out=3),
+    6: WorkflowPlan("orchestrator", fan_out=2),
+    7: WorkflowPlan("evaluator_optimizer", max_refinements=3),
+    8: WorkflowPlan("autonomous"),
 }
 
 
@@ -475,9 +474,11 @@ class _RealExecution:
 
 def _run_plan(ex: _RealExecution, plan: WorkflowPlan) -> str:
     q = ex.query.text
+    workflow = ex.config.structure.workflow
+    cap = workflow.max_calls
 
     def call_with_tools(agent: int, text: str) -> str:
-        content = ex.call(agent, text, plan.max_calls)
+        content = ex.call(agent, text, cap)
         tool_block = ex.resolve_tools(agent, content)
         return content + ("\n" + tool_block if tool_block else "")
 
@@ -486,8 +487,7 @@ def _run_plan(ex: _RealExecution, plan: WorkflowPlan) -> str:
     if plan.kind == "chain":
         context = q
         out = ""
-        n_agents = WORKFLOWS[plan.workflow_id].agents_active
-        for agent in range(n_agents):
+        for agent in range(workflow.agents_active):
             out = call_with_tools(agent, context)
             context = f"{q}\n\nPrevious stage output:\n{out}"
         return out
@@ -507,7 +507,7 @@ def _run_plan(ex: _RealExecution, plan: WorkflowPlan) -> str:
             call_with_tools(0, f"{q}\n\nGive your independent answer (vote {i + 1}).")
             for i in range(plan.fan_out)
         ]
-        ex.call(1, f"{q}\n\nVotes:\n" + "\n".join(votes), plan.max_calls)  # aggregator call
+        ex.call(1, f"{q}\n\nVotes:\n" + "\n".join(votes), cap)  # aggregator call
         normalized = [normalize_answer(v) for v in votes]
         counts: dict[str, int] = {}
         for v in normalized:
@@ -526,20 +526,18 @@ def _run_plan(ex: _RealExecution, plan: WorkflowPlan) -> str:
     if plan.kind == "evaluator_optimizer":
         draft = call_with_tools(0, q)
         for round_idx in range(plan.max_refinements):
-            verdict = ex.call(
-                1, f"{q}\n\nDraft:\n{draft}\n\nReply ACCEPT or critique.", plan.max_calls
-            )
+            verdict = ex.call(1, f"{q}\n\nDraft:\n{draft}\n\nReply ACCEPT or critique.", cap)
             if "ACCEPT" in verdict:
                 return draft
-            if ex.n_calls >= plan.max_calls:
+            if ex.n_calls >= cap:
                 return draft
             draft = call_with_tools(0, f"{q}\n\nRevise per critique:\n{verdict}")
         return draft
     if plan.kind == "autonomous":
         context = q
         content = ""
-        while ex.n_calls < plan.max_calls:
-            content = ex.call(0, context, plan.max_calls)
+        while ex.n_calls < cap:
+            content = ex.call(0, context, cap)
             tool_block = ex.resolve_tools(0, content)
             if not tool_block:
                 return content
@@ -555,11 +553,10 @@ def execute_real(
     library: Sequence[PromptAtom],
     transport: Transport = default_transport,
     sleep: Callable[[float], None] = time.sleep,
-    plans: dict[int, WorkflowPlan] = PLAN_REGISTRY,
 ) -> ExecutionOutcome:
     """Run one episode against a chat-completions backend. Backend and parse
     failures are recorded as failed episodes, never raised."""
-    plan = plans[config.structure.workflow_id]
+    plan = PLAN_REGISTRY[config.structure.workflow_id]
     ex = _RealExecution(query, config, endpoint, library, transport, sleep)
     try:
         answer = _run_plan(ex, plan)

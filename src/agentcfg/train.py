@@ -151,7 +151,19 @@ class Rollout:
 
 
 def _episode_seed(run_seed: int, index: int) -> int:
+    """Execution seed of episode `index` of a run."""
     return int(np.random.SeedSequence([run_seed, index]).generate_state(1)[0])
+
+
+def _episode_starts(env: SyntheticEnv, run_seed: int, start: int, n: int):
+    """The episode stream of a run: for episodes start..start+n-1, yields
+    (index, generator, query, state). Episode i draws from its own generator
+    default_rng([run_seed, i, 0]), first its query and then, after the
+    yield, every choice its policy samples."""
+    for i in range(start, start + n):
+        rng = np.random.default_rng([run_seed, i, 0])
+        query = env.queries[int(rng.integers(0, len(env.queries)))]
+        yield i, rng, query, env.embed(query)
 
 
 def collect_rollouts(
@@ -165,16 +177,12 @@ def collect_rollouts(
     start_episode: int = 0,
 ) -> list[Rollout]:
     """Embed -> sample structure (masked) -> sample prompts -> execute ->
-    shaped reward. Episode i draws from its own generator
-    default_rng([run_seed, start_episode + i, 0]); the prompt decisions of
-    the whole batch run in lockstep, each episode in its own draw order.
+    shaped reward, over the `_episode_starts` stream; the prompt decisions
+    of the whole batch run in lockstep, each episode in its own draw order.
     Fully deterministic given run_seed and the episode counter
     (single-executor mode)."""
     episodes, states, actions, rngs = [], [], [], []
-    for episode in range(start_episode, start_episode + n):
-        rng = np.random.default_rng([run_seed, episode, 0])
-        query = env.queries[int(rng.integers(0, len(env.queries)))]
-        state = env.embed(query)
+    for episode, rng, query, state in _episode_starts(env, run_seed, start_episode, n):
         action, struct_lp, _ = sample_structure(struct_policy, table, state, rng)
         episodes.append((episode, query, struct_lp))
         states.append(state)

@@ -33,16 +33,27 @@ from agentcfg.env import (
     brute_force_best,
     build_env,
     compact_atom_library,
+    rank_key,
 )
 from agentcfg.errors import ContractError
 from agentcfg.numeric import AdamState, score_choices, score_vjp
 from agentcfg.policy import (
+    HEAD_NAMES,
+    PromptPolicy,
+    StructurePolicy,
+    all_ones_mask_table,
     default_mask_table,
     iter_valid_actions,
     mask_table_from_config,
 )
 from agentcfg.reward import RewardConfig
-from agentcfg.train import PPOConfig, _normalize, _ppo_terms, _value_regression
+from agentcfg.train import (
+    PPOConfig,
+    _normalize,
+    _ppo_terms,
+    _value_regression,
+    collect_rollouts,
+)
 
 REWARD = RewardConfig()
 
@@ -194,6 +205,31 @@ class TestGreedySearch:
         # the reported value is the best seen along the trace
         assert value == pytest.approx(max(v for _, _, v in trace))
 
+    @pytest.mark.parametrize("table", [all_ones_mask_table(), default_mask_table()])
+    def test_head_candidates_change_exactly_their_head(self, table):
+        library = compact_atom_library()
+        env = build_env(QueryDistribution(), 4, seed=2, library=library, semantic_dim=8)
+        _, _, trace = greedy_search(Harness(env=env, reward_cfg=REWARD), table, library,
+                                    SearchBudget(max_evaluations=500))
+        _, current, current_value = trace[0]
+        bases, counts = {}, {}
+        for dim, candidate, value in trace[1:]:
+            # every candidate of a dimension derives from the configuration
+            # current when the dimension began
+            base = bases.setdefault(dim, current)
+            if dim in HEAD_NAMES[1:]:
+                changed = [i for i, (x, y) in enumerate(zip(candidate.structure.heads,
+                                                            base.structure.heads)) if x != y]
+                assert changed == [HEAD_NAMES.index(dim)]
+                assert candidate.prompts == base.prompts
+                counts[dim] = counts.get(dim, 0) + 1
+            if rank_key(value, candidate) < rank_key(current_value, current):
+                current, current_value = candidate, value
+        assert {"tools1", "budget1"} <= set(counts)
+        for dim, n in counts.items():
+            support = table.supports(bases[dim].structure.workflow_id)[HEAD_NAMES.index(dim)]
+            assert n == len(support) - 1
+
     def test_bad_dimension_order_rejected(self):
         library = compact_atom_library()
         env = single_query_env(SyntheticQuerySpec(0.0, 0, 1), library)
@@ -250,6 +286,28 @@ class TestBanditPolicy:
             a = np.concatenate([g.ravel() for g in got])
             b = np.concatenate([g.ravel() for g in want])
             assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_flat_collect_draws_the_rollout_episode_stream(monkeypatch):
+    env = build_env(QueryDistribution(), 6, seed=3, library=compact_atom_library(),
+                    semantic_dim=8)
+    executed = []
+    execute = env.execute
+    monkeypatch.setattr(env, "execute", lambda query, config, seed: (
+        executed.append((query.id, seed)) or execute(query, config, seed)))
+    struct = StructurePolicy(13, hidden=(8,), rng=np.random.default_rng(1))
+    prompt = PromptPolicy(13, env.library, hidden=(8,), rng=np.random.default_rng(2))
+    rollouts = collect_rollouts(struct, prompt, default_mask_table(), env, 10, REWARD,
+                                run_seed=7, start_episode=3)
+    states = [r.record.state.as_vector() for r in rollouts]
+    want, executed[:] = list(executed), []
+    for policy in (BanditPolicy(13, len(env.library), hidden=(8,)),
+                   FlatEpisodePolicy(13, env.library, hidden=(8,))):
+        episodes = baselines._flat_collect(policy, env, 10, REWARD, 7, 3, 0.0)
+        assert executed == want  # same queries, same execution seeds
+        for ep, s_vec in zip(episodes, states, strict=True):
+            assert np.array_equal(ep.decisions[0].input_vec[:13], s_vec)
+        executed.clear()
 
 
 def _seven_row_reference(policy, episodes, cfg):

@@ -135,6 +135,7 @@ class TestActionIndexing:
     def test_roundtrip_from_action(self, wf, t1, t2, budgets):
         a = StructureAction(wf, t1, t2, budgets)
         assert decode_structure_action(index_structure_action(a)) == a
+        assert StructureAction.from_heads(a.heads) == a
 
     def test_out_of_range_decode(self):
         with pytest.raises(ContractError):

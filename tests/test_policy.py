@@ -21,7 +21,9 @@ from agentcfg.core import (
 from agentcfg.env import compact_atom_library, default_atom_library
 from agentcfg.errors import InvalidActionError, InvalidMaskError, TrainingDivergenceError
 from agentcfg.numeric import MaskedCategorical, entropy, masked_softmax, sample
+from agentcfg import policy as policy_module
 from agentcfg.policy import (
+    HEAD_NAMES,
     HEAD_SIZES,
     MaskTable,
     PromptPolicy,
@@ -139,6 +141,20 @@ class TestMaskTable:
         assert table.is_valid(StructureAction(0, 1, 0, (2, 0, 0)))
         assert not table.is_valid(StructureAction(0, 2, 0, (0, 0, 0)))
         assert not table.is_valid(StructureAction(1, 0, 0, (0, 0, 0)))
+
+    @pytest.mark.parametrize("table", [
+        all_ones_mask_table(),
+        default_mask_table(),
+        mask_table_from_config({"workflows": ["Direct", "ReasonVerifyAns"],
+                                "Direct": {"tools1": [0, 1], "budgets": [[0, 2], [0], [0]]}}),
+    ])
+    def test_supports_agree_with_masks(self, table):
+        for wf in range(N_WORKFLOWS):
+            supports = table.supports(wf)
+            masks = [table.workflow_mask] + table.masks_for(wf)
+            assert len(supports) == len(masks) == len(HEAD_NAMES)
+            for support, mask in zip(supports, masks):
+                assert support == [i for i, m in enumerate(mask) if m > 0]
 
 
 class TestStructurePolicy:
@@ -332,6 +348,32 @@ class TestPromptPolicy:
 
 
 class TestGreedyConfiguration:
+    def test_non_finite_nets_raise_divergence(self, monkeypatch):
+        # Direct masked: argmax of an all-NaN row (index 0) is invalid here.
+        table = mask_table_from_config({"workflows": ["ReasonAns", "ReasonVerifyAns"]})
+        library = compact_atom_library()
+        s = make_state(12)
+        struct = StructurePolicy(STATE_DIM, hidden=(16,), rng=np.random.default_rng(27))
+        prompt = PromptPolicy(STATE_DIM, library, hidden=(16,), rng=np.random.default_rng(28))
+        struct.trunk.params[-1][...] = np.nan
+        with pytest.raises(TrainingDivergenceError):
+            greedy_configuration(struct, prompt, table, s)
+
+        # A NaN prompt net would otherwise re-pick a masked atom without end.
+        struct = StructurePolicy(STATE_DIM, hidden=(16,), rng=np.random.default_rng(27))
+        prompt.net.params[-1][...] = np.nan
+        calls = []
+        prompt_probs = policy_module._prompt_probs
+
+        def bounded(*args):
+            calls.append(1)
+            assert len(calls) <= 50, "prompt walk did not stop"
+            return prompt_probs(*args)
+
+        monkeypatch.setattr(policy_module, "_prompt_probs", bounded)
+        with pytest.raises(TrainingDivergenceError):
+            greedy_configuration(struct, prompt, table, s)
+
     def test_matches_per_head_and_per_row_reference(self):
         table = default_mask_table()
         struct = StructurePolicy(STATE_DIM, hidden=(16,), rng=np.random.default_rng(26))
