@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,32 +63,39 @@ class SearchBudget:
 class Harness:
     """Shared evaluation harness: scores a fixed configuration by mean shaped
     reward over all queries, either exactly (expected_mode) or by seeded
-    episodes. Counts candidate evaluations."""
+    episodes. Counts candidate evaluations.
+
+    Sampled scores use common random numbers: episode i of query qi runs
+    with seed `SeedSequence([seed, qi]).generate_state(E)[i]` whatever the
+    candidate, so candidates are compared on the same draws and a
+    configuration scores the same every time."""
 
     env: SyntheticEnv
     reward_cfg: RewardConfig
     seed: int = 0
     expected_mode: bool = True
     n_evaluations: int = 0
+    _seed_blocks: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def _episode_seeds(self, episodes: int) -> list[list[int]]:
+        """Each query's first `episodes` execution seeds. A query's block is
+        hashed once: `generate_state` is prefix-stable, so a longer block
+        extends a shorter one."""
+        if not self._seed_blocks or len(self._seed_blocks[0]) < episodes:
+            self._seed_blocks = [
+                np.random.SeedSequence([self.seed, qi]).generate_state(episodes).tolist()
+                for qi in range(len(self.env.queries))
+            ]
+        return [block[:episodes] for block in self._seed_blocks]
 
     def evaluate(self, config: Configuration, episodes_per_evaluation: int = 20) -> float:
         self.n_evaluations += 1
         if self.expected_mode:
-            return float(
-                np.mean(
-                    [self.env.expected_reward(q, config, self.reward_cfg)
-                     for q in self.env.queries]
-                )
-            )
+            return float(np.mean(self.env.expected_rewards(config, self.reward_cfg)))
         total = 0.0
         n = 0
-        for qi, q in enumerate(self.env.queries):
-            for i in range(episodes_per_evaluation):
-                exec_seed = int(
-                    np.random.SeedSequence(
-                        [self.seed, self.n_evaluations, qi, i]
-                    ).generate_state(1)[0]
-                )
+        for q, seeds in zip(self.env.queries, self._episode_seeds(episodes_per_evaluation)):
+            for exec_seed in seeds:
                 outcome = self.env.execute(q, config, exec_seed)
                 total += shaped_reward(outcome, self.reward_cfg)[0]
                 n += 1
@@ -223,7 +230,7 @@ def greedy_search(
     for dim in dimension_order:
         best_key = rank_key(current_value, current)
         for candidate in candidates_for(dim, current):
-            if harness.n_evaluations >= budget.max_evaluations:
+            if len(trace) >= budget.max_evaluations:  # one trace row per evaluation
                 break
             value = harness.evaluate(candidate, budget.episodes_per_evaluation)
             trace.append((dim, candidate, value))

@@ -27,7 +27,7 @@ from .baselines import (
     greedy_search,
     grid_search,
 )
-from .core import WORKFLOWS, index_structure_action
+from .core import WORKFLOWS, atomic_write, index_structure_action
 from .errors import AgentCfgError
 from .policy import (
     all_ones_mask_table,
@@ -100,7 +100,8 @@ def cmd_eval(args) -> int:
                      **_config_summary(config)})
     report = {"mean_expected_reward": total / len(env.queries), "per_query": rows}
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2))
+        with atomic_write(args.out) as fh:
+            fh.write(json.dumps(report, indent=2))
     print(json.dumps({"mean_expected_reward": report["mean_expected_reward"]}))
     return 0
 
@@ -132,7 +133,7 @@ def cmd_search(args) -> int:
         print(json.dumps(diagnostics[-1]))
         return 0
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             for row in trace_rows:
                 fh.write(json.dumps(row) + "\n")
     print(json.dumps({"best": _config_summary(best), "value": value,
@@ -178,12 +179,14 @@ def cmd_analyze(args) -> int:
         ],
     }
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2))
+        with atomic_write(args.out) as fh:
+            fh.write(json.dumps(report, indent=2))
     if args.frontier_csv:
         lines = ["label,cost,accuracy"] + [
             f"{p.label},{p.cost},{p.accuracy}" for p in frontier
         ]
-        Path(args.frontier_csv).write_text("\n".join(lines) + "\n")
+        with atomic_write(args.frontier_csv) as fh:
+            fh.write("\n".join(lines) + "\n")
     print(json.dumps(report, indent=2))
     return 0
 

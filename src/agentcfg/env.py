@@ -10,10 +10,11 @@ which makes the closed-form expected-reward oracle checkable by Monte Carlo.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -63,6 +64,20 @@ class SyntheticQuerySpec:
         if self.noise_scale < 0:
             raise ContractError("noise_scale must be >= 0")
 
+    @functools.cached_property
+    def terms(self) -> _QueryTerms:
+        """The spec's side of the ground truth, computed once per spec."""
+        return _QueryTerms(
+            qclass=query_class(self),
+            required_tools=self.required_tools,
+            n_required=max(toolset_size(self.required_tools), 1),
+            required_depth=self.required_depth,
+            difficulty=self.difficulty,
+            needed=BASE_NEEDED_TOKENS * (1.0 + 2.0 * self.difficulty),
+            token_scale=0.5 + 0.5 * self.difficulty,
+            jitter=int(self.noise_scale),
+        )
+
 
 @dataclass(frozen=True)
 class SuccessModel:
@@ -81,6 +96,7 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
+@functools.lru_cache(maxsize=1024)
 def atom_class(text: str) -> str:
     """Deterministic instruction class of a prompt atom, by keyword."""
     lowered = text.lower()
@@ -99,40 +115,143 @@ def query_class(spec: SyntheticQuerySpec) -> str:
     return "general"
 
 
-def _chosen_atoms(config: Configuration, library: Sequence[PromptAtom]):
-    """(agent_index, atom) pairs for every chosen atom id."""
-    for agent, seq in enumerate(config.prompts):
+# The ground truth is one kernel over two sets of terms: those of a query's
+# spec, which hold for every configuration (`SyntheticQuerySpec.terms`), and
+# those of a configuration, which hold for every query (`_config_terms`).
+
+
+class _QueryTerms(NamedTuple):
+    qclass: str
+    required_tools: int
+    n_required: int               # max(toolset_size(required_tools), 1)
+    required_depth: int
+    difficulty: float
+    needed: float                 # tokens an agent needs at this difficulty
+    token_scale: float            # share of its allowance an agent spends
+    jitter: int                   # half-width of the token jitter
+
+
+class _ConfigTerms(NamedTuple):
+    agents_active: int
+    allocated: int                # tools1 | tools2
+    n_alloc: int                  # tools allocated over both agents
+    tokens: tuple[int, ...]       # token allowance of each active agent
+    tool_gated: bool              # the execution has a reason to call tools
+    n_chosen: int                 # atoms chosen over all agents
+    matched: tuple[str, ...]      # class of each atom chosen by its own role
+    n_steps: int                  # nominal LLM calls
+    eo: bool                      # EvaluatorOptimizer: seeded extra iterations
+
+
+def _config_terms(config: Configuration, library: Sequence[PromptAtom]) -> _ConfigTerms:
+    s = config.structure
+    wf = s.workflow
+    tool_atom = False
+    n_chosen = 0
+    matched = []
+    for role, seq in zip(ROLES, config.prompts):
+        n_chosen += len(seq)
         for atom_id in seq:
-            yield agent, library[atom_id]
+            atom = library[atom_id]
+            cls = atom_class(atom.text)
+            tool_atom = tool_atom or cls == "tool"
+            if atom.role == role:
+                matched.append(cls)
+    return _ConfigTerms(
+        wf.agents_active,
+        s.tools1 | s.tools2,
+        toolset_size(s.tools1) + toolset_size(s.tools2),
+        tuple([TIER_TOKENS[b] for b in s.budgets[: wf.agents_active]]),
+        tool_atom or s.workflow_id in AUTO_TOOL_WORKFLOWS,
+        n_chosen,
+        tuple(matched),
+        wf.llm_call_count,
+        s.workflow_id == EVALUATOR_OPTIMIZER_ID,
+    )
+
+
+def _relevance(qclass: str, c: _ConfigTerms) -> float:
+    return c.matched.count(qclass) / c.n_chosen if c.n_chosen else 0.0
+
+
+def _tools_used(q: _QueryTerms, c: _ConfigTerms) -> int:
+    """Tools are invoked only if allocated AND required AND the execution has
+    a reason to call them (a tool-class atom, or an inherently tool-looping
+    workflow)."""
+    return toolset_size(q.required_tools & c.allocated) if c.tool_gated else 0
+
+
+def _ground_truth(q: _QueryTerms, c: _ConfigTerms, model: SuccessModel):
+    """(success probability, tools invoked, tokens before jitter)."""
+    coverage = toolset_size(q.required_tools & c.allocated) / q.n_required
+    depth_ok = 1.0 if c.agents_active >= q.required_depth else 0.0
+    # The smallest of min(tokens / needed, 1) over the active agents: division
+    # is monotone, so dividing the smallest allowance gives the same float.
+    adequacy = min(min(c.tokens) / q.needed, 1.0)
+    x = (
+        model.w_bias
+        + model.w_depth * depth_ok
+        + model.w_coverage * coverage
+        + model.w_adequacy * adequacy
+        + model.w_relevance * _relevance(q.qclass, c)
+        - model.w_difficulty * q.difficulty
+    )
+    n_used = _tools_used(q, c)
+    n_tokens = (sum([int(round(t * q.token_scale)) for t in c.tokens])
+                + TOOL_TOKEN_OVERHEAD * n_used)
+    return _sigmoid(x), n_used, n_tokens
+
+
+def _outcome(query: Query, q: _QueryTerms, c: _ConfigTerms, truth, seed: int) -> ExecutionOutcome:
+    """One seeded execution. Draw order is fixed: correctness, then extra
+    iterations, then token jitter."""
+    p, n_used, n_tokens = truth
+    rng = np.random.default_rng(seed)
+    correct = bool(rng.random() < p)
+    n_steps = c.n_steps
+    if c.eo:
+        n_steps += int(rng.integers(0, 4))
+    if q.jitter > 0:
+        n_tokens = max(0, n_tokens + int(rng.integers(-q.jitter, q.jitter + 1)))
+    answer = query.gold_answer if (correct and query.gold_answer) else "no answer"
+    return ExecutionOutcome(
+        answer_text=answer,
+        correct=correct,
+        n_steps=n_steps,
+        n_tokens=n_tokens,
+        n_tools_used=n_used,
+        n_tools_allocated=c.n_alloc,
+    )
+
+
+def _expected(c: _ConfigTerms, truth, reward_cfg: RewardConfig) -> float:
+    """Success marginalized in closed form, step/token randomness replaced
+    by its mean."""
+    p, n_used, n_tokens = truth
+    n_steps = float(c.n_steps)
+    if c.eo:
+        n_steps += EO_EXPECTED_EXTRA
+
+    def branch(correct: bool) -> float:
+        return (
+            reward_cfg.alpha * (1.0 if correct else 0.0)
+            - reward_cfg.beta_s * n_steps
+            - reward_cfg.beta_t * n_tokens / reward_cfg.t_max
+            + reward_cfg.eta * tool_shaping(n_used, c.n_alloc, correct, reward_cfg)
+        )
+
+    return p * branch(True) + (1.0 - p) * branch(False)
 
 
 def prompt_relevance(spec, config: Configuration, library) -> float:
     """Fraction of chosen atoms whose role matches the choosing agent and
     whose class matches the query class; 0 when nothing is chosen."""
-    qc = query_class(spec)
-    chosen = list(_chosen_atoms(config, library))
-    if not chosen:
-        return 0.0
-    relevant = sum(
-        1
-        for agent, atom in chosen
-        if atom.role == ROLES[agent] and atom_class(atom.text) == qc
-    )
-    return relevant / len(chosen)
+    return _relevance(query_class(spec), _config_terms(config, library))
 
 
 def tool_usage(spec, config: Configuration, library) -> int:
-    """Tools are invoked only if allocated AND required AND the execution has
-    a reason to call them (a tool-class atom, or an inherently tool-looping
-    workflow)."""
-    allocated = config.structure.tools1 | config.structure.tools2
-    overlap = spec.required_tools & allocated
-    if not overlap:
-        return 0
-    gated = config.structure.workflow_id in AUTO_TOOL_WORKFLOWS or any(
-        atom_class(atom.text) == "tool" for _, atom in _chosen_atoms(config, library)
-    )
-    return toolset_size(overlap) if gated else 0
+    """Tools the configuration invokes on the query (see `_tools_used`)."""
+    return _tools_used(spec.terms, _config_terms(config, library))
 
 
 def success_probability(
@@ -141,35 +260,7 @@ def success_probability(
     model: SuccessModel,
     library: Sequence[PromptAtom],
 ) -> float:
-    wf = config.structure.workflow
-    coverage = (
-        toolset_size(spec.required_tools & (config.structure.tools1 | config.structure.tools2))
-        / max(toolset_size(spec.required_tools), 1)
-    )
-    depth_ok = 1.0 if wf.agents_active >= spec.required_depth else 0.0
-    needed = BASE_NEEDED_TOKENS * (1.0 + 2.0 * spec.difficulty)
-    adequacy = min(
-        min(TIER_TOKENS[config.structure.budgets[i]] / needed, 1.0)
-        for i in range(wf.agents_active)
-    )
-    relevance = prompt_relevance(spec, config, library)
-    x = (
-        model.w_bias
-        + model.w_depth * depth_ok
-        + model.w_coverage * coverage
-        + model.w_adequacy * adequacy
-        + model.w_relevance * relevance
-        - model.w_difficulty * spec.difficulty
-    )
-    return _sigmoid(x)
-
-
-def _base_tokens(spec, config: Configuration) -> int:
-    wf = config.structure.workflow
-    return sum(
-        int(round(TIER_TOKENS[config.structure.budgets[i]] * (0.5 + 0.5 * spec.difficulty)))
-        for i in range(wf.agents_active)
-    )
+    return _ground_truth(spec.terms, _config_terms(config, library), model)[0]
 
 
 def execute_synthetic(
@@ -180,29 +271,9 @@ def execute_synthetic(
     library: Sequence[PromptAtom],
     seed: int,
 ) -> ExecutionOutcome:
-    """Deterministic given (spec, configuration, seed). Draw order is fixed:
-    correctness, then extra iterations, then token jitter."""
-    rng = np.random.default_rng(seed)
-    p = success_probability(spec, config, model, library)
-    correct = bool(rng.random() < p)
-    n_steps = config.structure.workflow.llm_call_count
-    if config.structure.workflow_id == EVALUATOR_OPTIMIZER_ID:
-        n_steps += int(rng.integers(0, 4))
-    n_used = tool_usage(spec, config, library)
-    n_alloc = toolset_size(config.structure.tools1) + toolset_size(config.structure.tools2)
-    n_tokens = _base_tokens(spec, config) + TOOL_TOKEN_OVERHEAD * n_used
-    jitter = int(spec.noise_scale)
-    if jitter > 0:
-        n_tokens = max(0, n_tokens + int(rng.integers(-jitter, jitter + 1)))
-    answer = query.gold_answer if (correct and query.gold_answer) else "no answer"
-    return ExecutionOutcome(
-        answer_text=answer,
-        correct=correct,
-        n_steps=n_steps,
-        n_tokens=n_tokens,
-        n_tools_used=n_used,
-        n_tools_allocated=n_alloc,
-    )
+    """Deterministic given (spec, configuration, seed)."""
+    c = _config_terms(config, library)
+    return _outcome(query, spec.terms, c, _ground_truth(spec.terms, c, model), seed)
 
 
 def expected_reward(
@@ -212,25 +283,9 @@ def expected_reward(
     library: Sequence[PromptAtom],
     reward_cfg: RewardConfig,
 ) -> float:
-    """Exact expectation of the shaped reward: success marginalized in closed
-    form, step/token randomness replaced by its mean."""
-    p = success_probability(spec, config, model, library)
-    n_steps = float(config.structure.workflow.llm_call_count)
-    if config.structure.workflow_id == EVALUATOR_OPTIMIZER_ID:
-        n_steps += EO_EXPECTED_EXTRA
-    n_used = tool_usage(spec, config, library)
-    n_alloc = toolset_size(config.structure.tools1) + toolset_size(config.structure.tools2)
-    n_tokens = _base_tokens(spec, config) + TOOL_TOKEN_OVERHEAD * n_used
-
-    def branch(correct: bool) -> float:
-        return (
-            reward_cfg.alpha * (1.0 if correct else 0.0)
-            - reward_cfg.beta_s * n_steps
-            - reward_cfg.beta_t * n_tokens / reward_cfg.t_max
-            + reward_cfg.eta * tool_shaping(n_used, n_alloc, correct, reward_cfg)
-        )
-
-    return p * branch(True) + (1.0 - p) * branch(False)
+    """Exact expectation of the shaped reward."""
+    c = _config_terms(config, library)
+    return _expected(c, _ground_truth(spec.terms, c, model), reward_cfg)
 
 
 def rank_key(value: float, config: Configuration) -> tuple:
@@ -408,6 +463,14 @@ def compact_atom_library() -> tuple[PromptAtom, ...]:
 # ---------------------------------------------------------------------------
 
 
+class _Memo(NamedTuple):
+    config: Configuration
+    library: tuple
+    model: SuccessModel
+    terms: _ConfigTerms
+    truths: dict      # SyntheticQuerySpec -> _ground_truth on it
+
+
 @dataclass
 class SyntheticEnv:
     """Synthetic environment: embeds queries and executes configurations
@@ -423,6 +486,7 @@ class SyntheticEnv:
     u_max: int = 4   # max tools invokable
     a_max: int = 8   # max tools allocatable (two agents x 4)
     _embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: Optional[_Memo] = field(default=None, init=False, repr=False, compare=False)
 
     def embed(self, query: Query) -> StateEmbedding:
         """The query's embedding, computed once per (id, text) and shared:
@@ -442,16 +506,37 @@ class SyntheticEnv:
     def spec_for(self, query: Query) -> SyntheticQuerySpec:
         return self.specs[query.id]
 
+    def _truth(self, query: Query, config: Configuration):
+        """The query's and the configuration's terms and the ground truth
+        over them. The last configuration's terms and truths are kept, so
+        scoring one configuration over many queries and seeds computes them
+        once."""
+        memo = self._memo
+        if not (memo and memo.config is config and memo.library is self.library
+                and memo.model is self.model):
+            memo = self._memo = _Memo(config, self.library, self.model,
+                                      _config_terms(config, self.library), {})
+        spec = self.spec_for(query)
+        truth = memo.truths.get(spec)
+        if truth is None:
+            truth = memo.truths[spec] = _ground_truth(spec.terms, memo.terms, self.model)
+        return spec.terms, memo.terms, truth
+
     def execute(self, query: Query, config: Configuration, seed: int) -> ExecutionOutcome:
-        return execute_synthetic(
-            query, self.spec_for(query), config, self.model, self.library, seed
-        )
+        """`execute_synthetic` on the query's spec."""
+        q, c, truth = self._truth(query, config)
+        return _outcome(query, q, c, truth, seed)
 
     def expected_reward(self, query: Query, config: Configuration,
                         reward_cfg: RewardConfig) -> float:
-        return expected_reward(
-            self.spec_for(query), config, self.model, self.library, reward_cfg
-        )
+        """`expected_reward` on the query's spec."""
+        _, c, truth = self._truth(query, config)
+        return _expected(c, truth, reward_cfg)
+
+    def expected_rewards(self, config: Configuration, reward_cfg: RewardConfig) -> list[float]:
+        """`expected_reward` of one configuration on every query, in query
+        order."""
+        return [self.expected_reward(q, config, reward_cfg) for q in self.queries]
 
 
 def build_env(

@@ -46,7 +46,7 @@ from agentcfg.policy import (
     iter_valid_actions,
     mask_table_from_config,
 )
-from agentcfg.reward import RewardConfig
+from agentcfg.reward import RewardConfig, shaped_reward
 from agentcfg.train import (
     PPOConfig,
     _normalize,
@@ -101,6 +101,38 @@ class TestHarness:
         assert values[0] == values[1]
         exact = env.expected_reward(env.queries[0], c, REWARD)
         assert abs(values[0] - exact) < 1.5  # sampled estimate is in the ballpark
+
+    def test_sampled_mode_matches_hand_computed_episodes(self):
+        # episode i of query qi runs with SeedSequence([seed, qi]).generate_state(E)[i],
+        # whatever block length the harness hashed before
+        env = build_env(QueryDistribution(noise_scale=2.0), 3, seed=1,
+                        library=compact_atom_library(), semantic_dim=8)
+        c = Configuration(StructureAction(7, 1, 0, (1, 0, 0)), ((1,), ()))
+        h = Harness(env=env, reward_cfg=REWARD, seed=7, expected_mode=False)
+        for episodes in (3, 6, 4):
+            draws = [
+                shaped_reward(env.execute(q, c, int(s)), REWARD)[0]
+                for qi, q in enumerate(env.queries)
+                for s in np.random.SeedSequence([7, qi]).generate_state(episodes)
+            ]
+            assert h.evaluate(c, episodes) == sum(draws) / len(draws)
+
+    def test_sampled_mode_uses_common_random_numbers(self):
+        env = build_env(QueryDistribution(), 4, seed=0, semantic_dim=8)
+        c1 = Configuration(StructureAction(2, 1, 0, (1, 1, 1)), ((), (), ()))
+        c2 = Configuration(StructureAction(0, 0, 0, (0, 0, 0)), ((),))
+        h = Harness(env=env, reward_cfg=REWARD, seed=3, expected_mode=False)
+        first, _, again = (h.evaluate(c, 10) for c in (c1, c2, c1))
+        assert first == again
+
+    def test_expected_mode_is_the_mean_expected_reward(self):
+        env = build_env(QueryDistribution(), 5, seed=4, semantic_dim=8)
+        h = Harness(env=env, reward_cfg=REWARD)
+        grid = default_grid(default_mask_table(), env.library)
+        for c in grid:
+            assert h.evaluate(c) == float(np.mean(
+                [env.expected_reward(q, c, REWARD) for q in env.queries]))
+        assert h.n_evaluations == len(grid)
 
     def test_budget_validation(self):
         with pytest.raises(ContractError):
@@ -204,6 +236,21 @@ class TestGreedySearch:
         ) for dim, _, _ in trace)
         # the reported value is the best seen along the trace
         assert value == pytest.approx(max(v for _, _, v in trace))
+
+    def test_budget_counts_from_the_call(self):
+        # a harness that already scored other candidates still gets the
+        # whole budget, and the same trace as a fresh one
+        library = compact_atom_library()
+        env = single_query_env(SyntheticQuerySpec(0.3, 0b01, 2), library)
+        table = default_mask_table()
+        budget = SearchBudget(max_evaluations=12)
+        used = Harness(env=env, reward_cfg=REWARD)
+        grid_search(used, default_grid(table, library), SearchBudget(max_evaluations=10))
+        fresh = Harness(env=env, reward_cfg=REWARD)
+        _, _, trace = greedy_search(used, table, library, budget)
+        assert used.n_evaluations == 10 + 12
+        assert trace == greedy_search(fresh, table, library, budget)[2]
+        assert fresh.n_evaluations == 12
 
     @pytest.mark.parametrize("table", [all_ones_mask_table(), default_mask_table()])
     def test_head_candidates_change_exactly_their_head(self, table):

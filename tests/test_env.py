@@ -171,6 +171,24 @@ class TestExecution:
         }
         assert steps == {4, 5, 6, 7}
 
+    def test_env_methods_match_the_module_functions(self):
+        # the env keeps the last configuration's terms: interleaved
+        # configurations and queries, and a swapped library, must not see
+        # stale ones
+        env = build_env(QueryDistribution(noise_scale=2.0), 3, seed=2, library=LIB,
+                        semantic_dim=8)
+        configs = [cfg(7, t1=0b01, budgets=(1, 2, 0), prompts=((1,), (2,))),
+                   cfg(0, budgets=(2, 0, 0), prompts=((0,),)), cfg(8, t1=0b11)]
+        for library in (LIB, default_atom_library()):
+            env.library = library
+            for c in configs + configs[::-1]:
+                for q in env.queries:
+                    spec = env.spec_for(q)
+                    assert env.execute(q, c, 11) == execute_synthetic(
+                        q, spec, c, MODEL, library, 11)
+                    assert env.expected_reward(q, c, REWARD) == expected_reward(
+                        spec, c, MODEL, library, REWARD)
+
     def test_expected_matches_monte_carlo(self):
         rng = np.random.default_rng(0)
         for spec, c in [

@@ -1,6 +1,7 @@
 """Config loading, JSONL persistence, the chat backend adapter, and the
 training orchestrator."""
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -530,3 +531,50 @@ class TestRunTraining:
         assert "sft_final_loss" not in report_none
         report_dpo = run_training(small_run_config(refinement="dpo")).report
         assert ("dpo_final_loss" in report_dpo) or ("dpo_skipped" in report_dpo)
+
+
+# ---------------------------------------------------------------------------
+# Command-line artifacts
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("eval", "--out"), ("search", "--out"), ("analyze", "--out"),
+    ("analyze", "--frontier-csv"),
+])
+def test_interrupted_cli_write_keeps_the_old_file(tmp_path, monkeypatch, command, flag):
+    from agentcfg import cli
+
+    config = write_yaml(tmp_path, {"env": {"n_queries": 4, "semantic_dim": 8}})
+    _, _, _, struct_policy, prompt_policy = build_components(load_config(config))
+    struct_policy.save(tmp_path / "params")
+    prompt_policy.save(tmp_path / "params")
+    episodes = tmp_path / "episodes.jsonl"
+    assert cli.main(["simulate", "--config", str(config), "--episodes", "12",
+                     "--out", str(episodes)]) == 0
+    target = tmp_path / "artifact"
+    argv = {
+        "eval": ["eval", "--config", str(config), "--params", str(tmp_path / "params")],
+        "search": ["search", "--config", str(config), "--method", "grid",
+                   "--max-evaluations", "3"],
+        "analyze": ["analyze", "--episodes", str(episodes)],
+    }[command] + [flag, str(target)]
+    assert cli.main(argv) == 0
+    old = target.read_text()
+    assert old
+    files = sorted(tmp_path.iterdir())
+    real_atomic_write = cli.atomic_write
+
+    @contextlib.contextmanager
+    def interrupted(path, mode="w"):
+        # the disk fills after a few bytes of the new contents
+        with real_atomic_write(path, mode) as fh:
+            fh.write(old[:5])
+            raise OSError("No space left on device")
+        yield
+
+    monkeypatch.setattr(cli, "atomic_write", interrupted)
+    with pytest.raises(OSError, match="No space left"):
+        cli.main(argv)
+    assert target.read_text() == old
+    assert sorted(tmp_path.iterdir()) == files
