@@ -28,7 +28,7 @@ from .baselines import (
     grid_search,
 )
 from .core import WORKFLOWS, atomic_write, index_structure_action
-from .errors import AgentCfgError
+from .errors import AgentCfgError, ConfigError
 from .policy import (
     all_ones_mask_table,
     enumerate_valid,
@@ -107,11 +107,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.method in ("bandit", "flat-episode"):
+        # The learned flat baselines train on the run config alone.
+        unread = [flag for flag, given in (("--out", args.out is not None),
+                                           ("--sampled", args.sampled),
+                                           ("--max-evaluations", args.max_evaluations is not None))
+                  if given]
+        if unread:
+            raise ConfigError(f"search --method {args.method} does not read "
+                              f"{', '.join(unread)}")
     cfg = _load_run_config(args)
     env, table, library, _, _ = build_components(cfg)
     harness = Harness(env=env, reward_cfg=cfg.reward, seed=cfg.seed,
                       expected_mode=not args.sampled)
-    budget = SearchBudget(max_evaluations=args.max_evaluations)
+    budget = (SearchBudget() if args.max_evaluations is None
+              else SearchBudget(max_evaluations=args.max_evaluations))
     trace_rows = []
     if args.method == "grid":
         best, value, trace = grid_search(harness, default_grid(table, library), budget)
@@ -255,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--method", required=True,
                    choices=["grid", "greedy", "bandit", "flat-episode"])
-    p.add_argument("--max-evaluations", type=int, default=50, dest="max_evaluations")
+    p.add_argument("--max-evaluations", type=int, dest="max_evaluations",
+                   help=f"search budget (default {SearchBudget.max_evaluations})")
     p.add_argument("--sampled", action="store_true",
                    help="score by seeded episodes instead of exact expectation")
     p.set_defaults(func=cmd_search)

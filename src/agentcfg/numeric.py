@@ -229,17 +229,23 @@ class MaskedCategorical:
             self._stats = masked_categorical(self.logits, self.mask)
         return self._stats
 
+    @classmethod
+    def view(cls, logits, mask, stats) -> "MaskedCategorical":
+        """A distribution over a row `masked_categorical` already scored
+        into stats, taken as given: no copy and no validation, so the caller
+        vouches that the mask leaves a valid entry."""
+        d = cls.__new__(cls)
+        d.logits, d.mask, d._stats = logits, mask, stats
+        return d
+
 
 def masked_categoricals(logits: np.ndarray, masks: np.ndarray) -> list[MaskedCategorical]:
-    """One MaskedCategorical per row of (G, K) logits and masks, with the
-    statistics of all rows computed in one `masked_categorical` pass."""
+    """One MaskedCategorical view per row of (G, K) logits and masks, with
+    the statistics of all rows computed in one `masked_categorical` pass.
+    Every row of masks must leave a valid entry; that is not re-checked."""
     stats = masked_categorical(logits, masks)
-    dists = []
-    for g in range(len(logits)):
-        d = MaskedCategorical(logits[g], masks[g])
-        d._stats = tuple(x[g] for x in stats)
-        dists.append(d)
-    return dists
+    return [MaskedCategorical.view(logits[g], masks[g], tuple(x[g] for x in stats))
+            for g in range(len(logits))]
 
 
 def masked_softmax(d: MaskedCategorical) -> np.ndarray:
@@ -253,24 +259,34 @@ def log_prob(d: MaskedCategorical, index: int) -> float:
     return float(d.stats[1][index])
 
 
-def draw(probs: np.ndarray, mask: np.ndarray, rng: np.random.Generator) -> int:
-    """Index drawn from one row of `masked_categorical` probabilities, over
-    the entries its mask leaves valid, with one uniform from rng.
-
-    This is the inverse CDF that `rng.choice(len(valid), p=q / q.sum())`
-    computes for the valid probabilities q, step for step: the same generator
-    gives the same index and is left in the same state. A masked index is
-    never drawn. Raises TrainingDivergenceError when the valid probabilities
-    do not sum to a finite number (non-finite logits).
-    """
-    valid = np.flatnonzero(mask > 0)
-    q = probs[valid]
+def choice_cdf(q: np.ndarray) -> np.ndarray:
+    """The CDF over q, the valid probabilities of one categorical, that
+    `rng.choice(len(q), p=q / q.sum())` inverts, step for step. Raises
+    TrainingDivergenceError when q does not sum to a finite number
+    (non-finite logits)."""
     total = q.sum()
     if not math.isfinite(total):
         raise TrainingDivergenceError(f"non-finite logits: valid probabilities sum to {total}")
     cdf = (q / total).cumsum()
     cdf /= cdf[-1]
-    return int(valid[cdf.searchsorted(rng.random(), "right")])
+    return cdf
+
+
+def inverse_cdf(cdf: np.ndarray, valid: np.ndarray, u: float) -> int:
+    """The entry of valid, the valid indices of a categorical whose
+    `choice_cdf` is cdf, that the uniform u picks: the one rng.choice
+    picks with the same uniform."""
+    return int(valid[cdf.searchsorted(u, "right")])
+
+
+def draw(probs: np.ndarray, mask: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn from one row of `masked_categorical` probabilities, over
+    the entries its mask leaves valid, with one uniform from rng: the
+    `inverse_cdf` of the valid probabilities. The same generator gives the
+    index `rng.choice` would and is left in the same state. A masked index
+    is never drawn."""
+    valid = np.flatnonzero(mask > 0)
+    return inverse_cdf(choice_cdf(probs[valid]), valid, rng.random())
 
 
 def sample(d: MaskedCategorical, rng: np.random.Generator):

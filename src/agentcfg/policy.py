@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,13 +38,13 @@ from .numeric import (
     DEFAULT_HIDDEN,
     DenseNet,
     MaskedCategorical,
-    draw,
+    choice_cdf,
     entropy,
+    inverse_cdf,
     load_net,
     log_prob,
     masked_categorical,
     masked_categoricals,
-    sample,
     save_net,
     score_choices,
     score_vjp,
@@ -62,9 +62,26 @@ STOP = "STOP"  # sentinel name; the STOP index is always the last output slot
 # ---------------------------------------------------------------------------
 
 
+class HeadLayout(NamedTuple):
+    """A mask table laid out for the structure heads, as sampling, greedy
+    decoding and replay read it."""
+
+    masks: np.ndarray  # (workflow, head, slot) in the _HEAD_COLUMNS layout
+    valid: tuple       # valid[wf][head]: index array of the head's valid choices under wf
+
+
+_MASK_FIELDS = ("workflow_mask", *HEAD_NAMES[1:])
+
+
 @dataclass
 class MaskTable:
-    """Workflow-conditioned validity masks over every structure dimension."""
+    """Workflow-conditioned validity masks over every structure dimension.
+
+    The table owns copies of its masks. Edit them in place only before the
+    table is first sampled, decoded or replayed: `layout()` then freezes
+    them (a later in-place write raises), so the layout it caches never
+    goes stale. Assigning a new mask array drops the cached layout.
+    """
 
     workflow_mask: np.ndarray            # (9,)
     tools1: np.ndarray                   # (9, 16)
@@ -74,10 +91,41 @@ class MaskTable:
     budget3: np.ndarray                  # (9, 3)
 
     def __post_init__(self):
-        self.workflow_mask = np.asarray(self.workflow_mask, dtype=np.float64)
-        for name in HEAD_NAMES[1:]:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        for name in _MASK_FIELDS:
+            setattr(self, name, np.array(getattr(self, name), dtype=np.float64))
         self.validate()
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name in _MASK_FIELDS:
+            super().__setattr__("_layout", None)
+
+    # A copy or an unpickled table gets masks of its own and lays them out
+    # (and freezes them) on its own first use.
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in _MASK_FIELDS}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)
+
+    def layout(self) -> HeadLayout:
+        """The padded (workflow, head, slot) masks and every head's valid
+        choices, computed on first use; the masks are re-validated then and
+        turn read-only."""
+        if self._layout is None:
+            self.validate()
+            masks = np.zeros((N_WORKFLOWS, len(HEAD_SIZES), _HEAD_WIDTH))
+            masks[:, 0, :N_WORKFLOWS] = self.workflow_mask
+            for head, name in enumerate(HEAD_NAMES[1:], 1):
+                m = getattr(self, name)
+                masks[:, head, : m.shape[1]] = m
+            masks.flags.writeable = False
+            for name in _MASK_FIELDS:
+                getattr(self, name).flags.writeable = False
+            valid = tuple(tuple(np.flatnonzero(m > 0) for m in per_wf) for per_wf in masks)
+            super().__setattr__("_layout", HeadLayout(masks, valid))
+        return self._layout
 
     def validate(self) -> None:
         if self.workflow_mask.sum() < 1:
@@ -218,17 +266,6 @@ def head_slice(i: int) -> slice:
     return slice(int(_HEAD_OFFSETS[i]), int(_HEAD_OFFSETS[i + 1]))
 
 
-def _padded_head_masks(table: MaskTable) -> np.ndarray:
-    """(workflow, head, slot) masks in the _HEAD_COLUMNS layout: entry wf
-    holds the workflow mask and the five masks conditioned on wf."""
-    masks = np.zeros((N_WORKFLOWS, len(HEAD_SIZES), _HEAD_WIDTH))
-    masks[:, 0, :N_WORKFLOWS] = table.workflow_mask
-    for head, name in enumerate(HEAD_NAMES[1:], 1):
-        m = getattr(table, name)
-        masks[:, head, : m.shape[1]] = m
-    return masks
-
-
 class StructurePolicy:
     """Trunk net emitting logits for all six heads, plus a scalar value net."""
 
@@ -260,11 +297,11 @@ class StructurePolicy:
         self.value_net = load_net(directory / "structure_value.params")
 
 
-def _conditioned_heads(logits: np.ndarray, table: MaskTable, workflow_id: int):
+def _conditioned_heads(logits: np.ndarray, layout: HeadLayout, workflow_id: int):
     """Logits and masks of the five heads after the workflow head, under the
     masks the chosen workflow conditions: two (5, widest head) arrays in the
     _HEAD_COLUMNS layout, padding masked."""
-    return logits[_HEAD_COLUMNS[1:]], _padded_head_masks(table)[workflow_id, 1:]
+    return logits[_HEAD_COLUMNS[1:]], layout.masks[workflow_id, 1:]
 
 
 def sample_structure(
@@ -276,18 +313,31 @@ def sample_structure(
     """Sample workflow first, then the remaining heads under its masks; the
     five conditioned heads share one padded `masked_categorical` pass.
 
+    The six draws take one block of six uniforms, head i the i-th, each
+    through `inverse_cdf` over the head's valid choices in the table's
+    layout: the same doubles, choices and final generator state as one
+    `numeric.draw` per head.
     Returns (action, joint_log_prob, per_head_entropies).
     """
+    layout = table.layout()
     logits = policy.trunk.forward(s.as_vector())
-    wf_dist = MaskedCategorical(logits[head_slice(0)], table.workflow_mask)
-    wf, joint_lp = sample(wf_dist, rng)
-    dists = [wf_dist, *masked_categoricals(*_conditioned_heads(logits, table, wf))]
-    choices = [wf]
-    for dist in dists[1:]:
-        c, lp = sample(dist, rng)
-        joint_lp += lp
-        choices.append(c)
+    u = rng.random(len(HEAD_SIZES))
+    wf_logits = logits[head_slice(0)]
+    wf_dist = MaskedCategorical.view(wf_logits, table.workflow_mask,
+                                     masked_categorical(wf_logits, table.workflow_mask))
+    wf = _pick(wf_dist, layout.valid[0][0], u[0])
+    dists = [wf_dist, *masked_categoricals(*_conditioned_heads(logits, layout, wf))]
+    choices = [wf] + [_pick(d, valid, x)
+                      for d, valid, x in zip(dists[1:], layout.valid[wf][1:], u[1:])]
+    joint_lp = log_prob(wf_dist, wf)
+    for dist, c in zip(dists[1:], choices[1:]):
+        joint_lp += log_prob(dist, c)
     return StructureAction.from_heads(choices), joint_lp, [entropy(d) for d in dists]
+
+
+def _pick(dist: MaskedCategorical, valid: np.ndarray, u: float) -> int:
+    """The choice among valid, dist's valid indices, that the uniform u draws."""
+    return inverse_cdf(choice_cdf(dist.stats[0][valid]), valid, u)
 
 
 def log_prob_structure(
@@ -427,6 +477,28 @@ def _prompt_probs(policy: PromptPolicy, inputs, masks):
     return probs, log_probs
 
 
+def _prompt_draw_rows(policy: PromptPolicy, inputs, masks, memo: Optional[dict] = None):
+    """What drawing each of a batch of prompt steps needs: its log_probs, its
+    valid choices and their `choice_cdf`, from one `_prompt_probs` pass.
+
+    memo, if given, maps a step's input and mask bytes to these three, which
+    they fix exactly while the prompt net's parameters stay fixed: steps it
+    holds are read from it, and only the others run through the net and
+    join it."""
+    if memo is None:
+        rows = []
+        for p, lp, mask in zip(*_prompt_probs(policy, inputs, masks), masks):
+            valid = np.flatnonzero(mask > 0)
+            rows.append((lp, valid, choice_cdf(p[valid])))
+        return rows
+    keys = [x.tobytes() + m.tobytes() for x, m in zip(inputs, masks)]
+    new = [i for i, key in enumerate(keys) if key not in memo]
+    if new:
+        rows = _prompt_draw_rows(policy, [inputs[i] for i in new], [masks[i] for i in new])
+        memo.update(zip([keys[i] for i in new], rows))
+    return [memo[key] for key in keys]
+
+
 def _given_prompt_steps(policy: PromptPolicy, s_vecs, actions, sequences):
     """Each episode's steps that produce its given sequences, each STOP
     included; raises on any atom the masks forbid."""
@@ -454,16 +526,20 @@ def sample_prompts_lockstep(
     states: Sequence[StateEmbedding],
     actions: Sequence[StructureAction],
     rngs: Sequence[np.random.Generator],
+    memo: Optional[dict] = None,
 ):
     """`sample_prompts` for a list of episodes at once: one prompt-net pass
     per step over the episodes still choosing. Episode e draws from rngs[e],
-    in the order `sample_prompts` would. Returns each episode's (sequences,
-    steps)."""
+    in the order `sample_prompts` would. memo, if given, is a
+    `_prompt_draw_rows` memo of steps already scored under the current
+    parameters; the caller drops it once they change. Returns each
+    episode's (sequences, steps)."""
 
     def drawn(rows, agents, positions, inputs, masks):
-        probs, log_probs = _prompt_probs(policy, inputs, masks)
-        picked = [draw(p, mask, rngs[e]) for p, mask, e in zip(probs, masks, rows)]
-        return picked, log_probs[np.arange(len(rows)), picked]
+        draw_rows = _prompt_draw_rows(policy, inputs, masks, memo)
+        picked = [inverse_cdf(cdf, valid, rngs[e].random())
+                  for (_, valid, cdf), e in zip(draw_rows, rows)]
+        return picked, [lp[a] for (lp, _, _), a in zip(draw_rows, picked)]
 
     return _walk_prompts(policy, [s.as_vector() for s in states], actions, drawn)
 
@@ -473,10 +549,14 @@ def sample_prompts(
     s: StateEmbedding,
     a_struct: StructureAction,
     rng: np.random.Generator,
+    memo: Optional[dict] = None,
 ):
     """One STOP-terminated sequence per active agent; agent i takes role
-    ROLES[i]. Returns (sequences, steps) with stepwise log-probs recorded."""
-    return sample_prompts_lockstep(policy, [s], [a_struct], [rng])[0]
+    ROLES[i]. Returns (sequences, steps) with stepwise log-probs recorded.
+    Repeated calls under fixed parameters can share a memo (see
+    `sample_prompts_lockstep`): the draws are the same, without recomputing
+    the steps seen before."""
+    return sample_prompts_lockstep(policy, [s], [a_struct], [rng], memo)[0]
 
 
 def _mode(probs: np.ndarray) -> np.ndarray:
@@ -500,7 +580,7 @@ def greedy_configuration(
     s_vec = s.as_vector()
     logits = struct_policy.trunk.forward(s_vec)
     wf = int(_mode(masked_categorical(logits[head_slice(0)], table.workflow_mask)[0]))
-    c = _mode(masked_categorical(*_conditioned_heads(logits, table, wf))[0])
+    c = _mode(masked_categorical(*_conditioned_heads(logits, table.layout(), wf))[0])
     action = StructureAction.from_heads([wf, *c])
 
     def mode(rows, agents, positions, inputs, masks):
@@ -553,7 +633,7 @@ class ReplayBatch:
         n, m = len(actions), len(flat)
         return cls(
             states=np.reshape(np.array(states, dtype=np.float64), (n, prompt_policy.state_dim)),
-            struct_masks=_padded_head_masks(table)[[a.workflow_id for a in actions]],
+            struct_masks=table.layout().masks[[a.workflow_id for a in actions]],
             struct_actions=np.reshape(np.array([a.heads for a in actions], dtype=np.intp),
                                       (n, len(HEAD_SIZES))),
             step_inputs=np.reshape(np.array([st.input_vec for st in flat], dtype=np.float64),

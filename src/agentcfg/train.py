@@ -659,10 +659,15 @@ def dpo_loss_and_grads(struct_policy, prompt_policy, table, pairs, ref_lps, cfg:
 # ---------------------------------------------------------------------------
 
 
-def _sample_config_key(struct_policy, prompt_policy, table, state, rng):
-    action, _, _ = sample_structure(struct_policy, table, state, rng)
-    prompts, _ = sample_prompts(prompt_policy, state, action, rng)
-    return action_key(action, prompts)
+def _sample_config_keys(struct_policy, prompt_policy, table, state, n_samples, rng):
+    """Keys of n_samples configurations drawn for one state, one after the
+    other from rng. The parameters stay fixed meanwhile, so the samples share
+    one prompt-step memo, dropped on return."""
+    memo: dict = {}
+    for _ in range(n_samples):
+        action, _, _ = sample_structure(struct_policy, table, state, rng)
+        prompts, _ = sample_prompts(prompt_policy, state, action, rng, memo)
+        yield action_key(action, prompts)
 
 
 def verify_support_restriction(
@@ -678,8 +683,8 @@ def verify_support_restriction(
     violations = []
     for s_key, state in elite.state_examples.items():
         allowed = elite.elite_actions(s_key)
-        for _ in range(n_samples):
-            a_key = _sample_config_key(struct_policy, prompt_policy, table, state, rng)
+        for a_key in _sample_config_keys(struct_policy, prompt_policy, table, state,
+                                         n_samples, rng):
             if a_key not in allowed:
                 violations.append((s_key, a_key))
     return len(violations) == 0, violations
@@ -705,8 +710,8 @@ def verify_reward_floor(
     for s_key, state in elite.state_examples.items():
         weight = elite.state_counts[s_key] / total_weight
         acc = 0.0
-        for _ in range(n_samples):
-            a_key = _sample_config_key(struct_policy, prompt_policy, table, state, rng)
+        for a_key in _sample_config_keys(struct_policy, prompt_policy, table, state,
+                                         n_samples, rng):
             if (s_key, a_key) in reward_lookup:
                 acc += reward_lookup[(s_key, a_key)]
             else:

@@ -1,6 +1,8 @@
 """Hierarchical policy: mask tables, structure sampling, prompt sequences."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -157,6 +159,72 @@ class TestMaskTable:
                 assert support == [i for i, m in enumerate(mask) if m > 0]
 
 
+class TestHeadLayout:
+    @pytest.mark.parametrize("table", [
+        all_ones_mask_table(),
+        default_mask_table(),
+        mask_table_from_config({"workflows": ["Direct", "ReasonVerifyAns"],
+                                "Direct": {"tools1": [0, 1], "budgets": [[0, 2], [0], [0]]}}),
+    ])
+    def test_layout_matches_the_masks(self, table):
+        layout = table.layout()
+        assert table.layout() is layout  # built once per table
+        for wf in range(N_WORKFLOWS):
+            masks = [table.workflow_mask] + table.masks_for(wf)
+            for head, (mask, valid) in enumerate(zip(masks, layout.valid[wf])):
+                assert np.array_equal(layout.masks[wf, head, :len(mask)], mask)
+                assert not layout.masks[wf, head, len(mask):].any()
+                assert valid.tolist() == table.supports(wf)[head]
+
+    def test_in_place_edit_after_first_use_raises(self):
+        policy = StructurePolicy(STATE_DIM, hidden=(16,), rng=np.random.default_rng(30))
+        for use in (
+            lambda t: sample_structure(policy, t, make_state(), np.random.default_rng(0)),
+            lambda t: greedy_configuration(policy, PROMPT, t, make_state()),
+            lambda t: t.layout(),
+        ):
+            for name in ("workflow_mask", *HEAD_NAMES[1:]):
+                table = default_mask_table()
+                before = getattr(table, name).copy()
+                use(table)
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(table, name)[..., 0] = 0.0
+                assert np.array_equal(getattr(table, name), before)
+
+    def test_assigning_a_mask_drops_the_layout(self):
+        policy = StructurePolicy(STATE_DIM, hidden=(16,), rng=np.random.default_rng(31))
+        table = default_mask_table()
+        sample_structure(policy, table, make_state(), np.random.default_rng(0))
+        tools1 = np.zeros((N_WORKFLOWS, N_TOOL_SUBSETS))
+        tools1[:, 6] = 1.0
+        table.tools1 = tools1
+        rng = np.random.default_rng(1)
+        assert all(sample_structure(policy, table, make_state(), rng)[0].tools1 == 6
+                   for _ in range(50))
+        table.tools1 = np.zeros((N_WORKFLOWS, N_TOOL_SUBSETS))
+        with pytest.raises(InvalidMaskError):
+            table.layout()
+
+    def test_copies_lay_out_masks_of_their_own(self):
+        table = default_mask_table()
+        table.layout()
+        for other in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            other.tools1[0, :] = 0.0  # editable again until the copy's first use
+            other.tools1[0, 2] = 1.0
+            assert other.layout().valid[0][1].tolist() == [2]
+        assert table.layout().valid[0][1].tolist() == list(range(N_TOOL_SUBSETS))
+
+    def test_table_copies_the_masks_it_is_built_from(self):
+        source = default_mask_table()
+        table = MaskTable(workflow_mask=np.eye(N_WORKFLOWS)[0], tools1=source.tools1,
+                          tools2=source.tools2, budget1=source.budget1,
+                          budget2=source.budget2, budget3=source.budget3)
+        table.layout()
+        source.tools1[0, :] = 0.0  # the source stays editable
+        source.tools1[0, 1] = 1.0
+        assert table.tools1[0].sum() == N_TOOL_SUBSETS
+
+
 class TestStructurePolicy:
     def test_joint_log_prob_factorizes(self):
         policy = StructurePolicy(STATE_DIM, rng=np.random.default_rng(1))
@@ -304,6 +372,32 @@ class TestPromptPolicy:
             ref_seqs, ref_steps = reference_prompts(policy, s, a, lambda d: sample(d, twin))
             assert alone_seqs == ref_seqs
             assert [st.log_prob for st in alone_steps] == [lp for *_, lp in ref_steps]
+
+    def test_shared_memo_walks_as_fresh_calls(self):
+        policy = PromptPolicy(STATE_DIM, default_atom_library(), hidden=(16,),
+                              rng=np.random.default_rng(32))
+        pick = np.random.default_rng(33)
+        forward_batch = policy.net.forward_batch
+        passes = []
+        policy.net.forward_batch = lambda x: passes.append(len(x)) or forward_batch(x)
+        memo, memo_passes = {}, 0
+        for i in range(300):
+            s = make_state(i % 3)
+            a = StructureAction(int(pick.integers(0, 9)), 0, 0, (0, 0, 0))
+            rng, twin = np.random.default_rng([34, i]), np.random.default_rng([34, i])
+            before = len(passes)
+            seqs, steps = sample_prompts(policy, s, a, rng, memo)
+            memo_passes += len(passes) - before
+            fresh_seqs, fresh_steps = sample_prompts(policy, s, a, twin)
+            assert seqs == fresh_seqs and len(steps) == len(fresh_steps)
+            for step, fresh in zip(steps, fresh_steps):
+                assert (step.agent, step.action, step.log_prob) == (
+                    fresh.agent, fresh.action, fresh.log_prob)
+                assert np.array_equal(step.input_vec, fresh.input_vec)
+                assert np.array_equal(step.mask, fresh.mask)
+            assert rng.bit_generator.state == twin.bit_generator.state
+        # each distinct step ran through the net once, then came from the memo
+        assert memo_passes == len(memo) < (len(passes) - memo_passes) / 2
 
     def test_non_finite_prompt_net_raises_divergence(self):
         policy = PromptPolicy(STATE_DIM, compact_atom_library(), hidden=(16,),

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
+from agentcfg.baselines import SearchBudget
 from agentcfg.core import (
     Configuration,
     EpisodeRecord,
@@ -578,3 +579,36 @@ def test_interrupted_cli_write_keeps_the_old_file(tmp_path, monkeypatch, command
         cli.main(argv)
     assert target.read_text() == old
     assert sorted(tmp_path.iterdir()) == files
+
+
+@pytest.mark.parametrize("method", ["bandit", "flat-episode"])
+def test_search_refuses_flags_the_flat_baselines_do_not_read(tmp_path, capsys, method):
+    from agentcfg import cli
+
+    config = write_yaml(tmp_path, {"env": {"n_queries": 4, "semantic_dim": 8},
+                                   "ppo": {"total_episodes": 16, "batch_size": 8}})
+    out = tmp_path / "search.jsonl"
+    base = ["search", "--config", str(config), "--method", method]
+    for flags in (["--out", str(out)], ["--sampled"], ["--max-evaluations", "3"],
+                  ["--max-evaluations", "0"]):
+        assert cli.main(base + flags) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" not in err and f"does not read {flags[0]}" in err
+    assert cli.main(base + ["--sampled", "--max-evaluations", "3", "--out", str(out)]) == 1
+    assert "does not read --out, --sampled, --max-evaluations" in capsys.readouterr().err
+    assert not out.exists()
+
+    assert cli.main(base) == 0
+    assert json.loads(capsys.readouterr().out)["episodes"] == 16
+
+
+def test_search_budget_defaults_to_the_search_budget(tmp_path, capsys):
+    from agentcfg import cli
+
+    config = write_yaml(tmp_path, {"env": {"n_queries": 4, "semantic_dim": 8}})
+    assert cli.main(["search", "--config", str(config), "--method", "grid"]) == 0
+    default = json.loads(capsys.readouterr().out)["evaluations"]
+    assert default == SearchBudget().max_evaluations
+    assert cli.main(["search", "--config", str(config), "--method", "grid",
+                     "--max-evaluations", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["evaluations"] == 3

@@ -26,6 +26,7 @@ from agentcfg.policy import (
     StructurePolicy,
     default_mask_table,
     log_prob_structure,
+    mask_table_from_config,
     sample_prompts,
     sample_structure,
 )
@@ -486,6 +487,41 @@ class TestVerification:
             kls.append(kl_to_empirical(struct, prompt, TABLE, elite))
         assert kls[-1] < kls[0]
         assert all(k >= -1e-9 for k in kls)
+
+
+REDUCED_TABLE_RULES = {
+    "workflows": ["Direct", "ReasonVerifyAns"],
+    "Direct": {"tools1": [0, 1, 2, 3], "budgets": [[0, 2], [0], [0]]},
+    "ReasonVerifyAns": {"tools1": [0, 1], "tools2": [0], "budgets": [[0, 2], [0, 2], [0, 2]]},
+}
+
+
+@pytest.mark.parametrize("table", [TABLE, mask_table_from_config(REDUCED_TABLE_RULES)],
+                         ids=["default", "reduced"])
+def test_guarantee_checks_match_an_uncached_reference(table, monkeypatch):
+    from agentcfg import train
+
+    env = small_env(3)
+    struct, prompt = make_policies(40)
+    buffer = collect_episodes(struct, prompt, table, env, 64, REWARD, run_seed=5)
+    elite = filter_elite(buffer, SFTConfig(elite_fraction=0.3))
+    sft_update(struct, prompt, table, elite,
+               SFTConfig(lr_struct=0.01, lr_prompt=0.01, epochs=15, elite_fraction=0.3))
+    assert len(elite.state_examples) > 1
+
+    def checks(seed):
+        rng = np.random.default_rng(seed)
+        support = verify_support_restriction(struct, prompt, table, elite, 25, rng)
+        floor = verify_reward_floor(struct, prompt, table, elite, 25, rng)
+        return support, floor, rng.bit_generator.state
+
+    cached = [checks(seed) for seed in range(10)]
+    monkeypatch.setattr(train, "sample_prompts",
+                        lambda policy, s, a, rng, memo=None: sample_prompts(policy, s, a, rng))
+    for seed, got in enumerate(cached):
+        assert got == checks(seed)
+    assert any(support[1] for support, _, _ in cached)  # the samples leave the support
+    assert any(floor[0] > 0 for _, floor, _ in cached)  # and hit it
 
 
 class TestDPO:
