@@ -33,7 +33,8 @@ from .core import (
     StructureAction,
     validate_library,
 )
-from .errors import ContractError, InvalidActionError, InvalidMaskError, TrainingDivergenceError
+from .errors import (ConfigError, ContractError, InvalidActionError, InvalidMaskError,
+                     TrainingDivergenceError)
 from .numeric import (
     DEFAULT_HIDDEN,
     DenseNet,
@@ -71,16 +72,17 @@ class HeadLayout(NamedTuple):
 
 
 _MASK_FIELDS = ("workflow_mask", *HEAD_NAMES[1:])
+_MASK_SHAPES = ((N_WORKFLOWS,), *((N_WORKFLOWS, size) for size in HEAD_SIZES[1:]))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MaskTable:
     """Workflow-conditioned validity masks over every structure dimension.
 
-    The table owns copies of its masks. Edit them in place only before the
-    table is first sampled, decoded or replayed: `layout()` then freezes
-    them (a later in-place write raises), so the layout it caches never
-    goes stale. Assigning a new mask array drops the cached layout.
+    A table is a value. It keeps read-only 0/1 copies of the masks it is
+    built from (an entry is valid when > 0), checks them and lays them out
+    once, at construction. Equal masks make equal tables; a changed table is
+    a new one (`dataclasses.replace`).
     """
 
     workflow_mask: np.ndarray            # (9,)
@@ -91,49 +93,39 @@ class MaskTable:
     budget3: np.ndarray                  # (9, 3)
 
     def __post_init__(self):
-        for name in _MASK_FIELDS:
-            setattr(self, name, np.array(getattr(self, name), dtype=np.float64))
-        self.validate()
+        masks = np.zeros((N_WORKFLOWS, len(HEAD_SIZES), _HEAD_WIDTH))
+        for head, (name, shape) in enumerate(zip(_MASK_FIELDS, _MASK_SHAPES)):
+            m = (np.asarray(getattr(self, name), dtype=np.float64) > 0).astype(np.float64)
+            if m.shape != shape:
+                raise ContractError(f"{name} mask must have shape {shape}, got {m.shape}")
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
+            masks[:, head, : shape[-1]] = m
+        masks.flags.writeable = False
+        valid = tuple(tuple(np.flatnonzero(m) for m in per_wf) for per_wf in masks)
+        if not len(valid[0][0]):
+            raise InvalidMaskError("no workflow is valid")
+        for wf in valid[0][0]:
+            for name, choices in zip(HEAD_NAMES[1:], valid[wf][1:]):
+                if not len(choices):
+                    raise InvalidMaskError(f"workflow {wf}: dimension {name} fully masked")
+        object.__setattr__(self, "_layout", HeadLayout(masks, valid))
 
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if name in _MASK_FIELDS:
-            super().__setattr__("_layout", None)
+    def __eq__(self, other):
+        if not isinstance(other, MaskTable):
+            return NotImplemented
+        return np.array_equal(self._layout.masks, other._layout.masks)
 
-    # A copy or an unpickled table gets masks of its own and lays them out
-    # (and freezes them) on its own first use.
-    def __getstate__(self):
-        return {name: getattr(self, name) for name in _MASK_FIELDS}
+    def __hash__(self):
+        return hash(self._layout.masks.tobytes())
 
-    def __setstate__(self, state):
-        for name, value in state.items():
-            setattr(self, name, value)
+    def __reduce__(self):  # copies and pickles are rebuilt, so checked and read-only
+        return MaskTable, tuple(getattr(self, name) for name in _MASK_FIELDS)
 
     def layout(self) -> HeadLayout:
         """The padded (workflow, head, slot) masks and every head's valid
-        choices, computed on first use; the masks are re-validated then and
-        turn read-only."""
-        if self._layout is None:
-            self.validate()
-            masks = np.zeros((N_WORKFLOWS, len(HEAD_SIZES), _HEAD_WIDTH))
-            masks[:, 0, :N_WORKFLOWS] = self.workflow_mask
-            for head, name in enumerate(HEAD_NAMES[1:], 1):
-                m = getattr(self, name)
-                masks[:, head, : m.shape[1]] = m
-            masks.flags.writeable = False
-            for name in _MASK_FIELDS:
-                getattr(self, name).flags.writeable = False
-            valid = tuple(tuple(np.flatnonzero(m > 0) for m in per_wf) for per_wf in masks)
-            super().__setattr__("_layout", HeadLayout(masks, valid))
+        choices, as sampling, greedy decoding and replay read them."""
         return self._layout
-
-    def validate(self) -> None:
-        if self.workflow_mask.sum() < 1:
-            raise InvalidMaskError("no workflow is valid")
-        for wf in np.flatnonzero(self.workflow_mask):
-            for name in HEAD_NAMES[1:]:
-                if getattr(self, name)[wf].sum() < 1:
-                    raise InvalidMaskError(f"workflow {wf}: dimension {name} fully masked")
 
     def masks_for(self, workflow_id: int) -> list[np.ndarray]:
         """Per-dimension masks conditioned on the chosen workflow, in head
@@ -143,75 +135,94 @@ class MaskTable:
     def supports(self, workflow_id: int) -> list[list[int]]:
         """The valid choices of every head, in head order: the workflow
         head's, then the five conditioned on workflow_id."""
-        return [np.flatnonzero(m).tolist()
-                for m in (self.workflow_mask, *self.masks_for(workflow_id))]
+        return [valid.tolist() for valid in self._layout.valid[workflow_id]]
 
     def is_valid(self, a: StructureAction) -> bool:
         masks = (self.workflow_mask, *self.masks_for(a.workflow_id))
         return all(m[c] > 0 for m, c in zip(masks, a.heads))
 
 
+def _default_masks() -> dict:
+    """`default_mask_table`'s masks as editable arrays, by MaskTable field."""
+    masks = {name: np.ones(shape) for name, shape in zip(_MASK_FIELDS, _MASK_SHAPES)}
+    for wf in WORKFLOWS:
+        if not wf.agent2_tools_allowed:
+            masks["tools2"][wf.id, 1:] = 0.0  # empty subset only
+        if wf.agents_active < 2:
+            masks["budget2"][wf.id, 1:] = 0.0  # Low only
+        if wf.agents_active < 3:
+            masks["budget3"][wf.id, 1:] = 0.0
+    return masks
+
+
 def all_ones_mask_table() -> MaskTable:
-    return MaskTable(
-        workflow_mask=np.ones(N_WORKFLOWS),
-        tools1=np.ones((N_WORKFLOWS, N_TOOL_SUBSETS)),
-        tools2=np.ones((N_WORKFLOWS, N_TOOL_SUBSETS)),
-        budget1=np.ones((N_WORKFLOWS, N_TIERS)),
-        budget2=np.ones((N_WORKFLOWS, N_TIERS)),
-        budget3=np.ones((N_WORKFLOWS, N_TIERS)),
-    )
+    return MaskTable(*(np.ones(shape) for shape in _MASK_SHAPES))
 
 
 def default_mask_table() -> MaskTable:
     """Default rules: agent-2 tools only where the workflow uses them, and
     budget slots collapsed to Low for inactive agents."""
-    table = all_ones_mask_table()
-    for wf in WORKFLOWS:
-        if not wf.agent2_tools_allowed:
-            table.tools2[wf.id, :] = 0.0
-            table.tools2[wf.id, 0] = 1.0  # empty subset only
-        if wf.agents_active < 2:
-            table.budget2[wf.id, :] = 0.0
-            table.budget2[wf.id, 0] = 1.0  # Low only
-        if wf.agents_active < 3:
-            table.budget3[wf.id, :] = 0.0
-            table.budget3[wf.id, 0] = 1.0
-    return table
+    return MaskTable(**_default_masks())
+
+
+def _rule_choices(value, path: str, size: int, names: Sequence[str] = ()) -> list[int]:
+    """The choices one mask rule allows: a non-empty list of names from
+    names or integer indices below size."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list, got {value!r}")
+    choices = []
+    for item in value:
+        if isinstance(item, str) and item in names:
+            choices.append(names.index(item))
+        elif (isinstance(item, (int, np.integer)) and not isinstance(item, bool)
+              and 0 <= item < size):
+            choices.append(int(item))
+        else:
+            expected = " or ".join(filter(None, (
+                names and f"one of {', '.join(names)}", size and f"an index in [0, {size})")))
+            raise ConfigError(f"{path}: {item!r} is not {expected}")
+    return choices
 
 
 def mask_table_from_config(rules: dict) -> MaskTable:
-    """Build a table from a config mapping workflow name -> allowed choices.
-
-    Recognized per-workflow keys: "tools1"/"tools2" (lists of subset indices)
-    and "budgets" (list of three lists of tier names or indices). Workflows
-    absent from the mapping keep the default rules; a top-level "workflows"
-    list restricts the workflow head itself.
-    """
-    table = default_mask_table()
-    allowed_wfs = rules.get("workflows")
-    if allowed_wfs is not None:
-        table.workflow_mask[:] = 0.0
-        for name in allowed_wfs:
-            table.workflow_mask[WORKFLOW_BY_NAME[name].id] = 1.0
+    """Build a table from the `mask_table:` section of a run config, the one
+    reader of its rules. A top-level "workflows" list of workflow names
+    restricts the workflow head. A workflow's name maps to its own rules:
+    "tools1"/"tools2", lists of tool-subset indices, and "budgets", three
+    lists (one per agent slot) of tier names or indices. Each rule given
+    replaces that head's default row; workflows without rules keep the
+    default rules. Raises ConfigError naming the path of a bad rule."""
+    if not isinstance(rules, dict):
+        raise ConfigError(f"mask_table: expected a mapping, got {rules!r}")
+    masks = _default_masks()
+    if "workflows" in rules:
+        masks["workflow_mask"][:] = 0.0
+        masks["workflow_mask"][_rule_choices(rules["workflows"], "mask_table.workflows",
+                                             0, [wf.name for wf in WORKFLOWS])] = 1.0
     for name, spec in rules.items():
         if name == "workflows":
             continue
+        path = f"mask_table.{name}"
         if name not in WORKFLOW_BY_NAME:
-            raise ContractError(f"unknown workflow in mask rules: {name}")
+            raise ConfigError(f"unknown config key: {path}")
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{path}: expected a mapping, got {spec!r}")
         wf = WORKFLOW_BY_NAME[name].id
-        for key, attr in (("tools1", table.tools1), ("tools2", table.tools2)):
-            if key in spec:
-                attr[wf, :] = 0.0
-                for idx in spec[key]:
-                    attr[wf, int(idx)] = 1.0
-        if "budgets" in spec:
-            for slot, attr in enumerate((table.budget1, table.budget2, table.budget3)):
-                attr[wf, :] = 0.0
-                for tier in spec["budgets"][slot]:
-                    t = TIER_NAMES.index(tier) if isinstance(tier, str) else int(tier)
-                    attr[wf, t] = 1.0
-    table.validate()
-    return table
+        for key, value in spec.items():
+            if key in ("tools1", "tools2"):
+                rows = {key: _rule_choices(value, f"{path}.{key}", N_TOOL_SUBSETS)}
+            elif key == "budgets":
+                if not isinstance(value, (list, tuple)) or len(value) != 3:
+                    raise ConfigError(f"{path}.budgets: expected three lists of tiers, "
+                                      f"one per agent slot, got {value!r}")
+                rows = {head: _rule_choices(tiers, f"{path}.budgets[{slot}]", N_TIERS, TIER_NAMES)
+                        for slot, (head, tiers) in enumerate(zip(HEAD_NAMES[3:], value))}
+            else:
+                raise ConfigError(f"unknown config key: {path}.{key}")
+            for head, choices in rows.items():
+                masks[head][wf] = 0.0
+                masks[head][wf, choices] = 1.0
+    return MaskTable(**masks)
 
 
 def enumerate_valid(table: MaskTable) -> int:

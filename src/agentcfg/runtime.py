@@ -49,7 +49,6 @@ from .policy import (
     MaskTable,
     PromptPolicy,
     StructurePolicy,
-    default_mask_table,
     mask_table_from_config,
 )
 from .reward import RewardConfig
@@ -57,6 +56,7 @@ from .train import (
     DPOConfig,
     PPOConfig,
     SFTConfig,
+    _require_finite,
     _require_positive_int,
     filter_elite,
     kl_to_empirical,
@@ -109,10 +109,11 @@ class BackendEndpoint:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ConfigError("backend timeout must be > 0")
+        _require_finite("backend", self)
+        if not self.timeout > 0:
+            raise ConfigError(f"backend.timeout must be > 0, got {self.timeout!r}")
         if self.max_retries < 0:
-            raise ConfigError("backend max_retries must be >= 0")
+            raise ConfigError(f"backend.max_retries must be >= 0, got {self.max_retries!r}")
 
 
 @dataclass(frozen=True)
@@ -196,23 +197,6 @@ def _build_dataclass(cls, data: dict, path: str):
     return cls(**kwargs)
 
 
-def _validate_mask_rules(rules: dict, path: str) -> dict:
-    if rules is None:
-        return {}
-    if not isinstance(rules, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    known_wf = {wf.name for wf in WORKFLOWS}
-    for key, value in rules.items():
-        if key == "workflows":
-            continue
-        if key not in known_wf:
-            raise ConfigError(f"unknown config key: {path}.{key}")
-        for sub in value:
-            if sub not in ("tools1", "tools2", "budgets"):
-                raise ConfigError(f"unknown config key: {path}.{key}.{sub}")
-    return rules
-
-
 def load_config(path) -> RunConfig:
     """Parse and fully validate a YAML run config; unknown keys anywhere are
     rejected with their path, and every omitted field takes its published
@@ -234,7 +218,8 @@ def load_config(path) -> RunConfig:
         if key in _SECTION_TYPES:
             kwargs[key] = _build_dataclass(_SECTION_TYPES[key], value, key)
         elif key == "mask_table":
-            kwargs[key] = _validate_mask_rules(value, key)
+            kwargs[key] = {} if value is None else value
+            mask_table_from_config(kwargs[key])  # raises naming a bad rule's path
         else:
             hints = typing.get_type_hints(RunConfig)
             kwargs[key] = _coerce(value, hints[key], key)
@@ -595,7 +580,7 @@ class TrainingArtifacts:
 
 
 def build_mask_table(cfg: RunConfig) -> MaskTable:
-    return mask_table_from_config(cfg.mask_table) if cfg.mask_table else default_mask_table()
+    return mask_table_from_config(cfg.mask_table)
 
 
 def build_components(cfg: RunConfig):

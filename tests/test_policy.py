@@ -1,6 +1,7 @@
 """Hierarchical policy: mask tables, structure sampling, prompt sequences."""
 
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -21,7 +22,8 @@ from agentcfg.core import (
     StructureAction,
 )
 from agentcfg.env import compact_atom_library, default_atom_library
-from agentcfg.errors import InvalidActionError, InvalidMaskError, TrainingDivergenceError
+from agentcfg.errors import (ContractError, InvalidActionError, InvalidMaskError,
+                             TrainingDivergenceError)
 from agentcfg.numeric import MaskedCategorical, entropy, masked_softmax, sample
 from agentcfg import policy as policy_module
 from agentcfg.policy import (
@@ -92,6 +94,12 @@ def make_state(seed=0, dim=8):
     return StateEmbedding(semantic=rng.normal(size=dim), features=rng.normal(size=5))
 
 
+def ones_head_masks():
+    """Editable all-ones masks of the five heads after the workflow head,
+    keyed by MaskTable field."""
+    return {name: np.ones((N_WORKFLOWS, n)) for name, n in zip(HEAD_NAMES[1:], HEAD_SIZES[1:])}
+
+
 STATE_DIM = 13  # 8 semantic + 5 features
 PROMPT = PromptPolicy(STATE_DIM, compact_atom_library(), hidden=(16,),
                       rng=np.random.default_rng(25))
@@ -132,6 +140,20 @@ class TestMaskTable:
                 budget2=np.ones((N_WORKFLOWS, N_TIERS)),
                 budget3=np.ones((N_WORKFLOWS, N_TIERS)),
             )
+
+    def test_masks_are_stored_as_zero_one(self):
+        # An entry is valid when > 0: the closed-form count, the exhaustive
+        # count and the enumeration agree on masks that are not 0/1.
+        masks = ones_head_masks()
+        masks["tools1"][0] = np.eye(N_TOOL_SUBSETS)[3] * 2.0
+        masks["budget1"][1, 2] = -1.0
+        table = MaskTable(workflow_mask=np.ones(N_WORKFLOWS), **masks)
+        assert np.array_equal(table.tools1[0], np.eye(N_TOOL_SUBSETS)[3])
+        assert table.budget1[1].tolist() == [1.0, 1.0, 0.0]
+        per_workflow = N_TOOL_SUBSETS ** 2 * N_TIERS ** 3
+        expected = 7 * per_workflow + per_workflow // N_TOOL_SUBSETS + per_workflow * 2 // 3
+        assert enumerate_valid(table) == enumerate_valid_exhaustive(table) == expected
+        assert len(list(iter_valid_actions(table))) == expected
 
     def test_from_config(self):
         table = mask_table_from_config({
@@ -179,6 +201,7 @@ class TestHeadLayout:
     def test_in_place_edit_after_first_use_raises(self):
         policy = StructurePolicy(STATE_DIM, hidden=(16,), rng=np.random.default_rng(30))
         for use in (
+            lambda t: None,  # read-only from construction
             lambda t: sample_structure(policy, t, make_state(), np.random.default_rng(0)),
             lambda t: greedy_configuration(policy, PROMPT, t, make_state()),
             lambda t: t.layout(),
@@ -191,38 +214,54 @@ class TestHeadLayout:
                     getattr(table, name)[..., 0] = 0.0
                 assert np.array_equal(getattr(table, name), before)
 
-    def test_assigning_a_mask_drops_the_layout(self):
+    def test_assigning_a_mask_raises_and_replace_lays_out_anew(self):
         policy = StructurePolicy(STATE_DIM, hidden=(16,), rng=np.random.default_rng(31))
         table = default_mask_table()
         sample_structure(policy, table, make_state(), np.random.default_rng(0))
         tools1 = np.zeros((N_WORKFLOWS, N_TOOL_SUBSETS))
         tools1[:, 6] = 1.0
-        table.tools1 = tools1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.tools1 = tools1
+        changed = dataclasses.replace(table, tools1=tools1)
         rng = np.random.default_rng(1)
-        assert all(sample_structure(policy, table, make_state(), rng)[0].tools1 == 6
+        assert all(sample_structure(policy, changed, make_state(), rng)[0].tools1 == 6
                    for _ in range(50))
-        table.tools1 = np.zeros((N_WORKFLOWS, N_TOOL_SUBSETS))
+        assert table.layout().valid[0][1].tolist() == list(range(N_TOOL_SUBSETS))
         with pytest.raises(InvalidMaskError):
-            table.layout()
+            dataclasses.replace(table, tools1=np.zeros((N_WORKFLOWS, N_TOOL_SUBSETS)))
 
     def test_copies_lay_out_masks_of_their_own(self):
         table = default_mask_table()
-        table.layout()
-        for other in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
-            other.tools1[0, :] = 0.0  # editable again until the copy's first use
-            other.tools1[0, 2] = 1.0
-            assert other.layout().valid[0][1].tolist() == [2]
+        for other in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert other == table and other.layout() is not table.layout()
+            assert all(not getattr(other, name).flags.writeable
+                       and getattr(other, name) is not getattr(table, name)
+                       for name in ("workflow_mask", *HEAD_NAMES[1:]))
+            tools1 = other.tools1.copy()
+            tools1[0] = np.eye(N_TOOL_SUBSETS)[2]
+            assert dataclasses.replace(other, tools1=tools1).layout().valid[0][1].tolist() == [2]
         assert table.layout().valid[0][1].tolist() == list(range(N_TOOL_SUBSETS))
 
     def test_table_copies_the_masks_it_is_built_from(self):
-        source = default_mask_table()
-        table = MaskTable(workflow_mask=np.eye(N_WORKFLOWS)[0], tools1=source.tools1,
-                          tools2=source.tools2, budget1=source.budget1,
-                          budget2=source.budget2, budget3=source.budget3)
-        table.layout()
-        source.tools1[0, :] = 0.0  # the source stays editable
-        source.tools1[0, 1] = 1.0
+        source = ones_head_masks()
+        table = MaskTable(workflow_mask=np.eye(N_WORKFLOWS)[0], **source)
+        source["tools1"][0, :] = 0.0  # the source stays editable
+        source["tools1"][0, 1] = 1.0
         assert table.tools1[0].sum() == N_TOOL_SUBSETS
+        assert table.layout().valid[0][1].tolist() == list(range(N_TOOL_SUBSETS))
+
+    def test_tables_are_values(self):
+        table, other = default_mask_table(), default_mask_table()
+        assert table == other and hash(table) == hash(other)
+        assert table != all_ones_mask_table() and table != "table"
+        assert len({table, other, all_ones_mask_table()}) == 2
+        for copied in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+            assert copied == table and hash(copied) == hash(table)
+        assert dataclasses.replace(table) == table
+        with pytest.raises(InvalidMaskError):
+            dataclasses.replace(table, workflow_mask=np.zeros(N_WORKFLOWS))
+        with pytest.raises(ContractError, match="tools1"):
+            dataclasses.replace(table, tools1=np.ones((N_WORKFLOWS, N_TIERS)))
 
 
 class TestStructurePolicy:
@@ -237,15 +276,13 @@ class TestStructurePolicy:
             assert lp == pytest.approx(log_prob_structure(policy, table, s, a), abs=1e-12)
 
     def test_forced_one_hot_table_log_prob_zero(self):
-        table = all_ones_mask_table()
-        table.workflow_mask[:] = 0.0
-        table.workflow_mask[3] = 1.0
-        for attr in (table.tools1, table.tools2):
-            attr[:, :] = 0.0
-            attr[:, 5] = 1.0
-        for attr in (table.budget1, table.budget2, table.budget3):
-            attr[:, :] = 0.0
-            attr[:, 1] = 1.0
+        def one_hot(size, choice):
+            return np.tile(np.eye(size)[choice], (N_WORKFLOWS, 1))
+
+        table = MaskTable(workflow_mask=np.eye(N_WORKFLOWS)[3],
+                          tools1=one_hot(N_TOOL_SUBSETS, 5), tools2=one_hot(N_TOOL_SUBSETS, 5),
+                          budget1=one_hot(N_TIERS, 1), budget2=one_hot(N_TIERS, 1),
+                          budget3=one_hot(N_TIERS, 1))
         policy = StructurePolicy(STATE_DIM, rng=np.random.default_rng(3))
         a, lp, _ = sample_structure(policy, table, make_state(), np.random.default_rng(0))
         assert a == StructureAction(3, 5, 5, (1, 1, 1))

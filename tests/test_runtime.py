@@ -6,8 +6,10 @@ import dataclasses
 import io
 import json
 import math
+import re
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +165,11 @@ class TestRunConfig:
         ({"sft": {"elite_fraction": 0.0}}, "sft.elite_fraction"),
         ({"ppo": {"lr_struct": float("nan")}}, "ppo.lr_struct"),
         ({"dpo": {"beta": float("inf")}}, "dpo.beta"),
+        ({"backend": {"timeout": float("nan")}}, "backend.timeout"),
+        ({"backend": {"timeout": float("inf")}}, "backend.timeout"),
+        ({"backend": {"timeout": 0.0}}, "backend.timeout"),
+        ({"backend": {"temperature": float("nan")}}, "backend.temperature"),
+        ({"backend": {"max_retries": -1}}, "backend.max_retries"),
     ])
     def test_bad_training_value_fails_as_config_error(self, tmp_path, capsys, data, field):
         from agentcfg.cli import main
@@ -171,6 +178,48 @@ class TestRunConfig:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"error: {field} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rules, path", [
+        ({"Direct": {"tools1": [99]}}, "mask_table.Direct.tools1"),
+        ({"Direct": {"tools1": [-1]}}, "mask_table.Direct.tools1"),
+        ({"Direct": {"tools1": ["a"]}}, "mask_table.Direct.tools1"),
+        ({"Direct": {"tools1": 3}}, "mask_table.Direct.tools1"),
+        ({"Direct": {"tools2": []}}, "mask_table.Direct.tools2"),
+        ({"Direct": {"budgets": [[5], [0], [0]]}}, "mask_table.Direct.budgets[0]"),
+        ({"Direct": {"budgets": [[0], ["Lo"], [0]]}}, "mask_table.Direct.budgets[1]"),
+        ({"Direct": {"budgets": [["Low"]]}}, "mask_table.Direct.budgets"),
+        ({"Direct": {"tools3": [0]}}, "mask_table.Direct.tools3"),
+        ({"Direct": None}, "mask_table.Direct"),
+        ({"Direct": ["tools1"]}, "mask_table.Direct"),
+        ({"workflows": ["Nope"]}, "mask_table.workflows"),
+        ({"workflows": "Direct"}, "mask_table.workflows"),
+        ({"workflows": []}, "mask_table.workflows"),
+        (["Direct"], "mask_table"),
+    ])
+    def test_bad_mask_rule_fails_as_config_error(self, tmp_path, capsys, rules, path):
+        from agentcfg.cli import main
+
+        config = write_yaml(tmp_path, {"mask_table": rules})
+        for command in ("show-config", "enumerate-masks", "train"):
+            out = tmp_path / command
+            assert main([command, "--config", str(config), "--out", str(out)]) == 1
+            assert re.search(rf"^error: (unknown config key: )?{re.escape(path)}(: |$)",
+                             capsys.readouterr().err, re.M)
+            assert not out.exists()
+
+    def test_readme_yaml_examples_load(self, tmp_path, capsys):
+        from agentcfg.cli import main
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        examples = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+        assert examples
+        for i, example in enumerate(examples):
+            path = tmp_path / f"example{i}.yaml"
+            path.write_text(example)
+            load_config(path)
+            assert main(["enumerate-masks", "--config", str(path)]) == 0
+            counts = json.loads(capsys.readouterr().out)
+            assert counts["configured_closed_form"] == counts["configured_exhaustive"] > 0
 
     def test_real_mode_refused_until_a_real_env_exists(self, tmp_path, capsys):
         from agentcfg.cli import main
