@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import atomic_write
-from .errors import InvalidActionError, InvalidMaskError, ShapeError, TrainingDivergenceError
+from .errors import (ContractError, InvalidActionError, InvalidMaskError, ShapeError,
+                     TrainingDivergenceError)
 
 # ---------------------------------------------------------------------------
 # Dense networks
@@ -387,7 +388,10 @@ def adam_step(params, grads, state: AdamState, lr: float):
 
 
 def clip_grad_norm(grads, max_norm: float):
-    """Scale all gradients so the global L2 norm is at most max_norm."""
+    """Scale all gradients so the global L2 norm is at most max_norm, which
+    must be > 0."""
+    if not max_norm > 0:
+        raise ContractError(f"max_norm must be > 0, got {max_norm!r}")
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if total > max_norm and total > 0:
         scale = max_norm / total

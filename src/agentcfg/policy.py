@@ -315,11 +315,46 @@ def _conditioned_heads(logits: np.ndarray, layout: HeadLayout, workflow_id: int)
     return logits[_HEAD_COLUMNS[1:]], layout.masks[workflow_id, 1:]
 
 
+class _StateHeads(NamedTuple):
+    """What drawing structures for one state needs, fixed while the trunk's
+    parameters and the table stay fixed: the memo entry of
+    `sample_structure`."""
+
+    logits: np.ndarray                # the trunk's output
+    workflow: MaskedCategorical       # the workflow head
+    workflow_cdf: np.ndarray          # its `choice_cdf` over the valid workflows
+    conditioned: dict                 # workflow id -> (five head views, their CDFs, six entropies)
+
+
+def _state_heads(policy: StructurePolicy, table: MaskTable, s_vec: np.ndarray) -> _StateHeads:
+    logits = policy.trunk.forward(s_vec)
+    wf_logits = logits[head_slice(0)]
+    wf_dist = MaskedCategorical.view(wf_logits, table.workflow_mask,
+                                     masked_categorical(wf_logits, table.workflow_mask))
+    return _StateHeads(logits, wf_dist,
+                       choice_cdf(wf_dist.stats[0][table.layout().valid[0][0]]), {})
+
+
+def _conditioned_draws(heads: _StateHeads, layout: HeadLayout, workflow_id: int):
+    """The five heads conditioned on workflow_id, from one padded
+    `masked_categorical` pass, with the `choice_cdf` of each over its valid
+    choices and the entropies of all six heads; built once per workflow."""
+    drawn = heads.conditioned.get(workflow_id)
+    if drawn is None:
+        dists = masked_categoricals(*_conditioned_heads(heads.logits, layout, workflow_id))
+        cdfs = [choice_cdf(d.stats[0][valid])
+                for d, valid in zip(dists, layout.valid[workflow_id][1:])]
+        entropies = [entropy(heads.workflow)] + [entropy(d) for d in dists]
+        drawn = heads.conditioned[workflow_id] = (dists, cdfs, entropies)
+    return drawn
+
+
 def sample_structure(
     policy: StructurePolicy,
     table: MaskTable,
     s: StateEmbedding,
     rng: np.random.Generator,
+    memo: Optional[dict] = None,
 ):
     """Sample workflow first, then the remaining heads under its masks; the
     five conditioned heads share one padded `masked_categorical` pass.
@@ -328,27 +363,30 @@ def sample_structure(
     through `inverse_cdf` over the head's valid choices in the table's
     layout: the same doubles, choices and final generator state as one
     `numeric.draw` per head.
+
+    memo, if given, maps a state vector's bytes to its `_StateHeads`, which
+    the state fixes exactly while the trunk's parameters and the table stay
+    fixed: repeated calls for one state then run the trunk and score each
+    workflow's heads once, and draw the same as fresh calls. The caller
+    drops the memo once the parameters or the table change.
     Returns (action, joint_log_prob, per_head_entropies).
     """
     layout = table.layout()
-    logits = policy.trunk.forward(s.as_vector())
+    s_vec = s.as_vector()
+    key = s_vec.tobytes()
+    memo = {} if memo is None else memo
+    heads = memo.get(key)
+    if heads is None:
+        heads = memo[key] = _state_heads(policy, table, s_vec)
     u = rng.random(len(HEAD_SIZES))
-    wf_logits = logits[head_slice(0)]
-    wf_dist = MaskedCategorical.view(wf_logits, table.workflow_mask,
-                                     masked_categorical(wf_logits, table.workflow_mask))
-    wf = _pick(wf_dist, layout.valid[0][0], u[0])
-    dists = [wf_dist, *masked_categoricals(*_conditioned_heads(logits, layout, wf))]
-    choices = [wf] + [_pick(d, valid, x)
-                      for d, valid, x in zip(dists[1:], layout.valid[wf][1:], u[1:])]
-    joint_lp = log_prob(wf_dist, wf)
-    for dist, c in zip(dists[1:], choices[1:]):
+    wf = inverse_cdf(heads.workflow_cdf, layout.valid[0][0], u[0])
+    dists, cdfs, entropies = _conditioned_draws(heads, layout, wf)
+    choices = [wf] + [inverse_cdf(cdf, valid, x)
+                      for cdf, valid, x in zip(cdfs, layout.valid[wf][1:], u[1:])]
+    joint_lp = log_prob(heads.workflow, wf)
+    for dist, c in zip(dists, choices[1:]):
         joint_lp += log_prob(dist, c)
-    return StructureAction.from_heads(choices), joint_lp, [entropy(d) for d in dists]
-
-
-def _pick(dist: MaskedCategorical, valid: np.ndarray, u: float) -> int:
-    """The choice among valid, dist's valid indices, that the uniform u draws."""
-    return inverse_cdf(choice_cdf(dist.stats[0][valid]), valid, u)
+    return StructureAction.from_heads(choices), joint_lp, list(entropies)
 
 
 def log_prob_structure(

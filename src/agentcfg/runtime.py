@@ -56,8 +56,8 @@ from .train import (
     DPOConfig,
     PPOConfig,
     SFTConfig,
+    _require,
     _require_finite,
-    _require_positive_int,
     filter_elite,
     kl_to_empirical,
     sft_update,
@@ -80,7 +80,7 @@ class EnvConfig:
     noise_scale: float = 0.0
 
     def __post_init__(self):
-        _require_positive_int("env", self, "n_queries", "semantic_dim")
+        _require("env", self, ">= 1", lambda v: v >= 1, "n_queries", "semantic_dim")
         probs = self.depth_probs
         if (len(probs) != 3 or any(isinstance(p, bool) or not isinstance(p, (int, float))
                                    or not p >= 0 for p in probs)
@@ -88,10 +88,8 @@ class EnvConfig:
             raise ConfigError(
                 f"env.depth_probs must be 3 non-negative numbers summing to 1, got {probs!r}"
             )
-        if not 0.0 <= self.tool_prob <= 1.0:
-            raise ConfigError(f"env.tool_prob must be in [0, 1], got {self.tool_prob!r}")
-        if not self.noise_scale >= 0:
-            raise ConfigError(f"env.noise_scale must be >= 0, got {self.noise_scale!r}")
+        _require("env", self, "in [0, 1]", lambda v: 0.0 <= v <= 1.0, "tool_prob")
+        _require("env", self, ">= 0", lambda v: v >= 0, "noise_scale")
         if not self.difficulty_low <= self.difficulty_high:
             raise ConfigError(
                 f"env.difficulty_low ({self.difficulty_low!r}) must not exceed "
@@ -110,10 +108,8 @@ class BackendEndpoint:
 
     def __post_init__(self):
         _require_finite("backend", self)
-        if not self.timeout > 0:
-            raise ConfigError(f"backend.timeout must be > 0, got {self.timeout!r}")
-        if self.max_retries < 0:
-            raise ConfigError(f"backend.max_retries must be >= 0, got {self.max_retries!r}")
+        _require("backend", self, "> 0", lambda v: v > 0, "timeout")
+        _require("backend", self, ">= 0", lambda v: v >= 0, "max_retries")
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,13 @@ from .reward import RewardConfig, shaped_reward
 # ---------------------------------------------------------------------------
 
 
-def _require_positive_int(section: str, cfg, *names) -> None:
+def _require(section: str, cfg, rule: str, holds: Callable, *names) -> None:
+    """Raise ConfigError naming the first field of names whose value fails
+    holds; rule says what holds accepts."""
     for name in names:
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{section}.{name} must be >= 1, got {getattr(cfg, name)!r}")
+        value = getattr(cfg, name)
+        if not holds(value):
+            raise ConfigError(f"{section}.{name} must be {rule}, got {value!r}")
 
 
 def _require_finite(section: str, cfg) -> None:
@@ -90,9 +93,10 @@ class PPOConfig:
     def __post_init__(self):
         # total_episodes <= 0 is refused by train_policies (ContractError)
         _require_finite("ppo", self)
-        _require_positive_int("ppo", self, "batch_size", "epochs_per_batch")
-        if not self.clip_eps > 0:
-            raise ConfigError(f"ppo.clip_eps must be > 0, got {self.clip_eps!r}")
+        _require("ppo", self, ">= 1", lambda v: v >= 1, "batch_size", "epochs_per_batch")
+        _require("ppo", self, "> 0", lambda v: v > 0, "clip_eps", "max_grad_norm")
+        _require("ppo", self, ">= 0", lambda v: v >= 0, "lr_struct", "lr_prompt")
+        _require("ppo", self, "in [0, 1]", lambda v: 0 <= v <= 1, "gamma")
 
 
 @dataclass(frozen=True)
@@ -106,10 +110,9 @@ class SFTConfig:
 
     def __post_init__(self):
         _require_finite("sft", self)
-        if not 0 < self.elite_fraction <= 1:
-            raise ConfigError(
-                f"sft.elite_fraction must be in (0, 1], got {self.elite_fraction!r}")
-        _require_positive_int("sft", self, "epochs")
+        _require("sft", self, "in (0, 1]", lambda v: 0 < v <= 1, "elite_fraction")
+        _require("sft", self, ">= 1", lambda v: v >= 1, "epochs")
+        _require("sft", self, ">= 0", lambda v: v >= 0, "lr_struct", "lr_prompt")
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,9 @@ class DPOConfig:
 
     def __post_init__(self):
         _require_finite("dpo", self)
-        _require_positive_int("dpo", self, "epochs")
+        _require("dpo", self, ">= 1", lambda v: v >= 1, "epochs")
+        _require("dpo", self, "> 0", lambda v: v > 0, "beta", "max_grad_norm")
+        _require("dpo", self, ">= 0", lambda v: v >= 0, "lr_struct", "lr_prompt")
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +184,13 @@ def collect_rollouts(
     """Embed -> sample structure (masked) -> sample prompts -> execute ->
     shaped reward, over the `_episode_starts` stream; the prompt decisions
     of the whole batch run in lockstep, each episode in its own draw order.
-    Fully deterministic given run_seed and the episode counter
-    (single-executor mode)."""
+    The parameters stay fixed for the whole batch, so episodes of one query
+    share one structure memo entry, dropped on return. Fully deterministic
+    given run_seed and the episode counter (single-executor mode)."""
     episodes, states, actions, rngs = [], [], [], []
+    memo: dict = {}
     for episode, rng, query, state in _episode_starts(env, run_seed, start_episode, n):
-        action, struct_lp, _ = sample_structure(struct_policy, table, state, rng)
+        action, struct_lp, _ = sample_structure(struct_policy, table, state, rng, memo)
         episodes.append((episode, query, struct_lp))
         states.append(state)
         actions.append(action)
@@ -659,14 +666,20 @@ def dpo_loss_and_grads(struct_policy, prompt_policy, table, pairs, ref_lps, cfg:
 # ---------------------------------------------------------------------------
 
 
+def _require_samples(n_samples: int) -> None:
+    if not n_samples >= 1:
+        raise ContractError(f"n_samples must be >= 1, got {n_samples!r}")
+
+
 def _sample_config_keys(struct_policy, prompt_policy, table, state, n_samples, rng):
     """Keys of n_samples configurations drawn for one state, one after the
     other from rng. The parameters stay fixed meanwhile, so the samples share
-    one prompt-step memo, dropped on return."""
-    memo: dict = {}
+    one structure memo and one prompt-step memo, dropped on return."""
+    structure_memo: dict = {}
+    prompt_memo: dict = {}
     for _ in range(n_samples):
-        action, _, _ = sample_structure(struct_policy, table, state, rng)
-        prompts, _ = sample_prompts(prompt_policy, state, action, rng, memo)
+        action, _, _ = sample_structure(struct_policy, table, state, rng, structure_memo)
+        prompts, _ = sample_prompts(prompt_policy, state, action, rng, prompt_memo)
         yield action_key(action, prompts)
 
 
@@ -680,6 +693,7 @@ def verify_support_restriction(
 ):
     """Draw n_samples configurations per elite state; pass iff every sample
     lies in that state's elite action set. Returns (passed, violations)."""
+    _require_samples(n_samples)
     violations = []
     for s_key, state in elite.state_examples.items():
         allowed = elite.elite_actions(s_key)
@@ -701,6 +715,7 @@ def verify_reward_floor(
     """Estimate E[replayed elite reward] under the refined policy; pass iff
     the estimate is >= tau_eff - 1e-9 and no sampled action falls outside the
     recorded support. Returns (estimate, passed, n_support_violations)."""
+    _require_samples(n_samples)
     reward_lookup = {
         key: float(np.mean(rewards)) for key, rewards in elite.action_rewards.items()
     }

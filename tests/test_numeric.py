@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentcfg.errors import (
+    ContractError,
     InvalidActionError,
     InvalidMaskError,
     ShapeError,
@@ -351,6 +352,11 @@ class TestClipGradNorm:
     def test_leaves_small(self):
         g = [np.array([0.1, 0.1])]
         assert clip_grad_norm(g, 0.5) is g
+
+    @pytest.mark.parametrize("max_norm", [0.0, -1.0])
+    def test_non_positive_cap_raises(self, max_norm):
+        with pytest.raises(ContractError, match="max_norm"):
+            clip_grad_norm([np.array([3.0, 4.0])], max_norm)
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=10))
     @settings(max_examples=100, deadline=None)

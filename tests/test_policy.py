@@ -319,6 +319,35 @@ class TestStructurePolicy:
             greedy = reference_structure(policy, table, s, mode)[0]
             assert greedy_configuration(policy, PROMPT, table, s).structure == greedy
 
+    @pytest.mark.parametrize("table", [
+        default_mask_table(),
+        mask_table_from_config({"workflows": ["Direct", "ReasonVerifyAns"],
+                                "Direct": {"tools1": [0, 1], "budgets": [[0, 2], [0], [0]]}}),
+        all_ones_mask_table(),
+    ], ids=["default", "reduced", "all-ones"])
+    def test_shared_memo_draws_as_fresh_calls(self, table):
+        policy = StructurePolicy(STATE_DIM, hidden=(16,), rng=np.random.default_rng(35))
+        forward = policy.trunk.forward
+        passes = []
+        policy.trunk.forward = lambda x: passes.append(1) or forward(x)
+        states = [make_state(seed) for seed in range(4)]
+        memo, memo_passes, workflows = {}, 0, set()
+        for i in range(400):
+            s = states[i % len(states)]
+            rng, twin = np.random.default_rng([36, i]), np.random.default_rng([36, i])
+            before = len(passes)
+            got = sample_structure(policy, table, s, rng, memo)
+            memo_passes += len(passes) - before
+            want = sample_structure(policy, table, s, twin)
+            assert got[0] == want[0] and got[1] == want[1] and got[2] == want[2]
+            assert rng.bit_generator.state == twin.bit_generator.state
+            got[2].append(0.0)  # each call returns entropies of its own
+            workflows.add((i % len(states), got[0].workflow_id))
+        # the trunk ran once per state, then the memo served every draw, of
+        # several workflows per state
+        assert memo_passes == len(memo) == len(states)
+        assert len(workflows) > len(states)
+
     def test_invalid_action_log_prob_rejected(self):
         policy = StructurePolicy(STATE_DIM, rng=np.random.default_rng(6))
         table = default_mask_table()

@@ -170,6 +170,19 @@ class TestRunConfig:
         ({"backend": {"timeout": 0.0}}, "backend.timeout"),
         ({"backend": {"temperature": float("nan")}}, "backend.temperature"),
         ({"backend": {"max_retries": -1}}, "backend.max_retries"),
+        ({"ppo": {"max_grad_norm": 0.0}}, "ppo.max_grad_norm"),
+        ({"ppo": {"max_grad_norm": -1.0}}, "ppo.max_grad_norm"),
+        ({"refinement": "dpo", "dpo": {"max_grad_norm": -1.0}}, "dpo.max_grad_norm"),
+        ({"ppo": {"lr_struct": -1e-3}}, "ppo.lr_struct"),
+        ({"ppo": {"lr_prompt": -1e-3}}, "ppo.lr_prompt"),
+        ({"sft": {"lr_struct": -1e-3}}, "sft.lr_struct"),
+        ({"sft": {"lr_prompt": -1e-3}}, "sft.lr_prompt"),
+        ({"refinement": "dpo", "dpo": {"lr_struct": -1e-3}}, "dpo.lr_struct"),
+        ({"refinement": "dpo", "dpo": {"lr_prompt": -1e-3}}, "dpo.lr_prompt"),
+        ({"refinement": "dpo", "dpo": {"beta": 0.0}}, "dpo.beta"),
+        ({"refinement": "dpo", "dpo": {"beta": -0.05}}, "dpo.beta"),
+        ({"ppo": {"gamma": -0.1}}, "ppo.gamma"),
+        ({"ppo": {"gamma": 1.5}}, "ppo.gamma"),
     ])
     def test_bad_training_value_fails_as_config_error(self, tmp_path, capsys, data, field):
         from agentcfg.cli import main

@@ -473,6 +473,18 @@ class TestVerification:
         assert not passed and violations
         assert kl_to_empirical(struct, prompt, TABLE, elite) > 1.0
 
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_too_few_samples_raise(self, n_samples):
+        buf = ExperienceBuffer()
+        buf.append(make_record(5.0, workflow=0, prompts=((0,),)))
+        elite = filter_elite(buf, SFTConfig(elite_fraction=1.0, tau=0.0))
+        struct, prompt = make_policies(14)
+        for check in (verify_support_restriction, verify_reward_floor):
+            rng = np.random.default_rng(2)
+            with pytest.raises(ContractError, match="n_samples"):
+                check(struct, prompt, TABLE, elite, n_samples, rng)
+            assert rng.bit_generator.state == np.random.default_rng(2).bit_generator.state
+
     def test_kl_decreases_under_sft(self):
         record = make_record(5.0, workflow=0, prompts=((0,),))
         buf = ExperienceBuffer()
@@ -518,6 +530,8 @@ def test_guarantee_checks_match_an_uncached_reference(table, monkeypatch):
     cached = [checks(seed) for seed in range(10)]
     monkeypatch.setattr(train, "sample_prompts",
                         lambda policy, s, a, rng, memo=None: sample_prompts(policy, s, a, rng))
+    monkeypatch.setattr(train, "sample_structure",
+                        lambda policy, t, s, rng, memo=None: sample_structure(policy, t, s, rng))
     for seed, got in enumerate(cached):
         assert got == checks(seed)
     assert any(support[1] for support, _, _ in cached)  # the samples leave the support
