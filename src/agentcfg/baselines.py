@@ -68,7 +68,10 @@ class Harness:
     Sampled scores use common random numbers: episode i of query qi runs
     with seed `SeedSequence([seed, qi]).generate_state(E)[i]` whatever the
     candidate, so candidates are compared on the same draws and a
-    configuration scores the same every time."""
+    configuration scores the same every time. Each seed's random numbers
+    are drawn once per harness (`SyntheticEnv.execute`'s memo) and kept
+    while it lives: at most 2 per seed, with and without the
+    EvaluatorOptimizer's extra iterations."""
 
     env: SyntheticEnv
     reward_cfg: RewardConfig
@@ -76,6 +79,7 @@ class Harness:
     expected_mode: bool = True
     n_evaluations: int = 0
     _seed_blocks: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _draws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _episode_seeds(self, episodes: int) -> list[list[int]]:
         """Each query's first `episodes` execution seeds. A query's block is
@@ -96,7 +100,7 @@ class Harness:
         n = 0
         for q, seeds in zip(self.env.queries, self._episode_seeds(episodes_per_evaluation)):
             for exec_seed in seeds:
-                outcome = self.env.execute(q, config, exec_seed)
+                outcome = self.env.execute(q, config, exec_seed, self._draws)
                 total += shaped_reward(outcome, self.reward_cfg)[0]
                 n += 1
         return total / n

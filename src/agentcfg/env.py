@@ -202,23 +202,38 @@ def _ground_truth(q: _QueryTerms, c: _ConfigTerms, model: SuccessModel):
     return _sigmoid(x), n_used, n_tokens
 
 
-def _outcome(query: Query, q: _QueryTerms, c: _ConfigTerms, truth, seed: int) -> ExecutionOutcome:
-    """One seeded execution. Draw order is fixed: correctness, then extra
-    iterations, then token jitter."""
-    p, n_used, n_tokens = truth
+def _execution_draws(seed: int, eo: bool, jitter: int):
+    """The random numbers of one seeded execution, in the fixed draw order:
+    the correctness uniform u, then the EvaluatorOptimizer's extra
+    iterations (0 unless eo), then the token jitter offset (0 unless
+    jitter > 0). They depend on nothing else, so (seed, eo, jitter) keys
+    them."""
     rng = np.random.default_rng(seed)
-    correct = bool(rng.random() < p)
-    n_steps = c.n_steps
-    if c.eo:
-        n_steps += int(rng.integers(0, 4))
-    if q.jitter > 0:
-        n_tokens = max(0, n_tokens + int(rng.integers(-q.jitter, q.jitter + 1)))
+    u = rng.random()
+    extra = int(rng.integers(0, 4)) if eo else 0
+    offset = int(rng.integers(-jitter, jitter + 1)) if jitter > 0 else 0
+    return u, extra, offset
+
+
+def _outcome(query: Query, q: _QueryTerms, c: _ConfigTerms, truth, seed: int,
+             memo: Optional[dict] = None) -> ExecutionOutcome:
+    """One seeded execution. memo, if given, maps (seed, eo, jitter) to the
+    execution's `_execution_draws`, so a seed's draws are made once however
+    many configurations run on it."""
+    p, n_used, n_tokens = truth
+    key = (seed, c.eo, q.jitter)
+    memo = {} if memo is None else memo
+    draws = memo.get(key)
+    if draws is None:
+        draws = memo[key] = _execution_draws(seed, c.eo, q.jitter)
+    u, extra, offset = draws
+    correct = bool(u < p)
     answer = query.gold_answer if (correct and query.gold_answer) else "no answer"
     return ExecutionOutcome(
         answer_text=answer,
         correct=correct,
-        n_steps=n_steps,
-        n_tokens=n_tokens,
+        n_steps=c.n_steps + extra,
+        n_tokens=max(0, n_tokens + offset),
         n_tools_used=n_used,
         n_tools_allocated=c.n_alloc,
     )
@@ -522,10 +537,18 @@ class SyntheticEnv:
             truth = memo.truths[spec] = _ground_truth(spec.terms, memo.terms, self.model)
         return spec.terms, memo.terms, truth
 
-    def execute(self, query: Query, config: Configuration, seed: int) -> ExecutionOutcome:
-        """`execute_synthetic` on the query's spec."""
+    def execute(self, query: Query, config: Configuration, seed: int,
+                memo: Optional[dict] = None) -> ExecutionOutcome:
+        """`execute_synthetic` on the query's spec.
+
+        memo, if given, is a dict the caller keeps across executions that
+        share seeds: each (seed, EvaluatorOptimizer or not, jitter) maps to
+        the execution's random numbers, drawn on first use. The outcome is
+        the same with or without it; it saves rebuilding the seed's
+        generator when many configurations run on one seed (the search
+        harness's common random numbers)."""
         q, c, truth = self._truth(query, config)
-        return _outcome(query, q, c, truth, seed)
+        return _outcome(query, q, c, truth, seed, memo)
 
     def expected_reward(self, query: Query, config: Configuration,
                         reward_cfg: RewardConfig) -> float:

@@ -290,12 +290,6 @@ class StructurePolicy:
         out = self.trunk.forward(s_vec)
         return [out[head_slice(i)] for i in range(len(HEAD_SIZES))]
 
-    def distributions(self, s_vec, table: MaskTable, workflow_id: int):
-        """MaskedCategoricals for all six heads given a chosen workflow."""
-        logits = self.head_logits(s_vec)
-        masks = [table.workflow_mask] + table.masks_for(workflow_id)
-        return [MaskedCategorical(z, m) for z, m in zip(logits, masks)]
-
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -326,11 +320,16 @@ class _StateHeads(NamedTuple):
     conditioned: dict                 # workflow id -> (five head views, their CDFs, six entropies)
 
 
+def _workflow_head(logits: np.ndarray, table: MaskTable) -> MaskedCategorical:
+    """The workflow head over the trunk's output, under the table's mask."""
+    wf_logits = logits[head_slice(0)]
+    return MaskedCategorical.view(wf_logits, table.workflow_mask,
+                                  masked_categorical(wf_logits, table.workflow_mask))
+
+
 def _state_heads(policy: StructurePolicy, table: MaskTable, s_vec: np.ndarray) -> _StateHeads:
     logits = policy.trunk.forward(s_vec)
-    wf_logits = logits[head_slice(0)]
-    wf_dist = MaskedCategorical.view(wf_logits, table.workflow_mask,
-                                     masked_categorical(wf_logits, table.workflow_mask))
+    wf_dist = _workflow_head(logits, table)
     return _StateHeads(logits, wf_dist,
                        choice_cdf(wf_dist.stats[0][table.layout().valid[0][0]]), {})
 
@@ -393,12 +392,16 @@ def log_prob_structure(
     policy: StructurePolicy, table: MaskTable, s: StateEmbedding, a: StructureAction
 ) -> float:
     """Joint log-probability under the identical masking pipeline as
-    sampling; errors on any action the masks forbid."""
+    sampling: one trunk pass, the workflow head, and the five conditioned
+    heads in one padded `masked_categorical` pass, as `sample_structure`
+    scores them; errors on any action the masks forbid."""
     if not table.is_valid(a):
         raise InvalidActionError(
             f"structure action invalid under mask table: {a}"
         )
-    dists = policy.distributions(s.as_vector(), table, a.workflow_id)
+    logits = policy.trunk.forward(s.as_vector())
+    dists = [_workflow_head(logits, table)] + masked_categoricals(
+        *_conditioned_heads(logits, table.layout(), a.workflow_id))
     return sum(log_prob(d, c) for d, c in zip(dists, a.heads))
 
 

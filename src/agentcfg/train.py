@@ -95,7 +95,8 @@ class PPOConfig:
         _require_finite("ppo", self)
         _require("ppo", self, ">= 1", lambda v: v >= 1, "batch_size", "epochs_per_batch")
         _require("ppo", self, "> 0", lambda v: v > 0, "clip_eps", "max_grad_norm")
-        _require("ppo", self, ">= 0", lambda v: v >= 0, "lr_struct", "lr_prompt")
+        _require("ppo", self, ">= 0", lambda v: v >= 0, "lr_struct", "lr_prompt",
+                 "entropy_coef", "value_coef")
         _require("ppo", self, "in [0, 1]", lambda v: 0 <= v <= 1, "gamma")
 
 
@@ -112,7 +113,7 @@ class SFTConfig:
         _require_finite("sft", self)
         _require("sft", self, "in (0, 1]", lambda v: 0 < v <= 1, "elite_fraction")
         _require("sft", self, ">= 1", lambda v: v >= 1, "epochs")
-        _require("sft", self, ">= 0", lambda v: v >= 0, "lr_struct", "lr_prompt")
+        _require("sft", self, ">= 0", lambda v: v >= 0, "lr_struct", "lr_prompt", "entropy_reg")
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,11 @@ class DPOConfig:
         _require("dpo", self, ">= 1", lambda v: v >= 1, "epochs")
         _require("dpo", self, "> 0", lambda v: v > 0, "beta", "max_grad_norm")
         _require("dpo", self, ">= 0", lambda v: v >= 0, "lr_struct", "lr_prompt")
+        # Disjoint positives and negatives: no record can pair with itself.
+        if not self.positive_reward > self.negative_reward:
+            raise ConfigError(
+                f"dpo.positive_reward must be > dpo.negative_reward, got "
+                f"{self.positive_reward!r} <= {self.negative_reward!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -609,15 +615,19 @@ def dpo_update(
     cfg: DPOConfig,
 ):
     """Preference refinement against the pre-update policy as reference.
-    Positives pair with their nearest-state negative, one pair per positive."""
+    Positives pair with their nearest-state negative, one pair per positive;
+    a record in several pairs, or records of one (state, configuration),
+    share one reference log-prob."""
     pairs = _dpo_pairs(buffer, cfg)
-    ref_lps = [
-        (
-            _config_log_prob(struct_policy, prompt_policy, table, pos),
-            _config_log_prob(struct_policy, prompt_policy, table, neg),
-        )
-        for pos, neg in pairs
-    ]
+    ref = {}
+
+    def ref_lp(r: EpisodeRecord) -> float:
+        key = (r.state.as_vector().tobytes(), action_key(r.structure_action, r.prompt_actions))
+        if key not in ref:
+            ref[key] = _config_log_prob(struct_policy, prompt_policy, table, r)
+        return ref[key]
+
+    ref_lps = [(ref_lp(pos), ref_lp(neg)) for pos, neg in pairs]
     batch = _pair_batch(prompt_policy, table, pairs)
     opt_struct = AdamState.for_params(struct_policy.trunk.params)
     opt_prompt = AdamState.for_params(prompt_policy.net.params)

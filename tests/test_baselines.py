@@ -1,5 +1,6 @@
 """Search and flat-policy baselines over the shared evaluation harness."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from agentcfg.core import (
+    EVALUATOR_OPTIMIZER_ID,
     ROLES,
     Configuration,
     PromptAtom,
@@ -80,6 +82,13 @@ def full_subspace(table, library):
             yield Configuration(action, prompts)
 
 
+class _KeepsNothing(dict):
+    """A draw memo that stores nothing: every execution draws afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 class TestHarness:
     def test_counts_evaluations(self):
         env = single_query_env(SyntheticQuerySpec(0.0, 0, 1), compact_atom_library())
@@ -124,6 +133,64 @@ class TestHarness:
         h = Harness(env=env, reward_cfg=REWARD, seed=3, expected_mode=False)
         first, _, again = (h.evaluate(c, 10) for c in (c1, c2, c1))
         assert first == again
+
+    @staticmethod
+    def _plain_and_jittered(n_queries):
+        """One env and a copy whose queries draw token jitter: a harness
+        moved from one to the other reuses its seeds under another jitter."""
+        env = build_env(QueryDistribution(), n_queries, seed=3,
+                        library=compact_atom_library(), semantic_dim=8)
+        specs = {k: dataclasses.replace(s, noise_scale=3.0) for k, s in env.specs.items()}
+        return env, dataclasses.replace(env, specs=specs)
+
+    def test_sampled_searches_same_with_and_without_the_draw_memo(self):
+        # the default grid mixes EvaluatorOptimizer and other workflows, so
+        # every seed's draws are taken with and without extra iterations
+        library = compact_atom_library()
+        table = default_mask_table()
+        grid = default_grid(table, library)
+        budget = SearchBudget(max_evaluations=40, episodes_per_evaluation=6)
+        traces = []
+        for memo in (True, False):
+            h = Harness(env=None, reward_cfg=REWARD, seed=5, expected_mode=False)
+            if not memo:
+                h._draws = _KeepsNothing()
+            runs = []
+            for env in self._plain_and_jittered(3):
+                h.env = env
+                runs.append(grid_search(h, grid, budget))
+                runs.append(greedy_search(h, table, library, budget))
+            traces.append(runs)
+        assert traces[0] == traces[1]
+
+    def test_reused_harness_scores_like_a_fresh_one(self):
+        library = compact_atom_library()
+        grid = default_grid(default_mask_table(), library)
+        assert {c.structure.workflow_id == EVALUATOR_OPTIMIZER_ID for c in grid} == {True, False}
+        h = Harness(env=None, reward_cfg=REWARD, seed=2, expected_mode=False)
+        for env in self._plain_and_jittered(2):
+            h.env = env
+            for episodes in (2, 7):
+                for c in grid:
+                    fresh = Harness(env=env, reward_cfg=REWARD, seed=2, expected_mode=False)
+                    assert h.evaluate(c, episodes) == fresh.evaluate(c, episodes)
+
+    def test_draw_memo_holds_two_entries_per_seed(self):
+        library = compact_atom_library()
+        table = default_mask_table()
+        env, jittered = self._plain_and_jittered(3)
+        h = Harness(env=env, reward_cfg=REWARD, seed=1, expected_mode=False)
+        for episodes in (4, 9, 5):
+            budget = SearchBudget(max_evaluations=30, episodes_per_evaluation=episodes)
+            grid_search(h, default_grid(table, library), budget)
+            greedy_search(h, table, library, budget)
+            # Q x largest E seeds, each with and without extra iterations
+            assert len(h._draws) <= 3 * 9 * 2
+        assert len(h._draws) == 3 * 9 * 2
+        # the same seeds under another jitter are drawn apart
+        h.env = jittered
+        greedy_search(h, table, library, budget)
+        assert len(h._draws) == 3 * 9 * 2 + 3 * 5 * 2
 
     def test_expected_mode_is_the_mean_expected_reward(self):
         env = build_env(QueryDistribution(), 5, seed=4, semantic_dim=8)

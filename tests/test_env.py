@@ -189,6 +189,25 @@ class TestExecution:
                     assert env.expected_reward(q, c, REWARD) == expected_reward(
                         spec, c, MODEL, library, REWARD)
 
+    def test_execute_memo_matches_fresh_draws(self):
+        # one memo across EvaluatorOptimizer and other configurations, and
+        # queries with and without token jitter, run on the same seeds: each
+        # of the two changes which numbers a seed's execution draws
+        queries = [Query(id=f"q{j}", text=QUERY.text, gold_answer="yes") for j in range(2)]
+        specs = {"q0": SyntheticQuerySpec(0.4, 0b01, 2, noise_scale=0.0),
+                 "q1": SyntheticQuerySpec(0.4, 0b01, 2, noise_scale=3.0)}
+        env = SyntheticEnv(queries=queries, specs=specs, library=LIB, semantic_dim=8)
+        configs = [cfg(7, t1=0b01, budgets=(1, 2, 0), prompts=((1,), (2,))),
+                   cfg(0, budgets=(2, 0, 0), prompts=((0,),)),
+                   cfg(7), cfg(8, t1=0b11)]
+        memo = {}
+        for seed in range(40):
+            for c in configs[seed % 2:] + configs[: seed % 2]:
+                for q in queries[::1 - 2 * (seed % 2)]:
+                    assert env.execute(q, c, seed, memo) == execute_synthetic(
+                        q, specs[q.id], c, MODEL, LIB, seed)
+        assert len(memo) == 40 * 2 * 2   # seeds x EvaluatorOptimizer or not x jitter
+
     def test_expected_matches_monte_carlo(self):
         rng = np.random.default_rng(0)
         for spec, c in [

@@ -24,7 +24,7 @@ from agentcfg.core import (
 from agentcfg.env import compact_atom_library, default_atom_library
 from agentcfg.errors import (ContractError, InvalidActionError, InvalidMaskError,
                              TrainingDivergenceError)
-from agentcfg.numeric import MaskedCategorical, entropy, masked_softmax, sample
+from agentcfg.numeric import MaskedCategorical, entropy, log_prob, masked_softmax, sample
 from agentcfg import policy as policy_module
 from agentcfg.policy import (
     HEAD_NAMES,
@@ -273,7 +273,12 @@ class TestStructurePolicy:
         for _ in range(20):
             a, lp, ents = sample_structure(policy, table, s, rng)
             assert len(ents) == len(HEAD_SIZES)
-            assert lp == pytest.approx(log_prob_structure(policy, table, s, a), abs=1e-12)
+            assert log_prob_structure(policy, table, s, a) == lp
+            # and to the bit the sum over one MaskedCategorical per head
+            heads = iter(a.heads)
+            replayed = reference_structure(
+                policy, table, s, lambda d: (c := next(heads), log_prob(d, c)))
+            assert replayed[:2] == (a, lp)
 
     def test_forced_one_hot_table_log_prob_zero(self):
         def one_hot(size, choice):

@@ -183,6 +183,11 @@ class TestRunConfig:
         ({"refinement": "dpo", "dpo": {"beta": -0.05}}, "dpo.beta"),
         ({"ppo": {"gamma": -0.1}}, "ppo.gamma"),
         ({"ppo": {"gamma": 1.5}}, "ppo.gamma"),
+        ({"ppo": {"value_coef": -0.5}}, "ppo.value_coef"),
+        ({"ppo": {"entropy_coef": -0.05}}, "ppo.entropy_coef"),
+        ({"sft": {"entropy_reg": -0.01}}, "sft.entropy_reg"),
+        ({"refinement": "dpo", "dpo": {"positive_reward": 1.0, "negative_reward": 4.0}},
+         "dpo.positive_reward"),
     ])
     def test_bad_training_value_fails_as_config_error(self, tmp_path, capsys, data, field):
         from agentcfg.cli import main

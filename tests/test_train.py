@@ -16,6 +16,7 @@ from agentcfg.core import (
 )
 from agentcfg.env import QueryDistribution, build_env, compact_atom_library
 from agentcfg.errors import (
+    ConfigError,
     ContractError,
     EmptyEliteError,
     NoPairsError,
@@ -611,6 +612,41 @@ class TestDPO:
                     continue
                 worst = max(worst, abs(fd - flat_g[i]) / max(abs(fd), abs(flat_g[i]), 1e-7))
         assert worst < 1e-4
+
+    def test_reference_log_prob_once_per_configuration(self, monkeypatch):
+        from agentcfg import train
+
+        # two positives of one state and configuration, both nearest to one
+        # negative: three pair members, two reference log-probs
+        buf = ExperienceBuffer()
+        for _ in range(2):
+            buf.append(make_record(5.0, workflow=0, prompts=((0,),), seed=1))
+        buf.append(make_record(1.0, correct=False, workflow=1, prompts=((), ()), seed=1))
+        scored = []
+
+        def counted(struct, prompt, table, record):
+            scored.append(record)
+            return _config_log_prob(struct, prompt, table, record)
+
+        monkeypatch.setattr(train, "_config_log_prob", counted)
+        struct, prompt = make_policies(20)
+        losses = dpo_update(struct, prompt, TABLE, buf, DPOConfig(epochs=1))
+        assert scored == [buf[0], buf[2]]
+        assert losses == [pytest.approx(math.log(2.0), abs=1e-12)]
+
+    def test_thresholds_must_separate_positives_from_negatives(self):
+        # a correct reward-3.0 record would be its own nearest negative
+        buf = ExperienceBuffer()
+        buf.append(make_record(3.0, correct=True, seed=1))
+        buf.append(make_record(0.5, correct=False, seed=2))
+        for pos, neg in ((1.0, 4.0), (3.0, 3.0)):
+            with pytest.raises(ConfigError, match=r"dpo\.positive_reward.*dpo\.negative_reward"):
+                DPOConfig(positive_reward=pos, negative_reward=neg)
+        cfg = DPOConfig()
+        assert (cfg.positive_reward, cfg.negative_reward) == (4.0, 2.0)
+        struct, prompt = make_policies(21)
+        with pytest.raises(NoPairsError):   # 3.0 is neither a positive nor a negative
+            dpo_update(struct, prompt, TABLE, buf, cfg)
 
     def test_missing_side_raises(self):
         struct, prompt = make_policies(18)
