@@ -33,11 +33,19 @@ from .numeric import (
     adam_step,
     clip_grad_norm,
     log_prob,
+    masked_categoricals,
     sample,
     score_choices,
     score_vjp,
 )
-from .policy import HEAD_NAMES, HEAD_SIZES, MaskTable, default_mask_table, head_columns
+from .policy import (
+    HEAD_NAMES,
+    HEAD_SIZES,
+    MaskTable,
+    all_ones_mask_table,
+    default_mask_table,
+    head_columns,
+)
 from .reward import RewardConfig, shaped_reward
 from .train import (
     PPOConfig,
@@ -293,18 +301,29 @@ class BanditPolicy:
             for i in range(len(self.head_sizes))
         ]
 
-    def act(self, s_vec, rng) -> FlatEpisode:
-        choices, log_probs = [], []
-        for z in self.head_logits(s_vec):
-            c, lp = sample(MaskedCategorical(z, np.ones(len(z))), rng)
-            choices.append(c)
-            log_probs.append(lp)
-        decision = FlatDecision(s_vec, self._mask, np.array(choices), np.array(log_probs))
-        *heads, atom = choices
-        structure = StructureAction.from_heads(heads)
-        prompt = (atom,) if atom < self.n_atoms else ()
-        config = Configuration(structure, (prompt,) * structure.workflow.agents_active)
-        return FlatEpisode(decisions=[decision], config=config)
+    def act(self, s_vecs, rngs) -> list[FlatEpisode]:
+        """One episode per state vector of a batch: one net pass and one
+        padded masked categorical over every row's seven heads. Row e draws
+        its heads in order from rngs[e], so the draws are those of acting
+        on the row alone; a log-prob can differ from a one-row pass's in the
+        last bits."""
+        inputs = np.array(s_vecs, dtype=np.float64)
+        n_heads = len(self.head_sizes)
+        logits = self.net.forward_batch(inputs)[0][:, self.columns]
+        dists = masked_categoricals(logits.reshape(-1, logits.shape[-1]),
+                                    np.tile(self._mask, (len(inputs), 1)))
+        episodes = []
+        for e, rng in enumerate(rngs):
+            choices, log_probs = zip(*(sample(d, rng)
+                                       for d in dists[e * n_heads : (e + 1) * n_heads]))
+            decision = FlatDecision(inputs[e], self._mask, np.array(choices),
+                                    np.array(log_probs))
+            *heads, atom = choices
+            structure = StructureAction.from_heads(heads)
+            prompt = (atom,) if atom < self.n_atoms else ()
+            config = Configuration(structure, (prompt,) * structure.workflow.agents_active)
+            episodes.append(FlatEpisode(decisions=[decision], config=config))
+        return episodes
 
     def probability_of(self, s_vec, config: Configuration, atom: Optional[int]) -> float:
         """Joint probability of a flat choice tuple (probe helper)."""
@@ -341,67 +360,81 @@ class FlatEpisodePolicy:
         self.net = DenseNet([self.input_dim, *hidden, self.max_arity], rng=rng)
         self.value_net = DenseNet([self.input_dim, *hidden, 1], rng=rng)
 
-    def stage_input(self, s_vec, stage, workflow_id, chosen_atoms, agent):
-        stage_onehot = np.zeros(self.n_stages)
-        stage_onehot[stage] = 1.0
-        wf = np.zeros(N_WORKFLOWS)
-        if workflow_id is not None:
-            wf[workflow_id] = 1.0
-        atoms = np.zeros(self.n_atoms)
-        for a in chosen_atoms:
-            atoms[a] = 1.0
-        agent_onehot = np.zeros(3)
-        if agent is not None:
-            agent_onehot[agent] = 1.0
-        return np.concatenate([s_vec, stage_onehot, wf, atoms, agent_onehot])
+    def _choose(self, inputs, masks, rows, rngs, decisions) -> list[int]:
+        """One step of the given rows: one net pass and one masked
+        categorical over their inputs and masks; row e draws from rngs[e]
+        and records its decision on a copy of its input and mask."""
+        x = inputs[rows]
+        picked = []
+        for e, x_row, d in zip(rows, x, masked_categoricals(self.net.forward_batch(x)[0],
+                                                            masks[rows])):
+            c, lp = sample(d, rngs[e])
+            decisions[e].append(FlatDecision(x_row, d.mask, c, lp))
+            picked.append(c)
+        return picked
 
-    def _arity_mask(self, arity: int) -> np.ndarray:
-        mask = np.zeros(self.max_arity)
-        mask[:arity] = 1.0
-        return mask
-
-    def _struct_stage_mask(self, stage: int, workflow_id, table: Optional[MaskTable]):
-        mask = self._arity_mask(HEAD_SIZES[stage])
-        if table is not None:
-            if stage == 0:
-                mask[: N_WORKFLOWS] *= table.workflow_mask
-            else:
-                mask[: HEAD_SIZES[stage]] *= table.masks_for(workflow_id)[stage - 1]
-        return mask
-
-    def act(self, s_vec, rng, table: Optional[MaskTable] = None) -> FlatEpisode:
-        decisions = []
-        choices = []
-        workflow_id = None
+    def act(self, s_vecs, rngs, table: Optional[MaskTable] = None) -> list[FlatEpisode]:
+        """One episode per state vector of a batch, every episode walking
+        the six structure stages and then its atom/STOP steps in lockstep:
+        one net pass and one masked categorical per step over the rows
+        still choosing. The rows' stage inputs and masks are edited in place
+        between steps. Row e draws from rngs[e] in its own order, so the
+        draws are those of acting on the row alone; a log-prob can differ
+        from a one-row pass's in the last bits."""
+        n = len(rngs)
+        rows = list(range(n))
+        stage_at = self.state_dim
+        wf_at = stage_at + self.n_stages
+        atom_at = wf_at + N_WORKFLOWS
+        agent_at = atom_at + self.n_atoms
+        inputs = np.zeros((n, self.input_dim))
+        inputs[:, :stage_at] = s_vecs
+        decisions: list[list[FlatDecision]] = [[] for _ in range(n)]
+        # (stage, workflow, slot): each structure stage's arity, narrowed by
+        # table under the chosen workflow (the workflow stage's rows are alike)
+        layout = (table if table is not None else all_ones_mask_table()).layout().masks
+        struct_masks = np.zeros((self.STRUCT_STAGES, N_WORKFLOWS, self.max_arity))
+        struct_masks[:, :, : layout.shape[-1]] = layout.transpose(1, 0, 2)
+        heads = np.zeros((n, self.STRUCT_STAGES), dtype=np.intp)
         for stage in range(self.STRUCT_STAGES):
-            x = self.stage_input(s_vec, stage, workflow_id, [], None)
-            mask = self._struct_stage_mask(stage, workflow_id, table)
-            dist = MaskedCategorical(self.net.forward(x), mask)
-            c, lp = sample(dist, rng)
-            decisions.append(FlatDecision(x, mask, c, lp))
-            choices.append(c)
+            inputs[:, stage_at:wf_at] = np.eye(self.n_stages)[stage]
+            heads[:, stage] = self._choose(inputs, struct_masks[stage, heads[:, 0]], rows,
+                                           rngs, decisions)
             if stage == 0:
-                workflow_id = c
-        structure = StructureAction.from_heads(choices)
-        wf = structure.workflow_id
-        sequences = []
-        for agent in range(structure.workflow.agents_active):
-            chosen: list[int] = []
-            while True:
-                x = self.stage_input(s_vec, self.STRUCT_STAGES, wf, chosen, agent)
-                mask = self._arity_mask(self.n_atoms + 1)
-                for a in chosen:
-                    mask[a] = 0.0
-                if len(chosen) >= MAX_PROMPT_LEN:
-                    mask[: self.n_atoms] = 0.0
-                dist = MaskedCategorical(self.net.forward(x), mask)
-                c, lp = sample(dist, rng)
-                decisions.append(FlatDecision(x, mask, c, lp))
+                inputs[rows, wf_at + heads[:, 0]] = 1.0
+        structures = [StructureAction.from_heads(h) for h in heads.tolist()]
+
+        inputs[:, stage_at:wf_at] = np.eye(self.n_stages)[self.STRUCT_STAGES]
+        inputs[:, agent_at] = 1.0  # agent 0
+        first_mask = np.zeros(self.max_arity)
+        first_mask[: self.n_atoms + 1] = 1.0
+        masks = np.tile(first_mask, (n, 1))
+        n_agents = [a.workflow.agents_active for a in structures]
+        agent = [0] * n
+        chosen: list[list[int]] = [[] for _ in range(n)]
+        sequences: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+        while rows:
+            still = []
+            for e, c in zip(rows, self._choose(inputs, masks, rows, rngs, decisions)):
                 if c == self.stop_index:
-                    break
-                chosen.append(c)
-            sequences.append(tuple(chosen))
-        return FlatEpisode(decisions=decisions, config=Configuration(structure, tuple(sequences)))
+                    sequences[e].append(tuple(chosen[e]))
+                    chosen[e] = []
+                    agent[e] += 1
+                    if agent[e] == n_agents[e]:
+                        continue
+                    inputs[e, atom_at:] = 0.0
+                    inputs[e, agent_at + agent[e]] = 1.0
+                    masks[e] = first_mask
+                else:
+                    chosen[e].append(c)
+                    inputs[e, atom_at + c] = 1.0
+                    masks[e, c] = 0.0
+                    if len(chosen[e]) >= MAX_PROMPT_LEN:
+                        masks[e, : self.n_atoms] = 0.0
+                still.append(e)
+            rows = still
+        return [FlatEpisode(decisions=d, config=Configuration(a, tuple(seqs)))
+                for d, a, seqs in zip(decisions, structures, sequences)]
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +445,20 @@ class FlatEpisodePolicy:
 def _flat_collect(policy, env, n, reward_cfg, run_seed, start, gamma,
                   table=None) -> list[FlatEpisode]:
     """Episodes start..start+n-1 of `collect_rollouts`' episode stream,
-    configured by a flat policy (under table, if one is given)."""
-    episodes = []
-    for idx, rng, query, state in _episode_starts(env, run_seed, start, n):
-        s_vec = state.as_vector()
-        ep = policy.act(s_vec, rng) if table is None else policy.act(s_vec, rng, table)
+    configured by one lockstep `act` of a flat policy over the whole batch
+    (under table, if one is given), then executed and given their value
+    targets in episode order."""
+    starts = list(_episode_starts(env, run_seed, start, n))
+    s_vecs = [state.as_vector() for _, _, _, state in starts]
+    rngs = [rng for _, rng, _, _ in starts]
+    episodes = policy.act(s_vecs, rngs) if table is None else policy.act(s_vecs, rngs, table)
+    for (idx, _, query, _), ep in zip(starts, episodes):
         outcome = env.execute(query, ep.config, _episode_seed(run_seed, idx))
         ep.reward = shaped_reward(outcome, reward_cfg)[0]
         k = len(ep.decisions)
         for j, d in enumerate(ep.decisions):
             remaining = k - 1 - j
             d.target = ep.reward if (gamma == 0.0 or remaining == 0) else gamma**remaining * ep.reward
-        episodes.append(ep)
     return episodes
 
 

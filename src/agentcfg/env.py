@@ -54,15 +54,16 @@ class SyntheticQuerySpec:
     difficulty: float
     required_tools: int          # 4-bit subset
     required_depth: int          # minimum agents_active needed
-    noise_scale: float = 0.0
+    noise_scale: float = 0.0     # half-width of the token jitter, in whole tokens
 
     def __post_init__(self):
         if not 0.0 <= self.difficulty <= 1.0:
             raise ContractError(f"difficulty out of [0,1]: {self.difficulty}")
         if not 1 <= self.required_depth <= 3:
             raise ContractError(f"required_depth out of 1..3: {self.required_depth}")
-        if self.noise_scale < 0:
-            raise ContractError("noise_scale must be >= 0")
+        if not (self.noise_scale >= 0 and float(self.noise_scale).is_integer()):
+            raise ContractError(
+                f"noise_scale must be a whole number of tokens >= 0, got {self.noise_scale!r}")
 
     @functools.cached_property
     def terms(self) -> _QueryTerms:

@@ -77,7 +77,7 @@ class EnvConfig:
     depth_probs: tuple = (0.5, 0.3, 0.2)
     difficulty_low: float = 0.0
     difficulty_high: float = 0.8
-    noise_scale: float = 0.0
+    noise_scale: float = 0.0  # half-width of the token jitter, in whole tokens
 
     def __post_init__(self):
         _require("env", self, ">= 1", lambda v: v >= 1, "n_queries", "semantic_dim")
@@ -89,7 +89,8 @@ class EnvConfig:
                 f"env.depth_probs must be 3 non-negative numbers summing to 1, got {probs!r}"
             )
         _require("env", self, "in [0, 1]", lambda v: 0.0 <= v <= 1.0, "tool_prob")
-        _require("env", self, ">= 0", lambda v: v >= 0, "noise_scale")
+        _require("env", self, "a whole number >= 0",
+                 lambda v: v >= 0 and float(v).is_integer(), "noise_scale")
         if not self.difficulty_low <= self.difficulty_high:
             raise ConfigError(
                 f"env.difficulty_low ({self.difficulty_low!r}) must not exceed "

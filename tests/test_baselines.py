@@ -9,6 +9,8 @@ import pytest
 
 from agentcfg.core import (
     EVALUATOR_OPTIMIZER_ID,
+    MAX_PROMPT_LEN,
+    N_WORKFLOWS,
     ROLES,
     Configuration,
     PromptAtom,
@@ -35,12 +37,14 @@ from agentcfg.env import (
     brute_force_best,
     build_env,
     compact_atom_library,
+    default_atom_library,
     rank_key,
 )
 from agentcfg.errors import ContractError
-from agentcfg.numeric import AdamState, score_choices, score_vjp
+from agentcfg.numeric import AdamState, MaskedCategorical, sample, score_choices, score_vjp
 from agentcfg.policy import (
     HEAD_NAMES,
+    HEAD_SIZES,
     PromptPolicy,
     StructurePolicy,
     all_ones_mask_table,
@@ -51,6 +55,8 @@ from agentcfg.policy import (
 from agentcfg.reward import RewardConfig, shaped_reward
 from agentcfg.train import (
     PPOConfig,
+    _episode_seed,
+    _episode_starts,
     _normalize,
     _ppo_terms,
     _value_regression,
@@ -452,7 +458,7 @@ class TestFlatEpisodePolicy:
                                    rng=np.random.default_rng(1))
         rng = np.random.default_rng(2)
         for _ in range(200):
-            ep = policy.act(np.zeros(13), rng)
+            ep = policy.act([np.zeros(13)], [rng])[0]
             n_agents = ep.config.structure.workflow.agents_active
             n_atom_steps = sum(len(seq) + 1 for seq in ep.config.prompts)
             assert len(ep.decisions) == 6 + n_atom_steps
@@ -467,7 +473,7 @@ class TestFlatEpisodePolicy:
         table = default_mask_table()
         rng = np.random.default_rng(4)
         seen_invalid = any(
-            not table.is_valid(policy.act(np.zeros(13), rng).config.structure)
+            not table.is_valid(policy.act([np.zeros(13)], [rng])[0].config.structure)
             for _ in range(500)
         )
         assert seen_invalid
@@ -479,7 +485,7 @@ class TestFlatEpisodePolicy:
         table = default_mask_table()
         rng = np.random.default_rng(6)
         for _ in range(500):
-            ep = policy.act(np.zeros(13), rng, table=table)
+            ep = policy.act([np.zeros(13)], [rng], table=table)[0]
             assert table.is_valid(ep.config.structure)
 
     def test_training_runs(self):
@@ -490,6 +496,141 @@ class TestFlatEpisodePolicy:
                                                         hidden=(16,))
         assert len(diagnostics) == 2
         assert all(math.isfinite(d["loss"]) for d in diagnostics)
+
+
+
+def _reference_bandit_act(policy, s_vec, rng):
+    """One episode of the bandit, one net row and one categorical per head:
+    the per-episode loop the lockstep `act` replaced."""
+    choices, log_probs = [], []
+    for z in policy.head_logits(s_vec):
+        c, lp = sample(MaskedCategorical(z, np.ones(len(z))), rng)
+        choices.append(c)
+        log_probs.append(lp)
+    *heads, atom = choices
+    structure = StructureAction.from_heads(heads)
+    prompt = (atom,) if atom < policy.n_atoms else ()
+    config = Configuration(structure, (prompt,) * structure.workflow.agents_active)
+    decision = baselines.FlatDecision(s_vec, policy._mask, np.array(choices),
+                                      np.array(log_probs))
+    return baselines.FlatEpisode([decision], config)
+
+
+def _reference_flat_act(policy, s_vec, rng, table=None):
+    """One episode of the flat sequential policy, one net row per decision,
+    each stage input and mask built from scratch: the per-episode loop the
+    lockstep `act` replaced."""
+    def stage_input(stage, workflow_id, chosen, agent):
+        parts = [np.zeros(k) for k in (policy.n_stages, N_WORKFLOWS, policy.n_atoms, 3)]
+        parts[0][stage] = 1.0
+        if workflow_id is not None:
+            parts[1][workflow_id] = 1.0
+        parts[2][list(chosen)] = 1.0
+        if agent is not None:
+            parts[3][agent] = 1.0
+        return np.concatenate([s_vec, *parts])
+
+    def arity_mask(arity):
+        mask = np.zeros(policy.max_arity)
+        mask[:arity] = 1.0
+        return mask
+
+    decisions, heads, wf = [], [], None
+    for stage, size in enumerate(HEAD_SIZES):
+        x, mask = stage_input(stage, wf, (), None), arity_mask(size)
+        if table is not None:
+            mask[:size] *= table.workflow_mask if stage == 0 else table.masks_for(wf)[stage - 1]
+        c, lp = sample(MaskedCategorical(policy.net.forward(x), mask), rng)
+        decisions.append(baselines.FlatDecision(x, mask, c, lp))
+        heads.append(c)
+        wf = heads[0]
+    structure = StructureAction.from_heads(heads)
+    sequences = []
+    for agent in range(structure.workflow.agents_active):
+        chosen = []
+        while True:
+            x = stage_input(len(HEAD_SIZES), wf, chosen, agent)
+            mask = arity_mask(policy.n_atoms + 1)
+            mask[chosen] = 0.0
+            if len(chosen) >= MAX_PROMPT_LEN:
+                mask[: policy.n_atoms] = 0.0
+            c, lp = sample(MaskedCategorical(policy.net.forward(x), mask), rng)
+            decisions.append(baselines.FlatDecision(x, mask, c, lp))
+            if c == policy.stop_index:
+                break
+            chosen.append(c)
+        sequences.append(tuple(chosen))
+    return baselines.FlatEpisode(decisions, Configuration(structure, tuple(sequences)))
+
+
+def _assert_same_episode(got, want):
+    assert got.config == want.config
+    assert len(got.decisions) == len(want.decisions)
+    for d, w in zip(got.decisions, want.decisions):
+        assert np.array_equal(d.action, w.action)
+        assert np.array_equal(d.input_vec, w.input_vec)
+        assert np.array_equal(d.mask, w.mask)
+        assert np.max(np.abs(np.asarray(d.log_prob) - w.log_prob)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 5, 32])
+@pytest.mark.parametrize("kind", ["bandit", "flat", "flat-table"])
+def test_lockstep_act_matches_acting_row_by_row(kind, n):
+    """A batch acts as its rows would alone and as the one-row loop does:
+    the same configurations, decisions, inputs and masks, log-probs within
+    a last-bit difference of batched net rows, and every generator left in
+    the same state."""
+    library = default_atom_library()
+    if kind == "bandit":
+        policy = BanditPolicy(13, len(library), hidden=(16,), rng=np.random.default_rng(8))
+        act = policy.act
+        reference = lambda s_vec, rng: _reference_bandit_act(policy, s_vec, rng)
+    else:
+        policy = FlatEpisodePolicy(13, library, hidden=(16,), rng=np.random.default_rng(8))
+        kw = {"table": default_mask_table()} if kind == "flat-table" else {}
+        act = lambda s_vecs, rngs: policy.act(s_vecs, rngs, **kw)
+        reference = lambda s_vec, rng: _reference_flat_act(policy, s_vec, rng, **kw)
+    s_vecs = list(np.random.default_rng(9).normal(size=(n, 13)))
+
+    def generators():
+        return [np.random.default_rng([10, e]) for e in range(n)]
+
+    batch_rngs, alone_rngs, reference_rngs = generators(), generators(), generators()
+    batch = act(s_vecs, batch_rngs)
+    assert len(batch) == n
+    for e, ep in enumerate(batch):
+        alone = act([s_vecs[e]], [alone_rngs[e]])
+        assert len(alone) == 1
+        _assert_same_episode(ep, alone[0])
+        _assert_same_episode(ep, reference(s_vecs[e], reference_rngs[e]))
+    for rngs in (alone_rngs, reference_rngs):
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in batch_rngs]
+    if kind != "bandit" and n == 32:  # the batch reaches the prompt-length cap
+        assert any(len(seq) == MAX_PROMPT_LEN for ep in batch for seq in ep.config.prompts)
+
+
+@pytest.mark.parametrize("kind", ["bandit", "flat", "flat-table"])
+def test_flat_collect_matches_a_row_by_row_loop(kind, monkeypatch):
+    env = build_env(QueryDistribution(), 6, seed=4, library=default_atom_library(),
+                    semantic_dim=8)
+    table = default_mask_table() if kind == "flat-table" else None
+    if kind == "bandit":
+        policy = BanditPolicy(13, len(env.library), hidden=(8,), rng=np.random.default_rng(5))
+    else:
+        policy = FlatEpisodePolicy(13, env.library, hidden=(8,), rng=np.random.default_rng(5))
+    kw = {} if table is None else {"table": table}
+    executed = []
+    execute = env.execute
+    monkeypatch.setattr(env, "execute", lambda query, config, seed: (
+        executed.append((query.id, config, seed)) or execute(query, config, seed)))
+    episodes = baselines._flat_collect(policy, env, 12, REWARD, 7, 5, 0.9, table)
+    got, executed[:] = list(executed), []
+    want = []
+    for idx, rng, query, state in _episode_starts(env, 7, 5, 12):
+        (ep,) = policy.act([state.as_vector()], [rng], **kw)
+        want.append((query.id, ep.config, _episode_seed(7, idx)))
+    assert got == want
+    assert [ep.config for ep in episodes] == [config for _, config, _ in want]
 
 
 class TestRandomPolicy:

@@ -208,6 +208,16 @@ class TestExecution:
                         q, specs[q.id], c, MODEL, LIB, seed)
         assert len(memo) == 40 * 2 * 2   # seeds x EvaluatorOptimizer or not x jitter
 
+    @pytest.mark.parametrize("noise_scale", [-1.0, 0.5, 0.9, 1.5, float("nan"), float("inf")])
+    def test_noise_scale_must_be_whole_tokens(self, noise_scale):
+        # the jitter is a half-width in whole tokens: a fraction would be
+        # truncated away
+        with pytest.raises(ContractError, match="noise_scale"):
+            SyntheticQuerySpec(0.4, 0b01, 2, noise_scale=noise_scale)
+        with pytest.raises(ContractError, match="noise_scale"):
+            build_env(QueryDistribution(noise_scale=noise_scale), 2, seed=0, library=LIB,
+                      semantic_dim=8)
+
     def test_expected_matches_monte_carlo(self):
         rng = np.random.default_rng(0)
         for spec, c in [

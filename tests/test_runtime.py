@@ -188,6 +188,9 @@ class TestRunConfig:
         ({"sft": {"entropy_reg": -0.01}}, "sft.entropy_reg"),
         ({"refinement": "dpo", "dpo": {"positive_reward": 1.0, "negative_reward": 4.0}},
          "dpo.positive_reward"),
+        ({"env": {"noise_scale": 0.5}}, "env.noise_scale"),
+        ({"env": {"noise_scale": 1.5}}, "env.noise_scale"),
+        ({"env": {"noise_scale": float("inf")}}, "env.noise_scale"),
     ])
     def test_bad_training_value_fails_as_config_error(self, tmp_path, capsys, data, field):
         from agentcfg.cli import main
