@@ -46,4 +46,5 @@ class ResponseParseError(AgentCfgError):
 
 
 class PersistenceError(AgentCfgError):
-    """Episode persistence failed (malformed line, truncated file, ...)."""
+    """Saved data failed to load: an episode file or parameter file is
+    missing, malformed or truncated."""

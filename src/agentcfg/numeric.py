@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import atomic_write
-from .errors import (ContractError, InvalidActionError, InvalidMaskError, ShapeError,
-                     TrainingDivergenceError)
+from .errors import (ContractError, InvalidActionError, InvalidMaskError, PersistenceError,
+                     ShapeError, TrainingDivergenceError)
 
 # ---------------------------------------------------------------------------
 # Dense networks
@@ -156,15 +156,35 @@ def save_net(net: DenseNet, path) -> None:
 
 
 def load_net(path) -> DenseNet:
-    with open(path, "rb") as fh:
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        blob = fh.read()
-    if header.get("format_version") != PARAM_FORMAT_VERSION:
-        raise ShapeError(f"unsupported parameter format: {header}")
-    net = DenseNet(header["layer_sizes"])
-    flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    net.set_flat(flat)
+    """The net `save_net` wrote to path. Raises PersistenceError naming path
+    when the file is missing, cut short or not a parameter file."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise PersistenceError(f"{path}: cannot read parameter file: {exc.strerror}") from exc
+    if len(data) < 8:
+        raise PersistenceError(f"{path}: not a parameter file: {len(data)} bytes, "
+                               "shorter than the header length")
+    (hlen,) = struct.unpack_from("<Q", data)
+    try:
+        header = json.loads(data[8 : 8 + hlen])
+    except ValueError as exc:
+        raise PersistenceError(f"{path}: not a parameter file: bad header ({exc})") from exc
+    if not isinstance(header, dict) or header.get("format_version") != PARAM_FORMAT_VERSION:
+        raise PersistenceError(f"{path}: unsupported parameter format: {header!r}")
+    sizes = header.get("layer_sizes")
+    if not (isinstance(sizes, list) and len(sizes) >= 2 and all(
+            isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in sizes)):
+        raise PersistenceError(f"{path}: layer_sizes must list two or more positive "
+                               f"integers, got {sizes!r}")
+    blob = data[8 + hlen :]
+    expected = 8 * sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:]))
+    if len(blob) != expected:
+        raise PersistenceError(f"{path}: {len(blob)} bytes of parameters, expected "
+                               f"{expected} for layer sizes {sizes}")
+    net = DenseNet(sizes)
+    net.set_flat(np.frombuffer(blob, dtype="<f8").astype(np.float64))
     return net
 
 

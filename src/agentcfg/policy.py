@@ -11,7 +11,6 @@ always computed over the same valid support.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -34,7 +33,7 @@ from .core import (
     validate_library,
 )
 from .errors import (ConfigError, ContractError, InvalidActionError, InvalidMaskError,
-                     TrainingDivergenceError)
+                     ShapeError, TrainingDivergenceError)
 from .numeric import (
     DEFAULT_HIDDEN,
     DenseNet,
@@ -277,6 +276,16 @@ def head_slice(i: int) -> slice:
     return slice(int(_HEAD_OFFSETS[i]), int(_HEAD_OFFSETS[i + 1]))
 
 
+def _load_sized(path: Path, n_in: int, n_out: int) -> DenseNet:
+    """`load_net`, refusing with a ShapeError naming path a net that does not
+    map n_in inputs to n_out outputs."""
+    net = load_net(path)
+    if (net.input_size, net.output_size) != (n_in, n_out):
+        raise ShapeError(f"{path}: saved net maps {net.input_size} inputs to "
+                         f"{net.output_size} outputs; this policy needs {n_in} -> {n_out}")
+    return net
+
+
 class StructurePolicy:
     """Trunk net emitting logits for all six heads, plus a scalar value net."""
 
@@ -297,9 +306,14 @@ class StructurePolicy:
         save_net(self.value_net, directory / "structure_value.params")
 
     def load(self, directory) -> None:
+        """Replace both nets by those `save` wrote to directory. Keeps the
+        current nets and raises PersistenceError if either file is missing
+        or malformed, or ShapeError if its net does not fit this policy's
+        input and output sizes."""
         directory = Path(directory)
-        self.trunk = load_net(directory / "structure_trunk.params")
-        self.value_net = load_net(directory / "structure_value.params")
+        self.trunk, self.value_net = (
+            _load_sized(directory / "structure_trunk.params", self.state_dim, STRUCT_LOGITS_SIZE),
+            _load_sized(directory / "structure_value.params", self.state_dim, 1))
 
 
 def _conditioned_heads(logits: np.ndarray, layout: HeadLayout, workflow_id: int):
@@ -468,33 +482,48 @@ class PromptPolicy:
         save_net(self.value_net, directory / "prompt_value.params")
 
     def load(self, directory) -> None:
+        """Replace both nets by those `save` wrote to directory, checked as
+        `StructurePolicy.load` checks them: a net saved for another atom
+        library or state size fails here, not at the first decode."""
         directory = Path(directory)
-        self.net = load_net(directory / "prompt_policy.params")
-        self.value_net = load_net(directory / "prompt_value.params")
+        self.net, self.value_net = (
+            _load_sized(directory / "prompt_policy.params", self.input_dim, self.n_atoms + 1),
+            _load_sized(directory / "prompt_value.params", self.input_dim, 1))
 
 
-def _walk_prompts(policy: PromptPolicy, s_vecs, actions: Sequence[StructureAction], choose):
+def _walk_prompts(policy: PromptPolicy, s_vecs, actions: Sequence[StructureAction], choose,
+                  agents: Optional[Sequence[int]] = None):
     """The one prompt-decision loop, shared by sampling, greedy decoding and
-    replay. It walks a list of episodes (state vector and structure action
-    each) in lockstep: agent i of an episode takes role ROLES[i] and picks
-    atoms until STOP. At each step, choose(rows, agents, positions, inputs,
-    masks) gets the episodes still choosing, with their agents, positions,
-    step inputs and masks (lists of rows), and returns each one's action
-    (atom or STOP index) and log-prob. Returns each episode's (sequences,
-    steps)."""
+    replay. It walks a list of rows (state vector and structure action
+    each) in lockstep: agent i of a row takes role ROLES[i] and picks atoms
+    until STOP. A row walks its episode's active agents in order, or, if
+    agents is given, only the one agent agents[row].
+
+    Every agent's walk starts from the same input [s; workflow; 0] under its
+    own role mask, so the agents of one episode can be rows of their own
+    whenever nothing orders them: greedy decoding starts them together.
+    Sampling and replay walk an episode's agents in order, because the
+    episode's generator, or the step order `ReplayBatch` records, fixes it.
+
+    At each step, choose(rows, agents, positions, inputs, masks) gets the
+    rows still choosing, with their agents, positions, step inputs and masks
+    (lists of rows), and returns each one's action (atom or STOP index) and
+    log-prob. Returns each row's (sequences, steps)."""
     stop = policy.stop_index
     chosen_at = policy.state_dim + N_WORKFLOWS  # the multi-hot of atoms chosen
     stop_only = policy.step_mask(ROLES[0], (), MAX_PROMPT_LEN)
     n = len(actions)
-    # Each episode's current step input and mask, updated in place per choice.
+    if agents is None:
+        agent, end = [0] * n, [a.workflow.agents_active for a in actions]
+    else:
+        agent, end = list(agents), [first + 1 for first in agents]
+    # Each row's current step input and mask, updated in place per choice.
     inputs = [policy.step_input(s_vec, a.workflow_id, ()) for s_vec, a in zip(s_vecs, actions)]
-    masks = [policy.step_mask(ROLES[0], (), 0) for _ in range(n)]
-    n_agents = [a.workflow.agents_active for a in actions]
-    agent = [0] * n
+    masks = [policy.step_mask(ROLES[first], (), 0) for first in agent]
     chosen: list[list[int]] = [[] for _ in range(n)]
     sequences: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     steps: list[list[PromptStep]] = [[] for _ in range(n)]
-    rows = [e for e in range(n) if n_agents[e] > 0]
+    rows = [e for e in range(n) if agent[e] < end[e]]
     while rows:
         x = [inputs[e].copy() for e in rows]
         m = [(masks[e] if len(chosen[e]) < MAX_PROMPT_LEN else stop_only).copy() for e in rows]
@@ -508,7 +537,7 @@ def _walk_prompts(policy: PromptPolicy, s_vecs, actions: Sequence[StructureActio
                 sequences[e].append(tuple(chosen[e]))
                 chosen[e] = []
                 agent[e] += 1
-                if agent[e] == n_agents[e]:
+                if agent[e] == end[e]:
                     continue
                 inputs[e][chosen_at:] = 0.0
                 masks[e] = policy.step_mask(ROLES[agent[e]], (), 0)
@@ -521,11 +550,15 @@ def _walk_prompts(policy: PromptPolicy, s_vecs, actions: Sequence[StructureActio
     return [(tuple(seqs), st) for seqs, st in zip(sequences, steps)]
 
 
+def _prompt_logits(policy: PromptPolicy, inputs) -> np.ndarray:
+    """Prompt-net logits of a batch of prompt steps, from one pass."""
+    return policy.net.forward_batch(np.array(inputs))[0]
+
+
 def _prompt_probs(policy: PromptPolicy, inputs, masks):
     """Masked-categorical (probs, log_probs) of a batch of prompt steps, from
     one prompt-net pass."""
-    probs, log_probs, _ = masked_categorical(
-        policy.net.forward_batch(np.array(inputs))[0], np.array(masks))
+    probs, log_probs, _ = masked_categorical(_prompt_logits(policy, inputs), np.array(masks))
     return probs, log_probs
 
 
@@ -611,14 +644,30 @@ def sample_prompts(
     return sample_prompts_lockstep(policy, [s], [a_struct], [rng], memo)[0]
 
 
-def _mode(probs: np.ndarray) -> np.ndarray:
-    """Argmax over the last axis of `masked_categorical` probabilities.
-    Raises TrainingDivergenceError, as `numeric.draw` does, when they do not
-    sum to a finite number (non-finite logits): argmax would pick a row's
-    first entry, masked or not."""
-    if not math.isfinite(probs.sum()):
+_NEAR_TIE = 1e-12  # logit gap below which exp/divide rounding may tie two probabilities
+
+
+def _mode(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The index over the last axis of (..., K) logits that the argmax of
+    their `masked_categorical` probabilities gives, read off the masked
+    logits: exp is monotone, so the largest valid logit is the mode. Only
+    where another valid logit lies within _NEAR_TIE of a row's maximum can
+    exp/divide rounding tie the probabilities, and argmax then takes the
+    first of the tied; such rows form the probabilities to decide alike.
+
+    Raises TrainingDivergenceError, as `numeric.draw` does, when a row's
+    largest valid logit is not finite (a nan or +inf logit, or no finite
+    valid one): there the probabilities have no mode. A masked index is
+    never returned."""
+    z = np.where(mask > 0, logits, -np.inf)
+    top = z.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
         raise TrainingDivergenceError("non-finite logits: greedy decode has no mode")
-    return probs.argmax(axis=-1)
+    picked = z.argmax(axis=-1)
+    near = (z >= top - _NEAR_TIE).sum(axis=-1) > 1
+    if near.any():
+        picked = np.where(near, masked_categorical(logits, mask)[0].argmax(axis=-1), picked)
+    return picked
 
 
 def greedy_configuration(
@@ -628,18 +677,27 @@ def greedy_configuration(
     s: StateEmbedding,
 ):
     """Deterministic argmax decode of both policies: the mode of each masked
-    head (workflow first), then the argmax prompt step for every agent."""
+    head (workflow first), then the argmax prompt steps of every agent.
+
+    An agent's greedy choices do not depend on the agents before it, so the
+    active agents walk as parallel rows of one `_walk_prompts`: one
+    prompt-net pass of at most three rows per step, max(len) + 1 passes
+    rather than one one-row pass per step of each agent in turn. Sampling
+    cannot start them together: an episode's generator draws for its agents
+    one after another. A batched row can differ from a one-row pass in the last bits of its logits; the
+    modes are the argmax over those logits (see `_mode`)."""
     s_vec = s.as_vector()
     logits = struct_policy.trunk.forward(s_vec)
-    wf = int(_mode(masked_categorical(logits[head_slice(0)], table.workflow_mask)[0]))
-    c = _mode(masked_categorical(*_conditioned_heads(logits, table.layout(), wf))[0])
+    wf = int(_mode(logits[head_slice(0)], table.workflow_mask))
+    c = _mode(*_conditioned_heads(logits, table.layout(), wf))
     action = StructureAction.from_heads([wf, *c])
 
     def mode(rows, agents, positions, inputs, masks):
-        return _mode(_prompt_probs(prompt_policy, inputs, masks)[0]), [0.0] * len(rows)
+        return _mode(_prompt_logits(prompt_policy, inputs), np.array(masks)), [0.0] * len(rows)
 
-    sequences, _ = _walk_prompts(prompt_policy, [s_vec], [action], mode)[0]
-    return Configuration(action, sequences)
+    n = action.workflow.agents_active
+    walked = _walk_prompts(prompt_policy, [s_vec] * n, [action] * n, mode, agents=range(n))
+    return Configuration(action, tuple(seqs[0] for seqs, _ in walked))
 
 
 def log_prob_prompts(

@@ -11,6 +11,7 @@ from agentcfg.errors import (
     ContractError,
     InvalidActionError,
     InvalidMaskError,
+    PersistenceError,
     ShapeError,
     TrainingDivergenceError,
 )
@@ -124,6 +125,61 @@ class TestParameterSerialization:
         loaded = load_net(tmp_path / "net.params")
         assert loaded.sizes == net.sizes
         assert np.array_equal(loaded.get_flat(), net.get_flat())
+
+    @staticmethod
+    def saved(tmp_path):
+        path = tmp_path / "net.params"
+        save_net(DenseNet([4, 8, 3], rng=np.random.default_rng(4)), path)
+        return path, path.read_bytes()
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(PersistenceError, match="missing.params: cannot read"):
+            load_net(tmp_path / "missing.params")
+
+    def test_empty_file(self, tmp_path):
+        path, _ = self.saved(tmp_path)
+        path.write_bytes(b"")
+        with pytest.raises(PersistenceError, match="net.params: not a parameter file: 0 bytes"):
+            load_net(path)
+
+    def test_five_byte_file(self, tmp_path):
+        path, data = self.saved(tmp_path)
+        path.write_bytes(data[:5])
+        with pytest.raises(PersistenceError, match="net.params: not a parameter file: 5 bytes"):
+            load_net(path)
+
+    def test_cut_header(self, tmp_path):
+        path, data = self.saved(tmp_path)
+        path.write_bytes(data[:20])
+        with pytest.raises(PersistenceError, match="net.params: not a parameter file: bad header"):
+            load_net(path)
+
+    @pytest.mark.parametrize("cut", [3, 8])  # inside a double, and a whole double
+    def test_cut_blob(self, tmp_path, cut):
+        path, data = self.saved(tmp_path)
+        path.write_bytes(data[:-cut])
+        n = (5 * 8 + 9 * 3) * 8
+        with pytest.raises(PersistenceError,
+                           match=rf"net.params: {n - cut} bytes of parameters, expected {n}"):
+            load_net(path)
+
+    def test_garbage(self, tmp_path):
+        path = tmp_path / "net.params"
+        path.write_bytes(np.random.default_rng(0).bytes(4096))
+        with pytest.raises(PersistenceError, match="net.params: not a parameter file"):
+            load_net(path)
+
+    @pytest.mark.parametrize("header", [
+        b"[1, 2]", b'{"format_version": 2, "layer_sizes": [4, 3]}',
+        b'{"format_version": 1, "layer_sizes": [4]}',
+        b'{"format_version": 1, "layer_sizes": [4, 0, 3]}',
+        b'{"format_version": 1, "layer_sizes": [4, true]}',
+    ], ids=["not-a-mapping", "other-version", "one-layer", "empty-layer", "bool-size"])
+    def test_bad_header_fields(self, tmp_path, header):
+        path = tmp_path / "net.params"
+        path.write_bytes(len(header).to_bytes(8, "little") + header)
+        with pytest.raises(PersistenceError, match="net.params: (unsupported|layer_sizes)"):
+            load_net(path)
 
 
 class TestMaskedSoftmax:

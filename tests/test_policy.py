@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentcfg.core import (
+    MAX_PROMPT_LEN,
     N_TIERS,
     N_TOOL_SUBSETS,
     N_WORKFLOWS,
@@ -20,12 +21,15 @@ from agentcfg.core import (
     PromptAtom,
     StateEmbedding,
     StructureAction,
+    WORKFLOWS,
 )
 from agentcfg.env import compact_atom_library, default_atom_library
 from agentcfg.errors import (ContractError, InvalidActionError, InvalidMaskError,
-                             TrainingDivergenceError)
-from agentcfg.numeric import MaskedCategorical, entropy, log_prob, masked_softmax, sample
+                             PersistenceError, ShapeError, TrainingDivergenceError)
+from agentcfg.numeric import (MaskedCategorical, entropy, log_prob, masked_categorical,
+                              masked_softmax, sample)
 from agentcfg import policy as policy_module
+from agentcfg.numeric import DEFAULT_HIDDEN
 from agentcfg.policy import (
     HEAD_NAMES,
     HEAD_SIZES,
@@ -87,6 +91,34 @@ def reference_prompts(policy, s, a_struct, pick):
 
 def mode(d):
     return int(np.argmax(masked_softmax(d))), 0.0
+
+
+def sequential_greedy(struct, prompt, table, s):
+    """Reference greedy decode, one agent after another: the argmax of every
+    head's `masked_categorical` probabilities, then each agent's prompt walk
+    in turn, one one-row prompt-net pass per step."""
+    def probs_mode(logits, mask):
+        probs = masked_categorical(logits, mask)[0]
+        assert np.isfinite(probs.sum())
+        return probs.argmax(axis=-1)
+
+    s_vec = s.as_vector()
+    logits = struct.trunk.forward(s_vec)
+    wf = int(probs_mode(logits[policy_module.head_slice(0)], table.workflow_mask))
+    rest = probs_mode(*policy_module._conditioned_heads(logits, table.layout(), wf))
+    action = StructureAction.from_heads([wf, *rest])
+    sequences = []
+    for agent in range(action.workflow.agents_active):
+        chosen = []
+        while True:
+            x = prompt.step_input(s_vec, action.workflow_id, chosen)
+            mask = prompt.step_mask(ROLES[agent], chosen, len(chosen))
+            atom = int(probs_mode(prompt.net.forward_batch(x[None])[0], mask[None])[0])
+            if atom == prompt.stop_index:
+                break
+            chosen.append(atom)
+        sequences.append(tuple(chosen))
+    return Configuration(action, tuple(sequences))
 
 
 def make_state(seed=0, dim=8):
@@ -528,14 +560,14 @@ class TestGreedyConfiguration:
         struct = StructurePolicy(STATE_DIM, hidden=(16,), rng=np.random.default_rng(27))
         prompt.net.params[-1][...] = np.nan
         calls = []
-        prompt_probs = policy_module._prompt_probs
+        prompt_logits = policy_module._prompt_logits
 
         def bounded(*args):
             calls.append(1)
             assert len(calls) <= 50, "prompt walk did not stop"
-            return prompt_probs(*args)
+            return prompt_logits(*args)
 
-        monkeypatch.setattr(policy_module, "_prompt_probs", bounded)
+        monkeypatch.setattr(policy_module, "_prompt_logits", bounded)
         with pytest.raises(TrainingDivergenceError):
             greedy_configuration(struct, prompt, table, s)
 
@@ -547,6 +579,37 @@ class TestGreedyConfiguration:
             action = reference_structure(struct, table, s, mode)[0]
             want = Configuration(action, reference_prompts(PROMPT, s, action, mode)[0])
             assert greedy_configuration(struct, PROMPT, table, s) == want
+
+    @pytest.mark.parametrize("library", [compact_atom_library(), default_atom_library()],
+                             ids=["compact", "default"])
+    def test_lockstep_decode_matches_sequential_reference(self, library):
+        tables = [default_mask_table()] + [mask_table_from_config({"workflows": [wf.name]})
+                                           for wf in WORKFLOWS]
+        seen = set()
+        for seed, hidden in [(0, (16,)), (1, (32, 32)), (2, (8,)), (3, DEFAULT_HIDDEN)]:
+            struct = StructurePolicy(STATE_DIM, hidden=hidden, rng=np.random.default_rng([seed, 1]))
+            prompt = PromptPolicy(STATE_DIM, library, hidden=hidden,
+                                  rng=np.random.default_rng([seed, 2]))
+            for table in tables:
+                for s in map(make_state, range(4)):
+                    want = sequential_greedy(struct, prompt, table, s)
+                    assert greedy_configuration(struct, prompt, table, s) == want
+                    seen.add(want.structure.workflow_id)
+        assert seen == {wf.id for wf in WORKFLOWS}
+
+    def test_lockstep_decode_at_the_length_cap(self):
+        # Six atoms per role and a prompt net biased never to STOP: every
+        # agent walks until the MAX_PROMPT_LEN cap leaves STOP alone.
+        library = tuple(PromptAtom(i, ROLES[i % 3], f"atom {i}") for i in range(18))
+        struct = StructurePolicy(STATE_DIM, hidden=(16,), rng=np.random.default_rng(40))
+        prompt = PromptPolicy(STATE_DIM, library, hidden=(16,), rng=np.random.default_rng(41))
+        prompt.net.params[-1][prompt.stop_index] = -1e3
+        for wf in WORKFLOWS:
+            table = mask_table_from_config({"workflows": [wf.name]})
+            for s in map(make_state, range(3)):
+                got = greedy_configuration(struct, prompt, table, s)
+                assert got == sequential_greedy(struct, prompt, table, s)
+                assert [len(seq) for seq in got.prompts] == [MAX_PROMPT_LEN] * wf.agents_active
 
     def test_deterministic_and_valid(self):
         table = default_mask_table()
@@ -576,3 +639,108 @@ class TestGreedyConfiguration:
             key=lambda a: log_prob_structure(struct, table, s, a),
         )
         assert chosen == best
+
+
+class TestMode:
+    """`_mode` reads the argmax of the masked probabilities off the logits."""
+
+    @staticmethod
+    def reference(logits, mask):
+        with np.errstate(invalid="ignore"):  # the entropy of a row with valid -inf logits
+            return masked_categorical(logits, mask)[0].argmax(axis=-1)
+
+    @staticmethod
+    def random_rows(rng, scale, n_rows=400, width=9):
+        logits = rng.normal(scale=scale, size=(n_rows, width))
+        mask = (rng.random((n_rows, width)) < 0.7).astype(np.float64)
+        mask[np.arange(n_rows), rng.integers(width, size=n_rows)] = 1.0
+        return logits, mask
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5])
+    def test_equals_probability_argmax_at_ties_and_adjacent_doubles(self, scale):
+        rng = np.random.default_rng(int(math.log10(scale)) + 10)
+        logits, mask = self.random_rows(rng, scale)
+        top = np.where(mask > 0, logits, -np.inf).max(axis=-1)
+        for i, row in enumerate(logits):
+            others = rng.permutation(np.flatnonzero(mask[i]))[:3]
+            kind = i % 5
+            for j in others:
+                if kind == 0:
+                    row[j] = top[i]                                  # equal maxima
+                elif kind == 1:
+                    row[j] = np.nextafter(top[i], -np.inf)           # one ulp below
+                elif kind == 2:
+                    row[j] = np.nextafter(top[i], np.inf)            # one ulp above
+                elif kind == 3:                                      # a few ulps either way
+                    row[j] = top[i] + rng.integers(-4, 5) * np.spacing(top[i])
+                else:                                                # gaps near the tie bound
+                    row[j] = top[i] - 10.0 ** rng.uniform(-17, -9)
+        got = policy_module._mode(logits, mask)
+        assert np.array_equal(got, self.reference(logits, mask))
+        assert (mask[np.arange(len(got)), got] > 0).all()
+        for z, m, want in zip(logits, mask, got):  # one row at a time, as the heads are
+            assert policy_module._mode(z, m) == want
+
+    def test_valid_minus_inf_and_masked_extremes(self):
+        rng = np.random.default_rng(3)
+        logits, mask = self.random_rows(rng, 1.0)
+        logits[:, ::3] = -np.inf
+        for i in range(len(mask)):
+            if not np.isfinite(logits[i][mask[i] > 0]).any():
+                mask[i, 1] = 1.0                     # keep one finite valid logit
+        masked = mask == 0
+        extremes = np.array([np.inf, np.nan, 1e300])[rng.integers(3, size=masked.sum())]
+        logits[masked] = extremes
+        got = policy_module._mode(logits, mask)
+        assert np.array_equal(got, self.reference(logits, mask))
+        assert (mask[np.arange(len(got)), got] > 0).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_valid_logit_raises(self, bad):
+        logits, mask = np.array([[0.5, 1.0, -2.0]] * 2), np.ones((2, 3))
+        logits[1, 2] = bad
+        with pytest.raises(TrainingDivergenceError):
+            policy_module._mode(logits, mask)
+        with pytest.raises(TrainingDivergenceError):
+            policy_module._mode(logits[1], mask[1])
+
+    def test_all_valid_logits_minus_inf_raises(self):
+        logits = np.array([-np.inf, 3.0, -np.inf])
+        with pytest.raises(TrainingDivergenceError):
+            policy_module._mode(logits, np.array([1.0, 0.0, 1.0]))
+
+
+class TestLoadParameters:
+    def test_prompt_net_for_another_library_fails_at_load(self, tmp_path):
+        PromptPolicy(STATE_DIM, compact_atom_library(), hidden=(16,)).save(tmp_path)
+        policy = PromptPolicy(STATE_DIM, default_atom_library(), hidden=(16,))
+        nets = (policy.net, policy.value_net)
+        n_in = STATE_DIM + N_WORKFLOWS + len(default_atom_library())
+        saved_in = STATE_DIM + N_WORKFLOWS + len(compact_atom_library())
+        with pytest.raises(ShapeError) as err:
+            policy.load(tmp_path)
+        message = str(err.value)
+        assert "prompt_policy.params" in message
+        assert f"{saved_in} inputs" in message and f"{n_in} -> {len(default_atom_library()) + 1}" in message
+        assert (policy.net, policy.value_net) == nets
+
+    def test_structure_net_for_another_state_size_fails_at_load(self, tmp_path):
+        StructurePolicy(STATE_DIM + 2, hidden=(16,)).save(tmp_path)
+        policy = StructurePolicy(STATE_DIM, hidden=(16,))
+        with pytest.raises(ShapeError, match=rf"structure_trunk.params.*{STATE_DIM + 2} inputs"):
+            policy.load(tmp_path)
+
+    def test_value_net_of_wrong_width_fails_and_keeps_the_policy(self, tmp_path):
+        StructurePolicy(STATE_DIM, hidden=(16,)).save(tmp_path)
+        (tmp_path / "structure_value.params").replace(tmp_path / "keep.params")
+        (tmp_path / "structure_trunk.params").rename(tmp_path / "structure_value.params")
+        (tmp_path / "keep.params").rename(tmp_path / "structure_trunk.params")
+        policy = StructurePolicy(STATE_DIM, hidden=(16,))
+        trunk = policy.trunk
+        with pytest.raises(ShapeError, match="structure_trunk.params"):
+            policy.load(tmp_path)
+        assert policy.trunk is trunk
+
+    def test_missing_file_fails_as_persistence_error(self, tmp_path):
+        with pytest.raises(PersistenceError, match="structure_trunk.params"):
+            StructurePolicy(STATE_DIM, hidden=(16,)).load(tmp_path)

@@ -682,3 +682,30 @@ def test_search_budget_defaults_to_the_search_budget(tmp_path, capsys):
     assert cli.main(["search", "--config", str(config), "--method", "grid",
                      "--max-evaluations", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["evaluations"] == 3
+
+
+def test_eval_refuses_bad_parameter_files(tmp_path, capsys):
+    from agentcfg import cli
+
+    config = write_yaml(tmp_path, {"env": {"n_queries": 4, "semantic_dim": 8}})
+    argv = ["eval", "--config", str(config), "--params", str(tmp_path / "params")]
+    assert cli.main(argv) == 1
+    assert "structure_trunk.params: cannot read parameter file" in capsys.readouterr().err
+
+    _, _, _, struct_policy, prompt_policy = build_components(load_config(config))
+    struct_policy.save(tmp_path / "params")
+    prompt_policy.save(tmp_path / "params")
+    (tmp_path / "params" / "prompt_value.params").write_bytes(b"\x00" * 5)
+    assert cli.main(argv) == 1
+    assert "prompt_value.params: not a parameter file" in capsys.readouterr().err
+
+    # a prompt net saved for another atom library
+    library = tmp_path / "atoms.yaml"
+    library.write_text(yaml.safe_dump([{"role": a.role, "text": a.text}
+                                       for a in compact_atom_library()]))
+    compact = write_yaml(tmp_path, {"env": {"n_queries": 4, "semantic_dim": 8},
+                                    "atom_library": str(library)}, "compact.yaml")
+    build_components(load_config(compact))[4].save(tmp_path / "params")
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "prompt_policy.params: saved net maps" in err
