@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -29,6 +30,7 @@ from .core import (
     PromptAtom,
     Query,
     StateEmbedding,
+    StructureAction,
     extract_features,
     index_structure_action,
     toolset_size,
@@ -118,7 +120,10 @@ def query_class(spec: SyntheticQuerySpec) -> str:
 
 # The ground truth is one kernel over two sets of terms: those of a query's
 # spec, which hold for every configuration (`SyntheticQuerySpec.terms`), and
-# those of a configuration, which hold for every query (`_config_terms`).
+# those of a configuration, which hold for every query (`_config_terms`). A
+# configuration's terms combine a half read off its structure alone and a
+# half read off its prompts alone, so a scan over structures x prompt tuples
+# can compute each half once (see `expected_reward`'s memo).
 
 
 class _QueryTerms(NamedTuple):
@@ -132,25 +137,52 @@ class _QueryTerms(NamedTuple):
     jitter: int                   # half-width of the token jitter
 
 
-class _ConfigTerms(NamedTuple):
+class _StructureTerms(NamedTuple):
     agents_active: int
     allocated: int                # tools1 | tools2
     n_alloc: int                  # tools allocated over both agents
     tokens: tuple[int, ...]       # token allowance of each active agent
-    tool_gated: bool              # the execution has a reason to call tools
-    n_chosen: int                 # atoms chosen over all agents
-    matched: tuple[str, ...]      # class of each atom chosen by its own role
+    auto_tools: bool              # the workflow calls tools without being asked
     n_steps: int                  # nominal LLM calls
     eo: bool                      # EvaluatorOptimizer: seeded extra iterations
 
 
-def _config_terms(config: Configuration, library: Sequence[PromptAtom]) -> _ConfigTerms:
-    s = config.structure
+class _PromptTerms(NamedTuple):
+    tool_atom: bool               # some chosen atom asks for tools
+    n_chosen: int                 # atoms chosen over all agents
+    matched: tuple[str, ...]      # class of each atom chosen by its own role
+
+
+class _ConfigTerms(NamedTuple):
+    agents_active: int
+    allocated: int
+    n_alloc: int
+    tokens: tuple[int, ...]
+    tool_gated: bool              # the execution has a reason to call tools
+    n_chosen: int
+    matched: tuple[str, ...]
+    n_steps: int
+    eo: bool
+
+
+def _structure_terms(s: StructureAction) -> _StructureTerms:
     wf = s.workflow
+    return _StructureTerms(
+        wf.agents_active,
+        s.tools1 | s.tools2,
+        toolset_size(s.tools1) + toolset_size(s.tools2),
+        tuple([TIER_TOKENS[b] for b in s.budgets[: wf.agents_active]]),
+        s.workflow_id in AUTO_TOOL_WORKFLOWS,
+        wf.llm_call_count,
+        s.workflow_id == EVALUATOR_OPTIMIZER_ID,
+    )
+
+
+def _prompt_terms(prompts: Sequence[Sequence[int]], library: Sequence[PromptAtom]) -> _PromptTerms:
     tool_atom = False
     n_chosen = 0
     matched = []
-    for role, seq in zip(ROLES, config.prompts):
+    for role, seq in zip(ROLES, prompts):
         n_chosen += len(seq)
         for atom_id in seq:
             atom = library[atom_id]
@@ -158,17 +190,17 @@ def _config_terms(config: Configuration, library: Sequence[PromptAtom]) -> _Conf
             tool_atom = tool_atom or cls == "tool"
             if atom.role == role:
                 matched.append(cls)
-    return _ConfigTerms(
-        wf.agents_active,
-        s.tools1 | s.tools2,
-        toolset_size(s.tools1) + toolset_size(s.tools2),
-        tuple([TIER_TOKENS[b] for b in s.budgets[: wf.agents_active]]),
-        tool_atom or s.workflow_id in AUTO_TOOL_WORKFLOWS,
-        n_chosen,
-        tuple(matched),
-        wf.llm_call_count,
-        s.workflow_id == EVALUATOR_OPTIMIZER_ID,
-    )
+    return _PromptTerms(tool_atom, n_chosen, tuple(matched))
+
+
+def _combine_terms(s: _StructureTerms, p: _PromptTerms) -> _ConfigTerms:
+    return _ConfigTerms(s.agents_active, s.allocated, s.n_alloc, s.tokens,
+                        p.tool_atom or s.auto_tools, p.n_chosen, p.matched, s.n_steps, s.eo)
+
+
+def _config_terms(config: Configuration, library: Sequence[PromptAtom]) -> _ConfigTerms:
+    return _combine_terms(_structure_terms(config.structure),
+                          _prompt_terms(config.prompts, library))
 
 
 def _relevance(qclass: str, c: _ConfigTerms) -> float:
@@ -298,10 +330,41 @@ def expected_reward(
     model: SuccessModel,
     library: Sequence[PromptAtom],
     reward_cfg: RewardConfig,
+    memo: Optional[dict] = None,
 ) -> float:
-    """Exact expectation of the shaped reward."""
-    c = _config_terms(config, library)
-    return _expected(c, _ground_truth(spec.terms, c, model), reward_cfg)
+    """Exact expectation of the shaped reward.
+
+    memo, if given, is a dict, empty at first use, that the caller keeps
+    across calls that score many configurations on one (spec, model,
+    library, reward_cfg): it maps each structure to its `_structure_terms`,
+    each prompt tuple to its `_prompt_terms`, and each combined
+    `_ConfigTerms` to its value, so each is computed once. The value reads
+    nothing but those terms, so it is the same, bit for bit, with or without
+    the memo. The memo records the four inputs at first use; passing it with
+    any other one raises ContractError."""
+    if memo is None:
+        c = _config_terms(config, library)
+        return _expected(c, _ground_truth(spec.terms, c, model), reward_cfg)
+    if not memo:
+        memo.update(inputs=(spec, model, library, reward_cfg),
+                    structures={}, prompts={}, values={})
+    m_spec, m_model, m_library, m_reward = memo["inputs"]
+    if not (m_spec is spec and m_model is model and m_library is library
+            and m_reward is reward_cfg):
+        raise ContractError(
+            "an expected_reward memo serves one (spec, model, library, reward_cfg)")
+    structures, prompts, values = memo["structures"], memo["prompts"], memo["values"]
+    s = structures.get(config.structure)
+    if s is None:
+        s = structures[config.structure] = _structure_terms(config.structure)
+    p = prompts.get(config.prompts)
+    if p is None:
+        p = prompts[config.prompts] = _prompt_terms(config.prompts, library)
+    c = _combine_terms(s, p)
+    value = values.get(c)
+    if value is None:
+        value = values[c] = _expected(c, _ground_truth(spec.terms, c, model), reward_cfg)
+    return value
 
 
 def rank_key(value: float, config: Configuration) -> tuple:
@@ -325,19 +388,47 @@ def brute_force_best(
     reward_cfg: RewardConfig,
 ):
     """Exact argmax of expected_reward over a finite subspace, ties broken
-    by `rank_key`."""
-    best = None
-    best_key = None
-    n_seen = 0
+    by `rank_key`.
+
+    Every configuration is scored by one `expected_reward` call, all sharing
+    one memo, so each structure, prompt tuple and distinct set of terms is
+    worked out once. A value below the best so far cannot win `rank_key`'s
+    first component, so only the others build a key."""
+    memo: dict = {}
+    best = best_key = None
     for config in subspace:
-        n_seen += 1
-        value = expected_reward(spec, config, model, library, reward_cfg)
-        key = rank_key(value, config)
-        if best_key is None or key < best_key:
-            best, best_key = (config, value), key
-    if n_seen == 0:
+        value = expected_reward(spec, config, model, library, reward_cfg, memo)
+        if best is None or value >= best[1]:
+            key = rank_key(value, config)
+            if best_key is None or key < best_key:
+                best, best_key = (config, value), key
+    if best is None:
         raise ContractError("brute_force_best needs a non-empty subspace")
     return best
+
+
+def single_atom_prompt_options(n_agents: int, library: Sequence[PromptAtom]) -> list[tuple]:
+    """Per agent, no atom or one atom of its own role, crossed over the
+    first n_agents agents: the prompt tuples an exact oracle needs to scan.
+
+    Prompts enter the reward only through relevance (the share of chosen
+    atoms that their own role chose and that match the query class) and
+    through tool gating (some chosen atom asks for tools). Atoms cost
+    nothing. So over role-matching sequences some optimum lies in this set:
+    when some active agent has an atom of the query class, that atom alone
+    gives relevance 1, and for a tool query it also gates tools; a tool
+    query's best ungated prompts have relevance 0, as the empty ones do; for
+    any other query nothing is gated, and empty prompts match any relevance-0
+    choice. The same holds over sequences of any atoms whenever each
+    tool-class atom's own role has an active agent (always, for reasoner
+    atoms, such as the tool atom of `compact_atom_library`): a tool atom
+    chosen by another role gates tools at relevance 0, which its own role's
+    agent choosing it alone beats."""
+    per_agent = [
+        [()] + [(a.id,) for a in library if a.role == ROLES[agent]]
+        for agent in range(n_agents)
+    ]
+    return [tuple(c) for c in itertools.product(*per_agent)]
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,9 @@ def load_net(path) -> DenseNet:
 # ---------------------------------------------------------------------------
 
 
+_LOWEST = np.finfo(np.float64).min
+
+
 def masked_categorical(logits: np.ndarray, mask: np.ndarray):
     """Masked categoricals over the last axis of (..., K) logits.
 
@@ -210,7 +213,10 @@ def masked_categorical(logits: np.ndarray, mask: np.ndarray):
     total = probs.sum(axis=-1, keepdims=True)
     probs /= total
     log_probs = np.where(valid, z - np.log(total), 0.0)
-    entropy = -(probs * log_probs).sum(axis=-1)
+    # A valid -inf logit has probability 0 and must add 0 to the entropy,
+    # not 0 * -inf: raising its log-prob to the lowest finite float changes
+    # no finite entry, so finite rows keep every bit.
+    entropy = -(probs * np.maximum(log_probs, _LOWEST)).sum(axis=-1)
     return probs, log_probs, entropy
 
 

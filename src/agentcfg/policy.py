@@ -492,7 +492,7 @@ class PromptPolicy:
 
 
 def _walk_prompts(policy: PromptPolicy, s_vecs, actions: Sequence[StructureAction], choose,
-                  agents: Optional[Sequence[int]] = None):
+                  agents: Optional[Sequence[int]] = None, record: bool = True):
     """The one prompt-decision loop, shared by sampling, greedy decoding and
     replay. It walks a list of rows (state vector and structure action
     each) in lockstep: agent i of a row takes role ROLES[i] and picks atoms
@@ -508,7 +508,11 @@ def _walk_prompts(policy: PromptPolicy, s_vecs, actions: Sequence[StructureActio
     At each step, choose(rows, agents, positions, inputs, masks) gets the
     rows still choosing, with their agents, positions, step inputs and masks
     (lists of rows), and returns each one's action (atom or STOP index) and
-    log-prob. Returns each row's (sequences, steps)."""
+    log-prob. Returns each row's (sequences, steps). With record False the
+    steps stay empty, the log-probs go unread, and choose gets the live
+    inputs and masks, which the walk changes once it returns: a caller that
+    reads only the sequences (greedy decoding) pays for no copies and no
+    `PromptStep`s."""
     stop = policy.stop_index
     chosen_at = policy.state_dim + N_WORKFLOWS  # the multi-hot of atoms chosen
     stop_only = policy.step_mask(ROLES[0], (), MAX_PROMPT_LEN)
@@ -525,14 +529,17 @@ def _walk_prompts(policy: PromptPolicy, s_vecs, actions: Sequence[StructureActio
     steps: list[list[PromptStep]] = [[] for _ in range(n)]
     rows = [e for e in range(n) if agent[e] < end[e]]
     while rows:
-        x = [inputs[e].copy() for e in rows]
-        m = [(masks[e] if len(chosen[e]) < MAX_PROMPT_LEN else stop_only).copy() for e in rows]
+        x = [inputs[e] for e in rows]
+        m = [masks[e] if len(chosen[e]) < MAX_PROMPT_LEN else stop_only for e in rows]
+        if record:
+            x, m = [v.copy() for v in x], [v.copy() for v in m]
         picked, log_probs = choose(rows, [agent[e] for e in rows],
                                    [len(chosen[e]) for e in rows], x, m)
         still = []
         for i, e in enumerate(rows):
             a = int(picked[i])
-            steps[e].append(PromptStep(agent[e], x[i], m[i], a, float(log_probs[i])))
+            if record:
+                steps[e].append(PromptStep(agent[e], x[i], m[i], a, float(log_probs[i])))
             if a == stop:
                 sequences[e].append(tuple(chosen[e]))
                 chosen[e] = []
@@ -693,10 +700,11 @@ def greedy_configuration(
     action = StructureAction.from_heads([wf, *c])
 
     def mode(rows, agents, positions, inputs, masks):
-        return _mode(_prompt_logits(prompt_policy, inputs), np.array(masks)), [0.0] * len(rows)
+        return _mode(_prompt_logits(prompt_policy, inputs), np.array(masks)), None
 
     n = action.workflow.agents_active
-    walked = _walk_prompts(prompt_policy, [s_vec] * n, [action] * n, mode, agents=range(n))
+    walked = _walk_prompts(prompt_policy, [s_vec] * n, [action] * n, mode, agents=range(n),
+                           record=False)
     return Configuration(action, tuple(seqs[0] for seqs, _ in walked))
 
 

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from agentcfg.core import (
-    ROLES,
     WORKFLOWS,
     Configuration,
     EpisodeRecord,
@@ -42,6 +41,7 @@ from agentcfg.env import (
     brute_force_best,
     build_env,
     compact_atom_library,
+    single_atom_prompt_options,
 )
 from agentcfg.errors import InvalidActionError
 from agentcfg.baselines import Harness, SearchBudget, default_grid, greedy_search, grid_search
@@ -139,26 +139,12 @@ def reduced_env():
     )
 
 
-def single_atom_prompt_options(n_agents):
-    """Per-agent {empty} plus every single role-matching atom, crossed.
-
-    Sufficient for exact oracles: prompt relevance is a fraction of relevant
-    atoms among those chosen and atoms carry no reward cost, so some optimum
-    uses at most one (relevant) atom per agent.
-    """
-    per_agent = []
-    for agent in range(n_agents):
-        opts = [()] + [(a.id,) for a in LIB if a.role == ROLES[agent]]
-        per_agent.append(opts)
-    return [tuple(c) for c in itertools.product(*per_agent)]
-
-
 def oracle_for(env, table, query):
     spec = env.spec_for(query)
     subspace = (
         Configuration(a, p)
         for a in iter_valid_actions(table)
-        for p in single_atom_prompt_options(a.workflow.agents_active)
+        for p in single_atom_prompt_options(a.workflow.agents_active, LIB)
     )
     return brute_force_best(spec, subspace, env.model, LIB, REWARD)
 
@@ -513,7 +499,7 @@ class TestCriterion8:
         full = [
             Configuration(a, p)
             for a in iter_valid_actions(table)
-            for p in single_atom_prompt_options(a.workflow.agents_active)
+            for p in single_atom_prompt_options(a.workflow.agents_active, LIB)
         ]
         harness = Harness(env=env, reward_cfg=REWARD)
         _, grid_value, _ = grid_search(harness, full,
@@ -537,7 +523,7 @@ class TestCriterion8:
         sep_space = [
             Configuration(a, p)
             for a in iter_valid_actions(small)
-            for p in single_atom_prompt_options(a.workflow.agents_active)
+            for p in single_atom_prompt_options(a.workflow.agents_active, LIB)
         ]
         _, sep_oracle = brute_force_best(sep_spec, sep_space, sep_env.model,
                                          LIB, REWARD)
@@ -553,7 +539,7 @@ class TestCriterion8:
         trap_space = [
             Configuration(a, p)
             for a in iter_valid_actions(small)
-            for p in single_atom_prompt_options(a.workflow.agents_active)
+            for p in single_atom_prompt_options(a.workflow.agents_active, LIB)
             if all(atom == 0 for seq in p for atom in seq)
         ]
         _, trap_oracle = brute_force_best(trap_spec, trap_space, trap_env.model,

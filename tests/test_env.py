@@ -29,16 +29,28 @@ from agentcfg.env import (
     hash_embed,
     prompt_relevance,
     query_class,
+    rank_key,
+    single_atom_prompt_options,
     success_probability,
     tool_usage,
 )
 from agentcfg.errors import ContractError
+from agentcfg.policy import iter_valid_actions, mask_table_from_config
 from agentcfg.reward import RewardConfig, shaped_reward
 
 MODEL = SuccessModel()
 REWARD = RewardConfig()
 LIB = compact_atom_library()
 QUERY = Query(id="q", text="What is known about the old treaty?", gold_answer="yes")
+# The reduced space of the acceptance suite's criteria 5 and 7.
+REDUCED_RULES = {
+    "workflows": ["Direct", "ReasonVerifyAns", "AutonomousAgent"],
+    "Direct": {"tools1": [0, 1, 2, 3], "budgets": [[0, 2], [0], [0]]},
+    "ReasonVerifyAns": {"tools1": [0, 1, 2, 3], "tools2": [0],
+                        "budgets": [[0, 2], [0, 2], [0, 2]]},
+    "AutonomousAgent": {"tools1": [0, 1, 2, 3], "tools2": [0],
+                        "budgets": [[0, 2], [0], [0]]},
+}
 
 
 def cfg(wf, t1=0, t2=0, budgets=(0, 0, 0), prompts=None):
@@ -46,6 +58,24 @@ def cfg(wf, t1=0, t2=0, budgets=(0, 0, 0), prompts=None):
     if prompts is None:
         prompts = tuple(() for _ in range(a.workflow.agents_active))
     return Configuration(a, prompts)
+
+
+def reduced_space(library):
+    """The reduced rules' structures crossed with the single-atom options."""
+    return [
+        Configuration(a, p)
+        for a in iter_valid_actions(mask_table_from_config(REDUCED_RULES))
+        for p in single_atom_prompt_options(a.workflow.agents_active, library)
+    ]
+
+
+def plain_best(spec, subspace, library=LIB):
+    """The first configuration of smallest `rank_key`, each scored by a
+    memo-less `expected_reward`."""
+    scored = [(rank_key(expected_reward(spec, c, MODEL, library, REWARD), c), c)
+              for c in subspace]
+    key, config = min(scored, key=lambda kc: kc[0])
+    return config, -key[0]
 
 
 class TestSuccessProbability:
@@ -275,6 +305,120 @@ class TestBruteForce:
     def test_empty_subspace_rejected(self):
         with pytest.raises(ContractError):
             brute_force_best(SyntheticQuerySpec(0.0, 0, 1), [], MODEL, LIB, REWARD)
+
+    @pytest.mark.parametrize("library", [LIB, default_atom_library()], ids=["compact", "default"])
+    def test_matches_a_plain_scan_on_shuffled_and_duplicated_spaces(self, library):
+        # the memo and the skipped keys must not change the winner: shuffled
+        # orders move the first of several tied configurations, duplicates
+        # repeat it, and the default library's atoms of one class tie
+        rng = np.random.default_rng(3)
+        full = reduced_space(library)
+        env = build_env(QueryDistribution(tool_prob=0.5), 6, seed=4, library=library,
+                        semantic_dim=8)
+        for spec in env.specs.values():
+            for subspace in (full, list(rng.permutation(full)),
+                             [full[i] for i in rng.integers(0, len(full), 3 * len(full))]):
+                best, value = brute_force_best(spec, subspace, MODEL, library, REWARD)
+                want, want_value = plain_best(spec, subspace, library)
+                assert best is want and value == want_value
+
+    def test_matches_a_plain_scan_on_tie_heavy_spaces(self):
+        # inactive agents' budgets and tools, and atoms of one class, change
+        # nothing: every value below comes many times over
+        library = default_atom_library()
+        spec = SyntheticQuerySpec(0.3, 0, 1)
+        subspace = [
+            Configuration(StructureAction(wf, t1, t2, (b1, b2, b3)), p)
+            for wf in (0, 8)
+            for t1 in (0, 1)
+            for t2 in (0, 3)
+            for b1, b2, b3 in itertools.product((0, 2), repeat=3)
+            for p in single_atom_prompt_options(1, library)
+        ]
+        rng = np.random.default_rng(5)
+        for order in (subspace, subspace[::-1], list(rng.permutation(subspace))):
+            best, value = brute_force_best(spec, order, MODEL, library, REWARD)
+            want, want_value = plain_best(spec, order, library)
+            assert best is want and value == want_value
+        a = cfg(0, prompts=((0,),))
+        duplicates = [a, cfg(0, prompts=((0,),))]
+        assert brute_force_best(spec, duplicates, MODEL, LIB, REWARD)[0] is a
+        assert plain_best(spec, duplicates)[0] is a
+
+    def test_scores_each_configuration_once(self, monkeypatch):
+        # one expected_reward call per configuration the subspace yields
+        import agentcfg.env as envmod
+        calls = []
+        scored = envmod.expected_reward
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return scored(*args, **kwargs)
+
+        monkeypatch.setattr(envmod, "expected_reward", counting)
+        subspace = reduced_space(LIB)
+        brute_force_best(SyntheticQuerySpec(0.2, 0b01, 2), subspace, MODEL, LIB, REWARD)
+        assert calls == subspace
+
+
+class TestSingleAtomOptions:
+    def test_counts(self):
+        # Direct: () or one of two reasoner atoms; ReasonVerifyAns crosses
+        # in one verifier and one answerer atom
+        assert single_atom_prompt_options(1, LIB) == [((),), ((0,),), ((1,),)]
+        assert len(single_atom_prompt_options(3, LIB)) == 3 * 2 * 2
+        assert len(single_atom_prompt_options(3, default_atom_library())) == 5 * 4 * 4
+
+    def test_best_equals_best_over_every_prompt_sequence(self):
+        # every ordered sequence of distinct atoms of any role, up to the
+        # length cap: 1 + 4 + 12 + 24 + 24 = 65 per agent
+        sequences = [seq for n in range(len(LIB) + 1)
+                     for seq in itertools.permutations(range(len(LIB)), n)]
+        assert len(sequences) == 65
+        rng = np.random.default_rng(11)
+        for _ in range(24):
+            spec = SyntheticQuerySpec(float(rng.uniform(0, 1)), int(rng.integers(0, 16)),
+                                      int(rng.integers(1, 4)))
+            wf = int(rng.choice([0, 1, 5, 7, 8]))   # at most two active agents
+            a = StructureAction(wf, int(rng.integers(0, 16)), int(rng.integers(0, 16)),
+                                tuple(int(b) for b in rng.integers(0, 3, 3)))
+            n = a.workflow.agents_active
+            every = [Configuration(a, p) for p in itertools.product(sequences, repeat=n)]
+            single = [Configuration(a, p) for p in single_atom_prompt_options(n, LIB)]
+            assert (brute_force_best(spec, single, MODEL, LIB, REWARD)[1]
+                    == brute_force_best(spec, every, MODEL, LIB, REWARD)[1])
+
+
+class TestRewardMemo:
+    @pytest.mark.parametrize("library", [LIB, default_atom_library()], ids=["compact", "default"])
+    def test_same_value_bit_for_bit(self, library):
+        space = reduced_space(library)
+        for seed in range(3):
+            env = build_env(QueryDistribution(tool_prob=0.5, noise_scale=2.0), 4, seed=seed,
+                            library=library, semantic_dim=8)
+            for spec in env.specs.values():
+                memo = {}
+                for c in space + space[::-1]:   # the second pass reads the memo
+                    assert expected_reward(spec, c, MODEL, library, REWARD, memo) == (
+                        expected_reward(spec, c, MODEL, library, REWARD))
+
+    def test_one_memo_serves_one_set_of_inputs(self):
+        spec = SyntheticQuerySpec(0.2, 0b01, 2)
+        c = cfg(0, t1=0b01, prompts=((1,),))
+        others = {
+            "spec": (SyntheticQuerySpec(0.2, 0b01, 2), MODEL, LIB, REWARD),
+            "model": (spec, SuccessModel(), LIB, REWARD),
+            "library": (spec, MODEL, default_atom_library(), REWARD),
+            "reward": (spec, MODEL, LIB, RewardConfig(eta=0.0)),
+        }
+        for name, (s, model, library, reward_cfg) in others.items():
+            memo = {}
+            expected_reward(spec, c, MODEL, LIB, REWARD, memo)
+            with pytest.raises(ContractError, match="memo"):
+                expected_reward(s, c, model, library, reward_cfg, memo)
+            # the same four objects may keep using it
+            assert expected_reward(spec, c, MODEL, LIB, REWARD, memo) == (
+                expected_reward(spec, c, MODEL, LIB, REWARD))
 
 
 class TestHashEmbed:

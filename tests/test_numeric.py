@@ -320,6 +320,29 @@ class TestEntropy:
         d = MaskedCategorical(np.zeros(3), np.array([1.0, 0.0, 1.0]))
         assert entropy(d) == pytest.approx(math.log(2), abs=1e-12)
 
+    def test_minus_inf_logit_adds_nothing(self):
+        # a valid -inf logit has probability 0, so it adds 0 to the entropy:
+        # no 0 * -inf, no nan and no floating-point warning
+        with np.errstate(all="raise"):
+            probs, log_probs, h = masked_categorical(
+                np.array([[0.0, -np.inf, 1.0], [0.0, 0.0, 1.0]]), np.ones((2, 3)))
+            _, _, without = masked_categorical(np.array([0.0, 1.0]), np.ones(2))
+        assert probs[0, 1] == 0.0 and log_probs[0, 1] == -np.inf
+        assert h[0] == without
+        assert h[1] == masked_categorical(np.array([0.0, 0.0, 1.0]), np.ones(3))[2]
+
+    @given(st.lists(st.tuples(st.lists(st.floats(-800, 30), min_size=9, max_size=9),
+                              st.lists(st.booleans(), min_size=9, max_size=9)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_rows_keep_the_plain_entropy_bit_for_bit(self, rows):
+        # logits down to -800 make some valid probabilities exactly 0
+        logits = np.array([r[0] for r in rows])
+        masks = np.array([r[1] for r in rows], dtype=float)
+        masks[:, 0] = 1.0
+        probs, log_probs, h = masked_categorical(logits, masks)
+        assert np.array_equal(h, -(probs * log_probs).sum(axis=-1))
+
 
 class TestDistributionGradients:
     def test_log_prob_grad_finite_difference(self):
