@@ -4,6 +4,21 @@ Feed-forward nets are affine layers with tanh hidden activations and a
 linear output; gradients are hand-derived for this fixed architecture.
 Masked categoricals implement invalid-action pruning by adding log(mask)
 to logits before the softmax, so masked entries carry exactly zero mass.
+
+Every draw goes through one kernel over (..., K) rows of
+`masked_categorical` probabilities: `choice_cdf` builds each row's CDF over
+its full width, and `inverse_cdf` picks, per row, the first entry above the
+row's uniform. `draw` is its one-row case. A masked entry, or a valid one of
+probability 0, repeats the CDF entry before it, so it is never drawn. A row
+whose valid probabilities do not sum to a finite number (a nan or +inf
+logit on the valid support, or no finite valid logit) raises
+TrainingDivergenceError; masked logits are never looked at. The pick is the
+one `Generator.choice(len(valid), p=q / total)` makes with the same uniform
+over the row's valid probabilities q, where total is the last entry of the
+row's cumsum. With fewer than 8 valid entries that total equals `q.sum()`
+bit for bit, since numpy adds fewer than 8 doubles in order; with 8 or more,
+`q.sum()` adds pairwise and can differ in the last bit, which changes a pick
+only if the uniform falls within rounding of a CDF boundary.
 """
 
 from __future__ import annotations
@@ -227,8 +242,10 @@ def categorical_grad_logits(probs, log_probs, entropy, actions, dlogp, dentropy)
     dlogp = np.asarray(dlogp, dtype=np.float64)[..., None]
     dentropy = np.asarray(dentropy, dtype=np.float64)[..., None]
     onehot = np.arange(probs.shape[-1]) == np.asarray(actions)[..., None]
+    # A valid -inf logit has probability 0 and adds 0, as in the entropy:
+    # its log-prob is raised to the lowest finite float, not 0 * -inf.
     return dlogp * (onehot - probs) - dentropy * probs * (
-        log_probs + np.asarray(entropy)[..., None]
+        np.maximum(log_probs, _LOWEST) + np.asarray(entropy)[..., None]
     )
 
 
@@ -266,11 +283,13 @@ class MaskedCategorical:
         return d
 
 
-def masked_categoricals(logits: np.ndarray, masks: np.ndarray) -> list[MaskedCategorical]:
+def masked_categoricals(logits: np.ndarray, masks: np.ndarray,
+                        stats=None) -> list[MaskedCategorical]:
     """One MaskedCategorical view per row of (G, K) logits and masks, with
-    the statistics of all rows computed in one `masked_categorical` pass.
-    Every row of masks must leave a valid entry; that is not re-checked."""
-    stats = masked_categorical(logits, masks)
+    the statistics of all rows computed in one `masked_categorical` pass,
+    or taken from stats, that pass's output. Every row of masks must leave a
+    valid entry; that is not re-checked."""
+    stats = masked_categorical(logits, masks) if stats is None else stats
     return [MaskedCategorical.view(logits[g], masks[g], tuple(x[g] for x in stats))
             for g in range(len(logits))]
 
@@ -286,39 +305,53 @@ def log_prob(d: MaskedCategorical, index: int) -> float:
     return float(d.stats[1][index])
 
 
-def choice_cdf(q: np.ndarray) -> np.ndarray:
-    """The CDF over q, the valid probabilities of one categorical, that
-    `rng.choice(len(q), p=q / q.sum())` inverts, step for step. Raises
-    TrainingDivergenceError when q does not sum to a finite number
-    (non-finite logits)."""
-    total = q.sum()
-    if not math.isfinite(total):
-        raise TrainingDivergenceError(f"non-finite logits: valid probabilities sum to {total}")
-    cdf = (q / total).cumsum()
-    cdf /= cdf[-1]
+def choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF of every row of (..., K) `masked_categorical` probabilities,
+    over the row's full width, that `Generator.choice` would build over its
+    valid probabilities q: with total the last entry of the row's cumsum,
+    p = q / total, cdf = p.cumsum(), cdf /= cdf[-1]. Masked entries are 0,
+    so they add nothing and repeat the entry before them. Raises
+    TrainingDivergenceError when a row's total is not finite (non-finite
+    valid logits)."""
+    if probs.ndim == 1:  # one row: ndarray methods cost less than the batch path
+        total = probs.cumsum()[-1]
+        if not math.isfinite(total):
+            raise TrainingDivergenceError(
+                f"non-finite logits: valid probabilities sum to {total}")
+        cdf = (probs / total).cumsum()
+        cdf /= cdf[-1]
+        return cdf
+    total = probs.cumsum(axis=-1)[..., -1:]
+    if not np.isfinite(total).all():
+        raise TrainingDivergenceError(
+            f"non-finite logits: valid probabilities sum to {total[~np.isfinite(total)][0]}")
+    cdf = (probs / total).cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
     return cdf
 
 
-def inverse_cdf(cdf: np.ndarray, valid: np.ndarray, u: float) -> int:
-    """The entry of valid, the valid indices of a categorical whose
-    `choice_cdf` is cdf, that the uniform u picks: the one rng.choice
-    picks with the same uniform."""
-    return int(valid[cdf.searchsorted(u, "right")])
+def inverse_cdf(cdf: np.ndarray, u):
+    """The index each row of a `choice_cdf` picks with its uniform in [0, 1)
+    (one row and a float, or (..., K) rows and (...) uniforms): the first
+    entry above u, "searchsorted right", as `Generator.choice` picks. An
+    entry of probability 0 repeats the one before it, so it is never the
+    first above u: a masked index is never picked."""
+    if cdf.ndim == 1:
+        return int(cdf.searchsorted(u, "right"))
+    return (cdf <= u[..., None]).sum(axis=-1)
 
 
-def draw(probs: np.ndarray, mask: np.ndarray, rng: np.random.Generator) -> int:
-    """Index drawn from one row of `masked_categorical` probabilities, over
-    the entries its mask leaves valid, with one uniform from rng: the
-    `inverse_cdf` of the valid probabilities. The same generator gives the
-    index `rng.choice` would and is left in the same state. A masked index
-    is never drawn."""
-    valid = np.flatnonzero(mask > 0)
-    return inverse_cdf(choice_cdf(probs[valid]), valid, rng.random())
+def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn from one row of `masked_categorical` probabilities with
+    one uniform from rng: the one-row case of `choice_cdf` and
+    `inverse_cdf`. The same generator gives the index `rng.choice` would over
+    the valid entries and is left in the same state."""
+    return inverse_cdf(choice_cdf(probs), rng.random())
 
 
 def sample(d: MaskedCategorical, rng: np.random.Generator):
     """Draw an index from the masked distribution; returns (index, log_prob)."""
-    idx = draw(masked_softmax(d), d.mask, rng)
+    idx = draw(masked_softmax(d), rng)
     return idx, log_prob(d, idx)
 
 

@@ -330,8 +330,9 @@ class _StateHeads(NamedTuple):
 
     logits: np.ndarray                # the trunk's output
     workflow: MaskedCategorical       # the workflow head
-    workflow_cdf: np.ndarray          # its `choice_cdf` over the valid workflows
-    conditioned: dict                 # workflow id -> (five head views, their CDFs, six entropies)
+    workflow_cdf: np.ndarray          # its full-width `choice_cdf`
+    conditioned: dict                 # workflow id -> (five head views, their (5, widest) CDFs,
+                                      # six entropies)
 
 
 def _workflow_head(logits: np.ndarray, table: MaskTable) -> MaskedCategorical:
@@ -344,19 +345,20 @@ def _workflow_head(logits: np.ndarray, table: MaskTable) -> MaskedCategorical:
 def _state_heads(policy: StructurePolicy, table: MaskTable, s_vec: np.ndarray) -> _StateHeads:
     logits = policy.trunk.forward(s_vec)
     wf_dist = _workflow_head(logits, table)
-    return _StateHeads(logits, wf_dist,
-                       choice_cdf(wf_dist.stats[0][table.layout().valid[0][0]]), {})
+    return _StateHeads(logits, wf_dist, choice_cdf(wf_dist.stats[0]), {})
 
 
 def _conditioned_draws(heads: _StateHeads, layout: HeadLayout, workflow_id: int):
     """The five heads conditioned on workflow_id, from one padded
-    `masked_categorical` pass, with the `choice_cdf` of each over its valid
-    choices and the entropies of all six heads; built once per workflow."""
+    `masked_categorical` pass, with their CDFs from one `choice_cdf` over the
+    padded probabilities and the entropies of all six heads; built once per
+    workflow."""
     drawn = heads.conditioned.get(workflow_id)
     if drawn is None:
-        dists = masked_categoricals(*_conditioned_heads(heads.logits, layout, workflow_id))
-        cdfs = [choice_cdf(d.stats[0][valid])
-                for d, valid in zip(dists, layout.valid[workflow_id][1:])]
+        logits, masks = _conditioned_heads(heads.logits, layout, workflow_id)
+        stats = masked_categorical(logits, masks)
+        dists = masked_categoricals(logits, masks, stats)
+        cdfs = choice_cdf(stats[0])
         entropies = [entropy(heads.workflow)] + [entropy(d) for d in dists]
         drawn = heads.conditioned[workflow_id] = (dists, cdfs, entropies)
     return drawn
@@ -372,10 +374,10 @@ def sample_structure(
     """Sample workflow first, then the remaining heads under its masks; the
     five conditioned heads share one padded `masked_categorical` pass.
 
-    The six draws take one block of six uniforms, head i the i-th, each
-    through `inverse_cdf` over the head's valid choices in the table's
-    layout: the same doubles, choices and final generator state as one
-    `numeric.draw` per head.
+    The six draws take one block of six uniforms, head i the i-th: one
+    `inverse_cdf` picks the workflow, one more the five heads it conditions,
+    over their padded CDFs. They are the same choices, and leave the same
+    generator state, as one `numeric.draw` per head.
 
     memo, if given, maps a state vector's bytes to its `_StateHeads`, which
     the state fixes exactly while the trunk's parameters and the table stay
@@ -384,7 +386,6 @@ def sample_structure(
     drops the memo once the parameters or the table change.
     Returns (action, joint_log_prob, per_head_entropies).
     """
-    layout = table.layout()
     s_vec = s.as_vector()
     key = s_vec.tobytes()
     memo = {} if memo is None else memo
@@ -392,10 +393,9 @@ def sample_structure(
     if heads is None:
         heads = memo[key] = _state_heads(policy, table, s_vec)
     u = rng.random(len(HEAD_SIZES))
-    wf = inverse_cdf(heads.workflow_cdf, layout.valid[0][0], u[0])
-    dists, cdfs, entropies = _conditioned_draws(heads, layout, wf)
-    choices = [wf] + [inverse_cdf(cdf, valid, x)
-                      for cdf, valid, x in zip(cdfs, layout.valid[wf][1:], u[1:])]
+    wf = inverse_cdf(heads.workflow_cdf, u[0])
+    dists, cdfs, entropies = _conditioned_draws(heads, table.layout(), wf)
+    choices = [wf, *inverse_cdf(cdfs, u[1:]).tolist()]
     joint_lp = log_prob(heads.workflow, wf)
     for dist, c in zip(dists, choices[1:]):
         joint_lp += log_prob(dist, c)
@@ -508,11 +508,13 @@ def _walk_prompts(policy: PromptPolicy, s_vecs, actions: Sequence[StructureActio
     At each step, choose(rows, agents, positions, inputs, masks) gets the
     rows still choosing, with their agents, positions, step inputs and masks
     (lists of rows), and returns each one's action (atom or STOP index) and
-    log-prob. Returns each row's (sequences, steps). With record False the
-    steps stay empty, the log-probs go unread, and choose gets the live
-    inputs and masks, which the walk changes once it returns: a caller that
-    reads only the sequences (greedy decoding) pays for no copies and no
-    `PromptStep`s."""
+    log-prob, as lists of Python numbers. Returns each row's (sequences,
+    steps). With record False the steps stay empty, the log-probs go unread,
+    and choose gets the live inputs and masks, which the walk changes once
+    it returns: a caller that reads only the sequences (greedy decoding)
+    pays for no copies and no `PromptStep`s. With record True each row's
+    input and mask are copied, not stacked and viewed: stacking costs a
+    one-row walk more than it saves a wide one."""
     stop = policy.stop_index
     chosen_at = policy.state_dim + N_WORKFLOWS  # the multi-hot of atoms chosen
     stop_only = policy.step_mask(ROLES[0], (), MAX_PROMPT_LEN)
@@ -536,10 +538,9 @@ def _walk_prompts(policy: PromptPolicy, s_vecs, actions: Sequence[StructureActio
         picked, log_probs = choose(rows, [agent[e] for e in rows],
                                    [len(chosen[e]) for e in rows], x, m)
         still = []
-        for i, e in enumerate(rows):
-            a = int(picked[i])
+        for i, (e, a) in enumerate(zip(rows, picked)):
             if record:
-                steps[e].append(PromptStep(agent[e], x[i], m[i], a, float(log_probs[i])))
+                steps[e].append(PromptStep(agent[e], x[i], m[i], a, log_probs[i]))
             if a == stop:
                 sequences[e].append(tuple(chosen[e]))
                 chosen[e] = []
@@ -562,33 +563,12 @@ def _prompt_logits(policy: PromptPolicy, inputs) -> np.ndarray:
     return policy.net.forward_batch(np.array(inputs))[0]
 
 
-def _prompt_probs(policy: PromptPolicy, inputs, masks):
-    """Masked-categorical (probs, log_probs) of a batch of prompt steps, from
-    one prompt-net pass."""
+def _prompt_draws(policy: PromptPolicy, inputs, masks):
+    """What drawing a batch of prompt steps needs: their masked-categorical
+    log-probs and their `choice_cdf`s, (rows, atoms + 1) each, from one
+    prompt-net pass and one `choice_cdf`."""
     probs, log_probs, _ = masked_categorical(_prompt_logits(policy, inputs), np.array(masks))
-    return probs, log_probs
-
-
-def _prompt_draw_rows(policy: PromptPolicy, inputs, masks, memo: Optional[dict] = None):
-    """What drawing each of a batch of prompt steps needs: its log_probs, its
-    valid choices and their `choice_cdf`, from one `_prompt_probs` pass.
-
-    memo, if given, maps a step's input and mask bytes to these three, which
-    they fix exactly while the prompt net's parameters stay fixed: steps it
-    holds are read from it, and only the others run through the net and
-    join it."""
-    if memo is None:
-        rows = []
-        for p, lp, mask in zip(*_prompt_probs(policy, inputs, masks), masks):
-            valid = np.flatnonzero(mask > 0)
-            rows.append((lp, valid, choice_cdf(p[valid])))
-        return rows
-    keys = [x.tobytes() + m.tobytes() for x, m in zip(inputs, masks)]
-    new = [i for i, key in enumerate(keys) if key not in memo]
-    if new:
-        rows = _prompt_draw_rows(policy, [inputs[i] for i in new], [masks[i] for i in new])
-        memo.update(zip([keys[i] for i in new], rows))
-    return [memo[key] for key in keys]
+    return log_probs, choice_cdf(probs)
 
 
 def _given_prompt_steps(policy: PromptPolicy, s_vecs, actions, sequences):
@@ -607,7 +587,7 @@ def _given_prompt_steps(policy: PromptPolicy, s_vecs, actions, sequences):
                 raise InvalidActionError(
                     f"atom {atom} invalid for role {ROLES[agent]} at position {position}"
                 )
-            picked.append(atom)
+            picked.append(int(atom))
         return picked, [0.0] * len(rows)
 
     return [st for _, st in _walk_prompts(policy, s_vecs, actions, given)]
@@ -622,16 +602,32 @@ def sample_prompts_lockstep(
 ):
     """`sample_prompts` for a list of episodes at once: one prompt-net pass
     per step over the episodes still choosing. Episode e draws from rngs[e],
-    in the order `sample_prompts` would. memo, if given, is a
-    `_prompt_draw_rows` memo of steps already scored under the current
-    parameters; the caller drops it once they change. Returns each
-    episode's (sequences, steps)."""
+    in the order `sample_prompts` would: each step takes one uniform from
+    each row's generator and picks every row with one `inverse_cdf`.
+
+    memo, if given, maps a step's input and mask bytes to its (log-prob
+    row, CDF row), which they fix exactly while the prompt net's parameters
+    stay fixed; the caller drops it once they change. Steps it holds are
+    read from it, the others are scored in one pass and join it, and each
+    row is picked on its own: a memo serves one-row walks, where stacking
+    the rows costs more than it saves. Returns each episode's (sequences,
+    steps)."""
 
     def drawn(rows, agents, positions, inputs, masks):
-        draw_rows = _prompt_draw_rows(policy, inputs, masks, memo)
-        picked = [inverse_cdf(cdf, valid, rngs[e].random())
-                  for (_, valid, cdf), e in zip(draw_rows, rows)]
-        return picked, [lp[a] for (lp, _, _), a in zip(draw_rows, picked)]
+        u = [rngs[e].random() for e in rows]
+        if memo is None:
+            log_probs, cdfs = _prompt_draws(policy, inputs, masks)
+            picked = inverse_cdf(cdfs, np.array(u))
+            return picked.tolist(), log_probs[np.arange(len(rows)), picked].tolist()
+        keys = [x.tobytes() + m.tobytes() for x, m in zip(inputs, masks)]
+        new = [i for i, key in enumerate(keys) if key not in memo]
+        if new:
+            memo.update(zip([keys[i] for i in new],
+                            zip(*_prompt_draws(policy, [inputs[i] for i in new],
+                                               [masks[i] for i in new]))))
+        scored = [memo[key] for key in keys]
+        picked = [inverse_cdf(cdf, x) for (_, cdf), x in zip(scored, u)]
+        return picked, [lp.item(a) for (lp, _), a in zip(scored, picked)]
 
     return _walk_prompts(policy, [s.as_vector() for s in states], actions, drawn)
 
@@ -700,7 +696,7 @@ def greedy_configuration(
     action = StructureAction.from_heads([wf, *c])
 
     def mode(rows, agents, positions, inputs, masks):
-        return _mode(_prompt_logits(prompt_policy, inputs), np.array(masks)), None
+        return _mode(_prompt_logits(prompt_policy, inputs), np.array(masks)).tolist(), None
 
     n = action.workflow.agents_active
     walked = _walk_prompts(prompt_policy, [s_vec] * n, [action] * n, mode, agents=range(n),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -317,46 +317,77 @@ def _value_regression(net: DenseNet, inputs, targets, scale: float):
     return float(err @ err), grads
 
 
+class PPOBatch(NamedTuple):
+    """Rollouts laid out once for every epoch of a PPO update: the replay
+    layout, then per structure decision and per prompt step the log-prob it
+    was sampled with, its advantage and its value target."""
+
+    replay: ReplayBatch
+    struct_old_lp: np.ndarray
+    struct_adv: np.ndarray
+    struct_targets: np.ndarray
+    step_old_lp: np.ndarray
+    step_adv: np.ndarray
+    step_targets: np.ndarray
+    mean_reward: float
+
+
+def ppo_batch(prompt_policy: PromptPolicy, table: MaskTable,
+              rollouts: Sequence[Rollout]) -> PPOBatch:
+    """The `PPOBatch` of rollouts whose advantages and targets are set."""
+    steps = [step for r in rollouts for step in r.prompt_steps]
+    return PPOBatch(
+        ReplayBatch.build(prompt_policy, table, [r.state.as_vector() for r in rollouts],
+                          [r.record.structure_action for r in rollouts],
+                          [r.prompt_steps for r in rollouts]),
+        np.array([r.struct_log_prob for r in rollouts]),
+        np.array([r.struct_adv for r in rollouts]),
+        np.array([r.struct_target for r in rollouts]),
+        np.array([step.log_prob for step in steps]),
+        np.array([a for r in rollouts for a in r.step_advs]),
+        np.array([t for r in rollouts for t in r.step_targets]),
+        float(np.mean([r.record.reward for r in rollouts])),
+    )
+
+
 def ppo_loss_and_grads(
     struct_policy: StructurePolicy,
     prompt_policy: PromptPolicy,
     table: MaskTable,
-    rollouts: Sequence[Rollout],
+    rollouts,
     cfg: PPOConfig,
     use_value_loss: bool = True,
 ):
     """Clipped-surrogate PPO loss over one batch, with value MSE and entropy
     regularization; masks are applied identically to old and new log-probs.
     Structure terms are averaged over episodes, prompt terms over steps.
+    rollouts: Rollouts, or their `ppo_batch`.
 
     Returns (loss, grads, diagnostics) where grads maps net name -> gradient
     list aligned with that net's parameters. Without the value loss (GRPO)
     grads holds no value-net entries.
     """
-    steps = [step for r in rollouts for step in r.prompt_steps]
-    batch = ReplayBatch.build(
-        prompt_policy, table, [r.state.as_vector() for r in rollouts],
-        [r.record.structure_action for r in rollouts], [r.prompt_steps for r in rollouts])
-    (s_lp, p_lp), (s_h, p_h), cache = replay((struct_policy, prompt_policy), table, batch)
-    s_loss, s_dlogp, s_dh, s_hits = _ppo_terms(
-        s_lp, s_h, np.array([r.struct_log_prob for r in rollouts]),
-        np.array([r.struct_adv for r in rollouts]), cfg)
-    p_loss, p_dlogp, p_dh, p_hits = _ppo_terms(
-        p_lp, p_h, np.array([step.log_prob for step in steps]),
-        np.array([a for r in rollouts for a in r.step_advs]), cfg)
+    batch = rollouts if isinstance(rollouts, PPOBatch) else ppo_batch(
+        prompt_policy, table, rollouts)
+    layout = batch.replay
+    (s_lp, p_lp), (s_h, p_h), cache = replay((struct_policy, prompt_policy), table, layout)
+    s_loss, s_dlogp, s_dh, s_hits = _ppo_terms(s_lp, s_h, batch.struct_old_lp,
+                                               batch.struct_adv, cfg)
+    p_loss, p_dlogp, p_dh, p_hits = _ppo_terms(p_lp, p_h, batch.step_old_lp,
+                                               batch.step_adv, cfg)
     loss = s_loss + p_loss
     grads = vjp(cache, (s_dlogp, p_dlogp), (s_dh, p_dh))
-    n_struct, n_steps = len(rollouts), len(steps)
+    n_struct, n_steps = layout.n, len(batch.step_old_lp)
     sq_err = 0.0
     if use_value_loss:
         for name, net, inputs, targets, n in (
-            ("struct_value", struct_policy.value_net, batch.states,
-             [r.struct_target for r in rollouts], n_struct),
-            ("prompt_value", prompt_policy.value_net, batch.step_inputs,
-             [t for r in rollouts for t in r.step_targets], n_steps),
+            ("struct_value", struct_policy.value_net, layout.states, batch.struct_targets,
+             n_struct),
+            ("prompt_value", prompt_policy.value_net, layout.step_inputs, batch.step_targets,
+             n_steps),
         ):
             scale = cfg.value_coef / max(n, 1)
-            sq, grads[name] = _value_regression(net, inputs, np.array(targets), scale)
+            sq, grads[name] = _value_regression(net, inputs, targets, scale)
             loss += scale * sq
             sq_err += sq
 
@@ -366,7 +397,7 @@ def ppo_loss_and_grads(
         "clip_fraction": (s_hits + p_hits) / n_decisions,
         "mean_entropy": float(s_h.sum() + p_h.sum()) / n_decisions,
         "value_loss": sq_err / n_decisions,
-        "mean_reward": float(np.mean([r.record.reward for r in rollouts])),
+        "mean_reward": batch.mean_reward,
     }
     return loss, grads, diagnostics
 
@@ -400,11 +431,13 @@ def ppo_update(
     """epochs_per_batch gradient steps on the batch; per-network gradient
     clipping and per-policy learning rates. Only the nets that receive a
     gradient are stepped: without the value loss the value nets and their
-    Adam states stay as they are."""
+    Adam states stay as they are. The batch is laid out once, for every
+    epoch."""
+    batch = ppo_batch(prompt_policy, table, rollouts)
     last = None
     for _ in range(cfg.epochs_per_batch):
         loss, grads, last = ppo_loss_and_grads(
-            struct_policy, prompt_policy, table, rollouts, cfg, use_value_loss
+            struct_policy, prompt_policy, table, batch, cfg, use_value_loss
         )
         if not math.isfinite(loss):
             raise TrainingDivergenceError(f"non-finite PPO loss: {last}")

@@ -20,10 +20,13 @@ from agentcfg.numeric import (
     DenseNet,
     MaskedCategorical,
     adam_step,
+    categorical_grad_logits,
+    choice_cdf,
     clip_grad_norm,
     draw,
     entropy,
     entropy_grad_logits,
+    inverse_cdf,
     load_net,
     log_prob,
     log_prob_grad_logits,
@@ -33,6 +36,28 @@ from agentcfg.numeric import (
     sample,
     save_net,
 )
+
+
+@st.composite
+def categorical_rows(draw_from):
+    """(logits, masks) of 1-6 rows of one width in 1..20: valid logits in
+    [-800, 30] (probability exactly 0 near -800) or -inf, at least one finite
+    per row; masked entries any of nan, +-inf or a finite value; some rows
+    fully valid, so 8 or more valid entries are common."""
+    k = draw_from(st.integers(1, 20))
+    valid_logit = st.one_of(st.floats(-800, 30), st.just(-np.inf))
+    masked_logit = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 50.0])
+    logits, masks = [], []
+    for _ in range(draw_from(st.integers(1, 6))):
+        dense = draw_from(st.booleans())
+        keep = [dense or draw_from(st.booleans()) for _ in range(k)]
+        anchor = draw_from(st.integers(0, k - 1))
+        keep[anchor] = True
+        row = [draw_from(valid_logit if kept else masked_logit) for kept in keep]
+        row[anchor] = draw_from(st.floats(-800, 30))
+        logits.append(row)
+        masks.append(keep)
+    return np.array(logits), np.array(masks, dtype=float)
 
 
 def reference_forward(params, sizes, x):
@@ -276,10 +301,45 @@ class TestSampling:
             i, g = k % len(rows), k % len(seeds)
             valid = np.flatnonzero(masks[i] > 0)
             q = probs[i][valid]
-            assert draw(probs[i], masks[i], rngs[g]) == valid[twins[g].choice(
+            assert draw(probs[i], rngs[g]) == valid[twins[g].choice(
                 len(valid), p=q / q.sum())]
         for rng, twin in zip(rngs, twins):
             assert rng.random() == twin.random()  # same number of draws consumed
+
+    @given(categorical_rows(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_kernel_picks_as_one_row_draws_and_rng_choice(self, rows, seed):
+        logits, masks = rows
+        probs = masked_categorical(logits, masks)[0]
+        cdf = choice_cdf(probs)
+        u = np.random.default_rng(seed).random(len(probs))
+        picks = inverse_cdf(cdf, u)
+        one_row, chooser = np.random.default_rng(seed), np.random.default_rng(seed)
+        for i, pick in enumerate(picks):
+            valid = np.flatnonzero(masks[i] > 0)
+            q = probs[i][valid]
+            total = probs[i].cumsum()[-1]
+            assert np.array_equal(choice_cdf(probs[i]), cdf[i])
+            assert pick == draw(probs[i], one_row)
+            assert pick == valid[chooser.choice(len(valid), p=q / total)]
+            assert masks[i][pick] > 0 and probs[i][pick] > 0
+            if len(valid) < 8:  # q.sum() adds fewer than 8 doubles in order
+                want = (q / q.sum()).cumsum()
+                want /= want[-1]
+                assert np.array_equal(cdf[i][valid], want)
+        assert one_row.random() == chooser.random()  # one uniform per row
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_valid_row_fails_the_batch(self, bad):
+        logits = np.array([[0.0, 1.0, 2.0], [0.0, bad, 1.0]])
+        if bad == -np.inf:
+            logits[1] = -np.inf  # no finite valid logit
+        with np.errstate(invalid="ignore"):
+            probs = masked_categorical(logits, np.ones((2, 3)))[0]
+        with pytest.raises(TrainingDivergenceError):
+            choice_cdf(probs)
+        with pytest.raises(TrainingDivergenceError):
+            choice_cdf(probs[1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_logits_raise_divergence(self, bad):
@@ -378,6 +438,34 @@ class TestDistributionGradients:
             ) / (2 * h)
             assert g[j] == pytest.approx(fd, abs=1e-6)
         assert g[1] == 0.0
+
+
+    def test_minus_inf_logit_has_a_zero_gradient(self):
+        # the entropy term of a valid -inf logit is 0, not 0 * -inf
+        with np.errstate(all="raise"):
+            g = categorical_grad_logits(
+                *masked_categorical(np.array([0.0, -np.inf, 1.0]), np.ones(3)), 0, 1.0, 0.01)
+            without = categorical_grad_logits(
+                *masked_categorical(np.array([0.0, 1.0]), np.ones(2)), 0, 1.0, 0.01)
+        assert g[1] == 0.0
+        assert np.array_equal(g[[0, 2]], without)
+
+    @given(st.lists(st.tuples(st.lists(st.floats(-800, 30), min_size=9, max_size=9),
+                              st.lists(st.booleans(), min_size=9, max_size=9),
+                              st.integers(0, 8)),
+                    min_size=1, max_size=6),
+           st.floats(-2, 2), st.floats(-2, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_rows_keep_the_plain_gradient_bit_for_bit(self, rows, dlogp, dentropy):
+        logits = np.array([r[0] for r in rows])
+        masks = np.array([r[1] for r in rows], dtype=float)
+        actions = np.array([r[2] for r in rows])
+        masks[np.arange(len(rows)), actions] = 1.0
+        probs, log_probs, h = masked_categorical(logits, masks)
+        onehot = np.arange(9) == actions[:, None]
+        plain = dlogp * (onehot - probs) - dentropy * probs * (log_probs + h[:, None])
+        got = categorical_grad_logits(probs, log_probs, h, actions, dlogp, dentropy)
+        assert np.array_equal(got, plain)
 
 
 class TestAdam:

@@ -24,6 +24,7 @@ from agentcfg.errors import (
 )
 from agentcfg.policy import (
     PromptPolicy,
+    ReplayBatch,
     StructurePolicy,
     default_mask_table,
     log_prob_structure,
@@ -49,6 +50,7 @@ from agentcfg.train import (
     filter_elite,
     grpo_advantages,
     kl_to_empirical,
+    ppo_batch,
     ppo_loss_and_grads,
     ppo_update,
     sft_loss_and_grads,
@@ -215,6 +217,27 @@ class TestPPOGradients:
                 err = abs(fd - flat_g[i])
                 denom = max(abs(fd), abs(flat_g[i]), 1e-7)
                 assert err < 1e-9 or err / denom < 1e-3, (name, i)
+
+    @pytest.mark.parametrize("use_value_loss", [True, False])
+    def test_laid_out_batch_scores_as_its_rollouts(self, use_value_loss, monkeypatch):
+        struct, prompt = make_policies(7)
+        cfg = PPOConfig(batch_size=6, total_episodes=6, epochs_per_batch=3)
+        rollouts = collect_rollouts(struct, prompt, TABLE, small_env(3), 6, REWARD, run_seed=4)
+        compute_advantages(rollouts, struct, prompt, cfg.gamma)
+        got = ppo_loss_and_grads(struct, prompt, TABLE, ppo_batch(prompt, TABLE, rollouts), cfg,
+                                 use_value_loss)
+        want = ppo_loss_and_grads(struct, prompt, TABLE, rollouts, cfg, use_value_loss)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1].keys() == want[1].keys()
+        for name in want[1]:
+            assert all(np.array_equal(g, w) for g, w in zip(got[1][name], want[1][name]))
+        # an update lays its batch out once for all of its epochs
+        builds = []
+        monkeypatch.setattr(ReplayBatch, "build", lambda *a, _build=ReplayBatch.build:
+                            builds.append(1) or _build(*a))
+        ppo_update(struct, prompt, TABLE, rollouts, cfg, OptimizerSet.create(struct, prompt),
+                   use_value_loss)
+        assert len(builds) == 1
 
     def test_update_moves_toward_high_advantage(self):
         struct, prompt = make_policies(6)
