@@ -82,13 +82,26 @@ class DenseNet:
     def forward_batch(self, X: np.ndarray):
         """Outputs for a (B, input) batch of rows, plus the activations that
         `backward` reuses instead of a second forward pass."""
+        return self._forward(self._batch(X))
+
+    def forward_rows(self, X: np.ndarray) -> np.ndarray:
+        """Outputs for a (B, input) batch of rows, each computed as a
+        one-row batch is: the rows go through as a stack of B one-row
+        products, which matmul computes one by one. A row's output then does
+        not depend on the other rows or their number, as a `forward_batch`
+        row's can in the last bits; the price is B small products per
+        layer instead of one."""
+        return self._forward(self._batch(X)[:, None])[0][:, 0]
+
+    def _batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_size:
             raise ShapeError(f"expected input shape (B, {self.input_size}), got {X.shape}")
-        return self._forward(X)
+        return X
 
     def _forward(self, h):
-        # h is one row (input,) or a batch (B, input); `h @ W.T` serves both.
+        # h is one row (input,), a batch (B, input) or a stack (B, 1, input)
+        # of one-row batches; `h @ W.T` serves all three.
         activations = [h]
         for layer in range(self.n_layers):
             W, b = self.params[2 * layer], self.params[2 * layer + 1]

@@ -11,7 +11,7 @@ always computed over the same valid support.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -323,45 +323,71 @@ def _conditioned_heads(logits: np.ndarray, layout: HeadLayout, workflow_id: int)
     return logits[_HEAD_COLUMNS[1:]], layout.masks[workflow_id, 1:]
 
 
-class _StateHeads(NamedTuple):
-    """What drawing structures for one state needs, fixed while the trunk's
-    parameters and the table stay fixed: the memo entry of
-    `sample_structure`."""
+@dataclass
+class _StateHeads:
+    """What scoring and drawing structures for one state needs, fixed while
+    the trunk's parameters and the table stay fixed: the memo entry that
+    `sample_structure` and `log_prob_structure` share. The trunk pass and
+    the workflow head are built with the entry; each other part is built
+    the first time a call reads it, so scoring builds no CDF and no
+    entropy."""
 
     logits: np.ndarray                # the trunk's output
     workflow: MaskedCategorical       # the workflow head
-    workflow_cdf: np.ndarray          # its full-width `choice_cdf`
-    conditioned: dict                 # workflow id -> (five head views, their (5, widest) CDFs,
-                                      # six entropies)
+    conditioned: dict = field(default_factory=dict)  # workflow id -> (five head views,
+                                                     # their padded pass's stats)
+    draws: dict = field(default_factory=dict)        # workflow id -> (five head views,
+                                                     # (5, widest) CDFs, six entropies)
+    workflow_cdf: Optional[np.ndarray] = None        # the workflow head's `choice_cdf`
 
 
-def _workflow_head(logits: np.ndarray, table: MaskTable) -> MaskedCategorical:
-    """The workflow head over the trunk's output, under the table's mask."""
-    wf_logits = logits[head_slice(0)]
-    return MaskedCategorical.view(wf_logits, table.workflow_mask,
-                                  masked_categorical(wf_logits, table.workflow_mask))
+def _state_heads(policy: StructurePolicy, table: MaskTable, s_vec: np.ndarray,
+                 memo: dict) -> _StateHeads:
+    """memo's entry for the state vector s_vec, keyed by its bytes; a new
+    entry takes one trunk pass and the workflow head under the table's
+    mask."""
+    key = s_vec.tobytes()
+    heads = memo.get(key)
+    if heads is None:
+        logits = policy.trunk.forward(s_vec)
+        wf_logits = logits[head_slice(0)]
+        heads = memo[key] = _StateHeads(logits, MaskedCategorical.view(
+            wf_logits, table.workflow_mask, masked_categorical(wf_logits, table.workflow_mask)))
+    return heads
 
 
-def _state_heads(policy: StructurePolicy, table: MaskTable, s_vec: np.ndarray) -> _StateHeads:
-    logits = policy.trunk.forward(s_vec)
-    wf_dist = _workflow_head(logits, table)
-    return _StateHeads(logits, wf_dist, choice_cdf(wf_dist.stats[0]), {})
+def _conditioned(heads: _StateHeads, layout: HeadLayout, workflow_id: int):
+    """The five heads conditioned on workflow_id, from one padded
+    `masked_categorical` pass, built once per workflow: their views and the
+    pass's stats."""
+    scored = heads.conditioned.get(workflow_id)
+    if scored is None:
+        logits, masks = _conditioned_heads(heads.logits, layout, workflow_id)
+        stats = masked_categorical(logits, masks)
+        scored = heads.conditioned[workflow_id] = (
+            masked_categoricals(logits, masks, stats), stats)
+    return scored
 
 
 def _conditioned_draws(heads: _StateHeads, layout: HeadLayout, workflow_id: int):
-    """The five heads conditioned on workflow_id, from one padded
-    `masked_categorical` pass, with their CDFs from one `choice_cdf` over the
-    padded probabilities and the entropies of all six heads; built once per
-    workflow."""
-    drawn = heads.conditioned.get(workflow_id)
+    """`_conditioned`'s heads with what drawing them needs, built once per
+    workflow: their CDFs from one `choice_cdf` over the padded
+    probabilities, and the entropies of all six heads."""
+    drawn = heads.draws.get(workflow_id)
     if drawn is None:
-        logits, masks = _conditioned_heads(heads.logits, layout, workflow_id)
-        stats = masked_categorical(logits, masks)
-        dists = masked_categoricals(logits, masks, stats)
-        cdfs = choice_cdf(stats[0])
+        dists, stats = _conditioned(heads, layout, workflow_id)
         entropies = [entropy(heads.workflow)] + [entropy(d) for d in dists]
-        drawn = heads.conditioned[workflow_id] = (dists, cdfs, entropies)
+        drawn = heads.draws[workflow_id] = (dists, choice_cdf(stats[0]), entropies)
     return drawn
+
+
+def _joint_log_prob(heads: _StateHeads, dists, choices) -> float:
+    """The six heads' `numeric.log_prob` terms of choices, summed in head
+    order."""
+    joint_lp = log_prob(heads.workflow, choices[0])
+    for dist, c in zip(dists, choices[1:]):
+        joint_lp += log_prob(dist, c)
+    return joint_lp
 
 
 def sample_structure(
@@ -382,41 +408,47 @@ def sample_structure(
     memo, if given, maps a state vector's bytes to its `_StateHeads`, which
     the state fixes exactly while the trunk's parameters and the table stay
     fixed: repeated calls for one state then run the trunk and score each
-    workflow's heads once, and draw the same as fresh calls. The caller
-    drops the memo once the parameters or the table change.
+    workflow's heads once, and draw the same as fresh calls. It may be
+    shared with `log_prob_structure`. The caller drops the memo once the
+    parameters or the table change.
     Returns (action, joint_log_prob, per_head_entropies).
     """
-    s_vec = s.as_vector()
-    key = s_vec.tobytes()
-    memo = {} if memo is None else memo
-    heads = memo.get(key)
-    if heads is None:
-        heads = memo[key] = _state_heads(policy, table, s_vec)
+    heads = _state_heads(policy, table, s.as_vector(), {} if memo is None else memo)
+    if heads.workflow_cdf is None:
+        heads.workflow_cdf = choice_cdf(heads.workflow.stats[0])
     u = rng.random(len(HEAD_SIZES))
     wf = inverse_cdf(heads.workflow_cdf, u[0])
     dists, cdfs, entropies = _conditioned_draws(heads, table.layout(), wf)
     choices = [wf, *inverse_cdf(cdfs, u[1:]).tolist()]
-    joint_lp = log_prob(heads.workflow, wf)
-    for dist, c in zip(dists, choices[1:]):
-        joint_lp += log_prob(dist, c)
-    return StructureAction.from_heads(choices), joint_lp, list(entropies)
+    return (StructureAction.from_heads(choices), _joint_log_prob(heads, dists, choices),
+            list(entropies))
 
 
 def log_prob_structure(
-    policy: StructurePolicy, table: MaskTable, s: StateEmbedding, a: StructureAction
+    policy: StructurePolicy,
+    table: MaskTable,
+    s: StateEmbedding,
+    a: StructureAction,
+    memo: Optional[dict] = None,
 ) -> float:
     """Joint log-probability under the identical masking pipeline as
-    sampling: one trunk pass, the workflow head, and the five conditioned
-    heads in one padded `masked_categorical` pass, as `sample_structure`
-    scores them; errors on any action the masks forbid."""
+    sampling: the workflow head and the five heads it conditions, from the
+    `_StateHeads` entry that `sample_structure` keeps for the state, summed
+    in head order as `sample_structure` sums them; errors on any action the
+    masks forbid.
+
+    memo is a structure memo as `sample_structure` takes it, and the two
+    may share one: a state seen before skips the trunk, a (state,
+    workflow) seen before also the padded pass. Without a memo the call
+    makes one trunk pass and one padded `masked_categorical` pass, and
+    builds no CDF and no entropy."""
     if not table.is_valid(a):
         raise InvalidActionError(
             f"structure action invalid under mask table: {a}"
         )
-    logits = policy.trunk.forward(s.as_vector())
-    dists = [_workflow_head(logits, table)] + masked_categoricals(
-        *_conditioned_heads(logits, table.layout(), a.workflow_id))
-    return sum(log_prob(d, c) for d, c in zip(dists, a.heads))
+    heads = _state_heads(policy, table, s.as_vector(), {} if memo is None else memo)
+    dists, _ = _conditioned(heads, table.layout(), a.workflow_id)
+    return _joint_log_prob(heads, dists, a.heads)
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +741,30 @@ def log_prob_prompts(
     s: StateEmbedding,
     a_struct: StructureAction,
     sequences: Sequence[Sequence[int]],
+    memo: Optional[dict] = None,
 ) -> float:
-    """Total log-probability of given sequences (including each STOP)."""
+    """Total log-probability of given sequences (including each STOP).
+
+    memo, if given, maps a step's input and mask bytes, the key
+    `sample_prompts` uses, to the step's masked-categorical log-prob row,
+    which they fix exactly while the prompt net's parameters stay fixed; the
+    caller drops it once they change. It holds no CDFs, so it is not a
+    sampling memo. Steps it holds are read from it; the others, or without
+    a memo every step, are scored in one `DenseNet.forward_rows` pass and
+    join it. That pass gives each row the bits of its one-row pass, so a
+    score does not depend on what the memo held, and each step's term is
+    the log-prob a one-episode `sample_prompts` records for it. The terms
+    are summed in step order."""
     steps = _given_prompt_steps(policy, [s.as_vector()], [a_struct], [sequences])[0]
-    logp, _, _ = score_choices(
-        policy.net,
-        np.stack([st.input_vec for st in steps]),
-        np.stack([st.mask for st in steps]),
-        np.array([st.action for st in steps]),
-    )
-    return float(logp.sum())
+    memo = {} if memo is None else memo
+    keys = [st.input_vec.tobytes() + st.mask.tobytes() for st in steps]
+    new = {key: st for key, st in zip(keys, steps) if key not in memo}
+    if new:
+        _, log_probs, _ = masked_categorical(
+            policy.net.forward_rows(np.array([st.input_vec for st in new.values()])),
+            np.array([st.mask for st in new.values()]))
+        memo.update(zip(new, log_probs))
+    return float(np.array([memo[key][st.action] for key, st in zip(keys, steps)]).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -615,11 +615,17 @@ def sft_update(
 # ---------------------------------------------------------------------------
 
 
-def _config_log_prob(struct_policy, prompt_policy, table, record: EpisodeRecord) -> float:
+def _config_log_prob(struct_policy, prompt_policy, table, record: EpisodeRecord,
+                     structure_memo: Optional[dict] = None,
+                     prompt_memo: Optional[dict] = None) -> float:
+    """A record's configuration log-prob: its structure's, through
+    structure_memo, plus its prompt steps', through prompt_memo (see
+    `log_prob_structure` and `log_prob_prompts`)."""
     return log_prob_structure(
-        struct_policy, table, record.state, record.structure_action
+        struct_policy, table, record.state, record.structure_action, structure_memo
     ) + log_prob_prompts(
-        prompt_policy, record.state, record.structure_action, record.prompt_actions
+        prompt_policy, record.state, record.structure_action, record.prompt_actions,
+        prompt_memo
     )
 
 
@@ -650,17 +656,9 @@ def dpo_update(
     """Preference refinement against the pre-update policy as reference.
     Positives pair with their nearest-state negative, one pair per positive;
     a record in several pairs, or records of one (state, configuration),
-    share one reference log-prob."""
+    share one reference log-prob (see `_reference_log_probs`)."""
     pairs = _dpo_pairs(buffer, cfg)
-    ref = {}
-
-    def ref_lp(r: EpisodeRecord) -> float:
-        key = (r.state.as_vector().tobytes(), action_key(r.structure_action, r.prompt_actions))
-        if key not in ref:
-            ref[key] = _config_log_prob(struct_policy, prompt_policy, table, r)
-        return ref[key]
-
-    ref_lps = [(ref_lp(pos), ref_lp(neg)) for pos, neg in pairs]
+    ref_lps = _reference_log_probs(struct_policy, prompt_policy, table, pairs)
     batch = _pair_batch(prompt_policy, table, pairs)
     opt_struct = AdamState.for_params(struct_policy.trunk.params)
     opt_prompt = AdamState.for_params(prompt_policy.net.params)
@@ -677,6 +675,26 @@ def dpo_update(
         adam_step(prompt_policy.net.params, g2, opt_prompt, cfg.lr_prompt)
         losses.append(loss)
     return losses
+
+
+def _reference_log_probs(struct_policy, prompt_policy, table, pairs) -> list[tuple]:
+    """Each pair's (positive, negative) configuration log-probs under the
+    current parameters: one score per distinct (state, configuration). The
+    scores share one structure memo and one prompt-step memo, so a state
+    scored before skips the trunk and a step scored before the prompt net;
+    both memos are dropped on return, before any parameter changes."""
+    ref: dict = {}
+    structure_memo: dict = {}
+    prompt_memo: dict = {}
+
+    def ref_lp(r: EpisodeRecord) -> float:
+        key = (r.state.as_vector().tobytes(), action_key(r.structure_action, r.prompt_actions))
+        if key not in ref:
+            ref[key] = _config_log_prob(struct_policy, prompt_policy, table, r,
+                                        structure_memo, prompt_memo)
+        return ref[key]
+
+    return [(ref_lp(pos), ref_lp(neg)) for pos, neg in pairs]
 
 
 def _pair_batch(prompt_policy, table, pairs) -> ReplayBatch:
@@ -710,8 +728,17 @@ def dpo_loss_and_grads(struct_policy, prompt_policy, table, pairs, ref_lps, cfg:
 
 
 def _require_samples(n_samples: int) -> None:
-    if not n_samples >= 1:
-        raise ContractError(f"n_samples must be >= 1, got {n_samples!r}")
+    """A bool is not taken as 0 or 1, nor 2.5 as two samples and a half."""
+    if not (isinstance(n_samples, (int, np.integer)) and not isinstance(n_samples, bool)
+            and n_samples >= 1):
+        raise ContractError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+
+
+def _require_elite(elite: EliteSet) -> None:
+    """A guarantee check does not pass on no evidence: it needs an elite
+    state to sample."""
+    if not elite.state_examples:
+        raise EmptyEliteError("a guarantee check requires a non-empty elite set")
 
 
 def _sample_config_keys(struct_policy, prompt_policy, table, state, n_samples, rng):
@@ -735,8 +762,11 @@ def verify_support_restriction(
     rng: np.random.Generator,
 ):
     """Draw n_samples configurations per elite state; pass iff every sample
-    lies in that state's elite action set. Returns (passed, violations)."""
+    lies in that state's elite action set. Returns (passed, violations).
+    Raises EmptyEliteError on an empty elite set, and ContractError unless
+    n_samples is an integer >= 1."""
     _require_samples(n_samples)
+    _require_elite(elite)
     violations = []
     for s_key, state in elite.state_examples.items():
         allowed = elite.elite_actions(s_key)
@@ -757,8 +787,11 @@ def verify_reward_floor(
 ):
     """Estimate E[replayed elite reward] under the refined policy; pass iff
     the estimate is >= tau_eff - 1e-9 and no sampled action falls outside the
-    recorded support. Returns (estimate, passed, n_support_violations)."""
+    recorded support. Returns (estimate, passed, n_support_violations).
+    Refuses an empty elite set or a bad n_samples as
+    `verify_support_restriction` does."""
     _require_samples(n_samples)
+    _require_elite(elite)
     reward_lookup = {
         key: float(np.mean(rewards)) for key, rewards in elite.action_rewards.items()
     }
@@ -786,7 +819,9 @@ def kl_to_empirical(
     elite: EliteSet,
 ) -> float:
     """State-frequency-weighted KL(p_hat || pi) over elite actions; policy
-    probabilities floored at 1e-12 so the report stays finite."""
+    probabilities floored at 1e-12 so the report stays finite. Raises
+    EmptyEliteError on an empty elite set."""
+    _require_elite(elite)
     total = sum(elite.state_counts.values())
     terms = [
         (elite.state_counts[s_key] / total, p, elite.action_examples[(s_key, a_key)])

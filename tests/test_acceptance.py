@@ -245,8 +245,9 @@ class TestCriterion2:
         )
         rng = np.random.default_rng(1)
         no_agent2_tools = True
+        memo: dict = {}  # one state under fixed parameters: the trunk runs once
         for _ in range(100_000):
-            action, _, _ = sample_structure(struct, direct_only, state, rng)
+            action, _, _ = sample_structure(struct, direct_only, state, rng, memo)
             if action.tools2 != 0:
                 no_agent2_tools = False
                 break

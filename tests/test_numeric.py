@@ -103,10 +103,26 @@ class TestDenseNetForward:
         for x in np.random.default_rng(6).normal(size=(20, sizes[0])):
             assert np.array_equal(net.forward_batch(x[None])[0][0], net.forward(x))
 
+    @pytest.mark.parametrize("sizes", [(69, 128, 128, 83), (21, 32, 41), (27, 32, 5),
+                                       (88, 128, 128, 11)])
+    def test_rows_do_not_depend_on_their_batch(self, sizes):
+        # a batched pass can change a row's last bits with the row count;
+        # forward_rows gives every row the bits of its one-row pass
+        net = DenseNet(sizes, rng=np.random.default_rng(7))
+        X = np.random.default_rng(8).normal(size=(40, sizes[0]))
+        alone = np.array([net.forward(x) for x in X])
+        for n in (1, 2, 3, 5, 8, 13, 40):
+            for start in range(0, len(X) - n + 1, 9):
+                assert np.array_equal(net.forward_rows(X[start:start + n]),
+                                      alone[start:start + n])
+
     def test_shape_error(self):
         net = DenseNet([3, 2])
         with pytest.raises(ShapeError):
             net.forward(np.ones(4))
+        for bad in (np.ones(3), np.ones((2, 4))):
+            with pytest.raises(ShapeError):
+                net.forward_rows(bad)
 
 
 class TestDenseNetBackward:

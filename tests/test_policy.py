@@ -330,8 +330,9 @@ class TestStructurePolicy:
         table = default_mask_table()
         s = make_state(2)
         rng = np.random.default_rng(5)
+        memo: dict = {}  # one state under fixed parameters: the trunk runs once
         for _ in range(100_000):
-            a, _, _ = sample_structure(policy, table, s, rng)
+            a, _, _ = sample_structure(policy, table, s, rng, memo)
             if a.workflow_id in (0, 1, 5):  # Direct, ReasonAns, ParallelVoting
                 assert a.tools2 == 0
             if a.workflow.agents_active < 2:
@@ -542,6 +543,55 @@ class TestPromptPolicy:
         other = PromptPolicy(STATE_DIM, library, rng=np.random.default_rng(15))
         other.load(tmp_path)
         assert log_prob_prompts(other, s, a, ((0, 1), (2,), (3,))) == lp
+
+
+@pytest.mark.parametrize("table", [
+    default_mask_table(),
+    mask_table_from_config({"workflows": ["Direct", "ReasonVerifyAns"],
+                            "Direct": {"tools1": [0, 1], "budgets": [[0, 2], [0], [0]]}}),
+], ids=["default", "reduced"])
+def test_shared_memos_score_as_fresh_calls(table):
+    struct = StructurePolicy(STATE_DIM, hidden=(16,), rng=np.random.default_rng(37))
+    prompt = PromptPolicy(STATE_DIM, default_atom_library(), hidden=(16,),
+                          rng=np.random.default_rng(38))
+    forward, forward_rows = struct.trunk.forward, prompt.net.forward_rows
+    passes, rows = [], []
+    struct.trunk.forward = lambda x: passes.append(1) or forward(x)
+    prompt.net.forward_rows = lambda x: rows.append(len(x)) or forward_rows(x)
+    states = [make_state(seed) for seed in range(5)]
+    structure_memo, prompt_memo = {}, {}
+    memo_passes = memo_rows = n_steps = 0
+    for i in range(300):
+        s = states[i % len(states)]
+        rng = np.random.default_rng([39, i])
+        a = sample_structure(struct, table, s, rng)[0]
+        seqs, steps = sample_prompts(prompt, s, a, rng)
+        n_steps += len(steps)
+        before = len(passes), len(rows)
+        lp = log_prob_structure(struct, table, s, a, structure_memo)
+        prompt_lp = log_prob_prompts(prompt, s, a, seqs, prompt_memo)
+        memo_passes += len(passes) - before[0]
+        memo_rows += sum(rows[before[1]:])
+        assert lp == log_prob_structure(struct, table, s, a)
+        assert prompt_lp == log_prob_prompts(prompt, s, a, seqs)
+        # each step scores as the one-row pass that drew it
+        assert prompt_lp == np.array([st.log_prob for st in steps]).sum()
+    # one trunk pass per state and one net row per distinct step; scoring
+    # built no CDF and no entropy
+    assert memo_passes == len(structure_memo) == len(states)
+    assert memo_rows == len(prompt_memo) < n_steps / 2
+    assert all(h.workflow_cdf is None and not h.draws for h in structure_memo.values())
+    # the structure memo scoring filled draws as a fresh sampler does, and
+    # scores the same after sampling filled it further
+    for i in range(100):
+        s = states[i % len(states)]
+        rng, twin = np.random.default_rng([40, i]), np.random.default_rng([40, i])
+        got = sample_structure(struct, table, s, rng, structure_memo)
+        want = sample_structure(struct, table, s, twin)
+        assert got[0] == want[0] and got[1] == want[1] and got[2] == want[2]
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert log_prob_structure(struct, table, s, got[0], structure_memo) == got[1]
+    assert len(structure_memo) == len(states)
 
 
 class TestGreedyConfiguration:

@@ -1,6 +1,7 @@
 """Training machinery: advantages, clipped surrogate, elite SFT, DPO, and the
 executable concentration checks."""
 
+import copy
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from agentcfg.policy import (
     ReplayBatch,
     StructurePolicy,
     default_mask_table,
+    log_prob_prompts,
     log_prob_structure,
     mask_table_from_config,
     sample_prompts,
@@ -42,6 +44,7 @@ from agentcfg.train import (
     _config_log_prob,
     _episode_seed,
     _surrogate_and_coeff,
+    action_key,
     collect_episodes,
     collect_rollouts,
     compute_advantages,
@@ -497,7 +500,9 @@ class TestVerification:
         assert not passed and violations
         assert kl_to_empirical(struct, prompt, TABLE, elite) > 1.0
 
-    @pytest.mark.parametrize("n_samples", [0, -1])
+    # non-integers and bools are refused too: 2.5 would fail deep in the
+    # sampling loop with a raw TypeError, and True would count as 1 sample
+    @pytest.mark.parametrize("n_samples", [0, -1, 2.5, 3.0, "3", True, None])
     def test_too_few_samples_raise(self, n_samples):
         buf = ExperienceBuffer()
         buf.append(make_record(5.0, workflow=0, prompts=((0,),)))
@@ -508,6 +513,29 @@ class TestVerification:
             with pytest.raises(ContractError, match="n_samples"):
                 check(struct, prompt, TABLE, elite, n_samples, rng)
             assert rng.bit_generator.state == np.random.default_rng(2).bit_generator.state
+
+    def test_any_integer_type_counts_samples(self):
+        buf = ExperienceBuffer()
+        buf.append(make_record(5.0, workflow=0, prompts=((0,),)))
+        elite = filter_elite(buf, SFTConfig(elite_fraction=1.0, tau=0.0))
+        struct, prompt = make_policies(14)
+        for check in (verify_support_restriction, verify_reward_floor):
+            got, want = (check(struct, prompt, TABLE, elite, n, np.random.default_rng(3))
+                         for n in (np.int64(4), 4))
+            assert got == want
+
+    def test_empty_elite_gives_no_evidence(self):
+        from agentcfg.train import EliteSet
+
+        struct, prompt = make_policies(14)
+        empty = EliteSet([], 4.0, {}, {}, {}, {})
+        for check in (verify_support_restriction, verify_reward_floor):
+            rng = np.random.default_rng(2)
+            with pytest.raises(EmptyEliteError):
+                check(struct, prompt, TABLE, empty, 10, rng)
+            assert rng.bit_generator.state == np.random.default_rng(2).bit_generator.state
+        with pytest.raises(EmptyEliteError):
+            kl_to_empirical(struct, prompt, TABLE, empty)
 
     def test_kl_decreases_under_sft(self):
         record = make_record(5.0, workflow=0, prompts=((0,),))
@@ -560,6 +588,36 @@ def test_guarantee_checks_match_an_uncached_reference(table, monkeypatch):
         assert got == checks(seed)
     assert any(support[1] for support, _, _ in cached)  # the samples leave the support
     assert any(floor[0] > 0 for _, floor, _ in cached)  # and hit it
+
+
+@pytest.mark.parametrize("table", [TABLE, mask_table_from_config(REDUCED_TABLE_RULES)],
+                         ids=["default", "reduced"])
+def test_dpo_matches_an_unmemoized_reference(table, monkeypatch):
+    from agentcfg import train
+
+    struct, prompt = make_policies(41)
+    buffer = collect_episodes(struct, prompt, table, small_env(3), 64, REWARD, run_seed=6)
+    cfg = DPOConfig(lr_struct=1e-2, lr_prompt=1e-2, epochs=3)
+    members = [r for pair in train._dpo_pairs(buffer, cfg) for r in pair]
+    configs = {(r.state.key(), action_key(r.structure_action, r.prompt_actions))
+               for r in members}
+    assert len({r.state.key() for r in members}) < len(configs)  # the memos are read
+
+    def refine():
+        s, p = copy.deepcopy(struct), copy.deepcopy(prompt)
+        losses = dpo_update(s, p, table, buffer, cfg)
+        return losses, np.concatenate([s.trunk.get_flat(), p.net.get_flat()])
+
+    memoized = refine()
+    monkeypatch.setattr(train, "log_prob_structure",
+                        lambda policy, t, s, a, memo=None: log_prob_structure(policy, t, s, a))
+    monkeypatch.setattr(train, "log_prob_prompts",
+                        lambda policy, s, a, seqs, memo=None: log_prob_prompts(policy, s, a, seqs))
+    plain = refine()
+    assert memoized[0] == plain[0]
+    assert np.array_equal(memoized[1], plain[1])
+    assert not np.array_equal(memoized[1], np.concatenate([struct.trunk.get_flat(),
+                                                           prompt.net.get_flat()]))
 
 
 class TestDPO:
@@ -647,9 +705,9 @@ class TestDPO:
         buf.append(make_record(1.0, correct=False, workflow=1, prompts=((), ()), seed=1))
         scored = []
 
-        def counted(struct, prompt, table, record):
+        def counted(struct, prompt, table, record, structure_memo, prompt_memo):
             scored.append(record)
-            return _config_log_prob(struct, prompt, table, record)
+            return _config_log_prob(struct, prompt, table, record, structure_memo, prompt_memo)
 
         monkeypatch.setattr(train, "_config_log_prob", counted)
         struct, prompt = make_policies(20)
