@@ -32,6 +32,7 @@ from .numeric import (
     MaskedCategorical,
     adam_step,
     clip_grad_norm,
+    head_columns,
     log_prob,
     masked_categoricals,
     sample,
@@ -44,13 +45,13 @@ from .policy import (
     MaskTable,
     all_ones_mask_table,
     default_mask_table,
-    head_columns,
 )
 from .reward import RewardConfig, shaped_reward
 from .train import (
     PPOConfig,
     _episode_seed,
     _episode_starts,
+    _grad_buffers,
     _normalize,
     _ppo_terms,
     _value_regression,
@@ -292,7 +293,7 @@ class BanditPolicy:
         self.value_net = DenseNet([state_dim, *hidden, 1], rng=rng)
         self._offsets = np.cumsum((0,) + self.head_sizes)
         self.columns = head_columns(self.head_sizes)
-        self._mask = (self.columns >= 0).astype(np.float64)
+        self._mask = (self.columns.table >= 0).astype(np.float64)
 
     def head_logits(self, s_vec):
         out = self.net.forward(s_vec)
@@ -309,7 +310,7 @@ class BanditPolicy:
         last bits."""
         inputs = np.array(s_vecs, dtype=np.float64)
         n_heads = len(self.head_sizes)
-        logits = self.net.forward_batch(inputs)[0][:, self.columns]
+        logits = self.net.forward_batch(inputs)[0][:, self.columns.table]
         dists = masked_categoricals(logits.reshape(-1, logits.shape[-1]),
                                     np.tile(self._mask, (len(inputs), 1)))
         episodes = []
@@ -475,12 +476,14 @@ def _flat_ppo_update(policy, episodes: Sequence[FlatEpisode], cfg: PPOConfig,
     advs = _normalize(targets - policy.value_net.forward_batch(inputs)[0][:, 0])
     advs = advs.reshape(advs.shape + (1,) * (actions.ndim - 1))  # shared by a row's heads
     value_scale = cfg.value_coef / len(decisions)
+    out = _grad_buffers(net=policy.net, value=policy.value_net)
     diag = {}
     for _ in range(cfg.epochs_per_batch):
         new_lp, ent, cache = score_choices(policy.net, inputs, masks, actions, policy.columns)
         loss, dlogp, dent, _ = _ppo_terms(new_lp, ent, old_lp, advs, cfg)
-        g_net = score_vjp(cache, dlogp, dent)
-        sq, g_val = _value_regression(policy.value_net, inputs, targets, value_scale)
+        g_net = score_vjp(cache, dlogp, dent, out["net"])
+        sq, g_val = _value_regression(policy.value_net, inputs, targets, value_scale,
+                                      out["value"])
         loss += value_scale * sq
         if not math.isfinite(loss):
             raise TrainingDivergenceError("non-finite flat-policy loss")

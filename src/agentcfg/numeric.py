@@ -1,7 +1,11 @@
 """Minimal dense numerics for the lightweight policies.
 
 Feed-forward nets are affine layers with tanh hidden activations and a
-linear output; gradients are hand-derived for this fixed architecture.
+linear output; gradients are hand-derived for this fixed architecture. A
+net's parameters are one contiguous float64 vector, and its per-layer
+arrays are views of it (`FlatViews`); a gradient comes the same way, so
+clipping and Adam update whole vectors in place, in fixed slices whose
+temporaries stay small.
 Masked categoricals implement invalid-action pruning by adding log(mask)
 to logits before the softmax, so masked entries carry exactly zero mass.
 
@@ -27,6 +31,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,24 +46,81 @@ from .errors import (ContractError, InvalidActionError, InvalidMaskError, Persis
 DEFAULT_HIDDEN = (128, 128)
 
 
+class FlatViews(tuple):
+    """Reshaped views of consecutive slices of one contiguous float64
+    vector, kept as `vector`: a net's parameters [W0, b0, W1, b1, ...], or
+    a gradient in their layout. Writing a view writes the vector, so
+    `adam_step` and `clip_grad_norm` can act on all arrays at once. Copies
+    and pickles rebuild the views on their own vector."""
+
+    vector: np.ndarray
+
+    def __new__(cls, vector: np.ndarray, shapes):
+        sizes = [math.prod(shape) for shape in shapes]
+        if not (isinstance(vector, np.ndarray) and vector.dtype == np.float64
+                and vector.shape == (sum(sizes),) and vector.flags.c_contiguous):
+            raise ShapeError(f"expected a contiguous float64 vector of {sum(sizes)} entries")
+        views, offset = [], 0
+        for shape, size in zip(shapes, sizes):
+            views.append(vector[offset : offset + size].reshape(shape))
+            offset += size
+        obj = super().__new__(cls, views)
+        obj.vector = vector
+        return obj
+
+    def __reduce__(self):
+        return FlatViews, (self.vector, [v.shape for v in self])
+
+    def empty_like(self) -> "FlatViews":
+        """Views of the same shapes over a new, uninitialised vector."""
+        return FlatViews(np.empty_like(self.vector), [v.shape for v in self])
+
+
 class DenseNet:
     """Affine chain input -> hidden... -> output, tanh on hidden layers.
 
-    Parameters are stored as a flat list [W0, b0, W1, b1, ...] with W of
-    shape (out, in). Only `adam_step` mutates parameters; a frozen net is
-    safe to share across readers.
+    The parameters are one contiguous float64 `vector`, laid out as W0
+    (row-major, shape (out, in)), b0, W1, b1, ...: `params` is `FlatViews`
+    of it in that order, and `backward` returns the gradient the same way.
+    Only `adam_step` mutates parameters, in place; a frozen net is safe to
+    share across readers. Copies and pickles rebuild the views on their own
+    vector.
     """
 
     def __init__(self, sizes, rng=None, init_scale=None):
         if len(sizes) < 2:
             raise ShapeError("need at least input and output sizes")
-        self.sizes = tuple(int(s) for s in sizes)
-        self.params: list[np.ndarray] = []
+        self._adopt(sizes)
         rng = rng if rng is not None else np.random.default_rng(0)
-        for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:]):
-            scale = init_scale if init_scale is not None else 1.0 / np.sqrt(n_in)
-            self.params.append(rng.normal(0.0, scale, size=(n_out, n_in)))
-            self.params.append(np.zeros(n_out))
+        for W in self.params[::2]:
+            # the draws of rng.normal(0.0, scale, W.shape), made in place
+            rng.standard_normal(out=W)
+            W *= init_scale if init_scale is not None else 1.0 / np.sqrt(W.shape[1])
+
+    @classmethod
+    def from_vector(cls, sizes, vector: np.ndarray) -> "DenseNet":
+        """The net of the given layer sizes whose parameters are vector, in
+        `vector` layout; the net takes vector as its own, without a copy."""
+        net = cls.__new__(cls)
+        net._adopt(sizes, vector)
+        return net
+
+    def _adopt(self, sizes, vector: Optional[np.ndarray] = None) -> None:
+        """Set the layer sizes and view vector (zeros by default) as the
+        parameters."""
+        self.sizes = tuple(int(s) for s in sizes)
+        shapes = [shape for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:])
+                  for shape in ((n_out, n_in), (n_out,))]
+        if vector is None:
+            vector = np.zeros(sum(math.prod(shape) for shape in shapes))
+        self.params = FlatViews(vector, shapes)
+
+    def __reduce__(self):  # copies and pickles rebuild the views on their own vector
+        return DenseNet.from_vector, (self.sizes, self.vector)
+
+    @property
+    def vector(self) -> np.ndarray:
+        return self.params.vector
 
     @property
     def input_size(self) -> int:
@@ -110,14 +172,20 @@ class DenseNet:
             activations.append(h)
         return h, activations
 
-    def backward(self, x: np.ndarray, upstream_grad: np.ndarray, cache=None):
+    def backward(self, x: np.ndarray, upstream_grad: np.ndarray, cache=None,
+                 out: Optional[FlatViews] = None) -> FlatViews:
         """Parameter gradients of sum over rows of (upstream_grad . forward(x)),
-        aligned with `params`.
+        aligned with `params`: views of one vector in `vector` layout, into
+        which each layer's product and row sum are written directly.
 
         x is one row (input,) with upstream (output,), or a batch (B, input)
         with upstream (B, output); gradients are summed over rows. `cache` is
         the activation list `forward_batch(x)` returned; without it the
-        forward pass runs again. No input gradient is formed.
+        forward pass runs again. No input gradient is formed. The gradients
+        overwrite out (`params.empty_like()`, say) and out is returned;
+        without it they go to a new vector. An update that steps the net
+        every epoch passes one out to all of them, so a step maps no fresh
+        net-sized vector.
         """
         upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
         one_row = upstream_grad.ndim == 1
@@ -132,36 +200,34 @@ class DenseNet:
             _, cache = self.forward_batch(x[None] if one_row else x)
         if cache[0].shape[0] != upstream_grad.shape[0]:
             raise ShapeError("input and upstream gradient differ in row count")
-        grads = [None] * len(self.params)  # every entry is set below
+        grads = self.params.empty_like() if out is None else out
         delta = upstream_grad
         for layer in reversed(range(self.n_layers)):
-            W = self.params[2 * layer]
             h_in, h_out = cache[layer], cache[layer + 1]
             if layer < self.n_layers - 1:
                 delta = delta * (1.0 - h_out * h_out)  # tanh'
-            grads[2 * layer] = delta.T @ h_in
-            grads[2 * layer + 1] = delta.sum(axis=0)
+            np.matmul(delta.T, h_in, out=grads[2 * layer])
+            delta.sum(axis=0, out=grads[2 * layer + 1])
             if layer:
-                delta = delta @ W
+                delta = delta @ self.params[2 * layer]
         return grads
 
     # -- parameter plumbing -------------------------------------------------
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params])
+        """A copy of `vector`."""
+        return self.vector.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
+        """Write flat, in `vector` layout, into the parameters."""
         flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params,):
+        if flat.shape != self.vector.shape:
             raise ShapeError(f"expected {self.n_params} params, got {flat.shape}")
-        offset = 0
-        for p in self.params:
-            p[...] = flat[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
+        self.vector[...] = flat
 
     @property
     def n_params(self) -> int:
-        return sum(p.size for p in self.params)
+        return self.vector.size
 
 
 PARAM_FORMAT_VERSION = 1
@@ -211,9 +277,7 @@ def load_net(path) -> DenseNet:
     if len(blob) != expected:
         raise PersistenceError(f"{path}: {len(blob)} bytes of parameters, expected "
                                f"{expected} for layer sizes {sizes}")
-    net = DenseNet(sizes)
-    net.set_flat(np.frombuffer(blob, dtype="<f8").astype(np.float64))
-    return net
+    return DenseNet.from_vector(sizes, np.frombuffer(blob, dtype="<f8").astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -388,35 +452,53 @@ def entropy_grad_logits(d: MaskedCategorical) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def score_choices(net: DenseNet, inputs, masks, actions, columns=None):
+class HeadColumns(NamedTuple):
+    """Consecutive heads of a net's output laid out for `score_choices`,
+    built once per layout."""
+
+    table: np.ndarray    # (heads, widest head): output column of every (head, choice), -1 pads
+    scatter: np.ndarray  # (output,): index into table.ravel() of every output column
+
+
+def head_columns(sizes) -> HeadColumns:
+    """The `HeadColumns` of consecutive heads of the given sizes, which
+    cover a net output of sum(sizes) columns."""
+    offsets = np.cumsum((0,) + tuple(sizes))
+    table = np.array([[int(offsets[h]) + k if k < size else -1 for k in range(max(sizes))]
+                      for h, size in enumerate(sizes)])
+    slots = np.flatnonzero(table.ravel() >= 0)
+    scatter = np.empty(int(offsets[-1]), dtype=np.intp)
+    scatter[table.ravel()[slots]] = slots
+    return HeadColumns(table, scatter)
+
+
+def score_choices(net: DenseNet, inputs, masks, actions, columns: Optional[HeadColumns] = None):
     """Log-probabilities and entropies of fixed choices under one net, with
     one batched forward pass.
 
     Without `columns`, input row i makes one choice over the whole output,
-    masked by masks[i] (B, K). With `columns` (G, K) -- each row the output
-    columns of one head, padded with -1 -- row i makes G choices, masked by
-    masks[i] (B, G, K), padding masked. actions index into each (padded)
-    head. Returns (log_probs, entropy, cache), both shaped like actions.
+    masked by masks[i] (B, K). With `columns`, row i makes one choice per
+    head (G of them, K wide in `columns.table`), masked by masks[i]
+    (B, G, K), padding masked. actions index into each (padded) head.
+    Returns (log_probs, entropy, cache), both shaped like actions.
     """
     out, activations = net.forward_batch(inputs)
-    logits = out if columns is None else out[:, columns]
+    logits = out if columns is None else out[:, columns.table]
     probs, log_probs, ent = masked_categorical(logits, masks)
     chosen = np.take_along_axis(log_probs, actions[..., None], axis=-1)[..., 0]
     return chosen, ent, (net, activations, probs, log_probs, ent, actions, columns)
 
 
-def score_vjp(cache, dlogp, dentropy) -> list[np.ndarray]:
+def score_vjp(cache, dlogp, dentropy, out: Optional[FlatViews] = None) -> FlatViews:
     """Parameter gradients of sum(dlogp * log_probs + dentropy * entropy)
     for the log-probs and entropies `score_choices` returned with `cache`;
-    dlogp and dentropy broadcast to their shape."""
+    dlogp and dentropy broadcast to their shape. out as in
+    `DenseNet.backward`."""
     net, activations, probs, log_probs, ent, actions, columns = cache
     g = categorical_grad_logits(probs, log_probs, ent, actions, dlogp, dentropy)
     if columns is not None:
-        slots = np.flatnonzero(columns.ravel() >= 0)
-        position = np.empty(net.output_size, dtype=np.intp)
-        position[columns.ravel()[slots]] = slots
-        g = g.reshape(len(g), columns.size)[:, position]
-    return net.backward(None, g, activations)
+        g = g.reshape(len(g), columns.table.size)[:, columns.scatter]
+    return net.backward(None, g, activations, out)
 
 
 # ---------------------------------------------------------------------------
@@ -426,46 +508,65 @@ def score_vjp(cache, dlogp, dentropy) -> list[np.ndarray]:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """Adam's moments of one parameter vector, as vectors of its shape."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params, **kw) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            **kw,
-        )
+    def for_params(cls, params: FlatViews, **kw) -> "AdamState":
+        return cls(m=np.zeros_like(params.vector), v=np.zeros_like(params.vector), **kw)
 
 
-def adam_step(params, grads, state: AdamState, lr: float):
-    """Standard Adam update with bias correction; mutates params/state."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeError("params/grads/state length mismatch")
+# Entries `adam_step` updates per pass: its temporaries (64 KiB each) stay
+# below malloc's mmap threshold, so a step reuses heap memory instead of
+# mapping fresh pages for every net-sized intermediate.
+_ADAM_SLICE = 8192
+
+
+def adam_step(params: FlatViews, grads: FlatViews, state: AdamState, lr: float):
+    """Standard Adam update with bias correction; mutates params/state.
+    Works in place on the parameter vector, slice by slice, and gives each
+    entry exactly the arithmetic of the per-array update
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    p -= lr (m / c1) / (sqrt(v / c2) + eps)."""
+    p, grad = params.vector, grads.vector
+    if p.shape != grad.shape or p.shape != state.m.shape:
+        raise ShapeError(f"param/grad/state size mismatch: {p.size}, {grad.size}, "
+                         f"{state.m.size}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ShapeError(f"param/grad shape mismatch at {i}: {p.shape} vs {g.shape}")
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        m_hat = state.m[i] / (1 - b1**state.t)
-        v_hat = state.v[i] / (1 - b2**state.t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    c1, c2 = 1 - b1**state.t, 1 - b2**state.t
+    for lo in range(0, p.size, _ADAM_SLICE):
+        part = slice(lo, lo + _ADAM_SLICE)
+        g, m, v = grad[part], state.m[part], state.v[part]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        gg = (1 - b2) * g
+        gg *= g
+        v += gg
+        step = m / c1
+        step *= lr
+        den = np.divide(v, c2, out=gg)
+        np.sqrt(den, out=den)
+        den += eps
+        step /= den
+        p[part] -= step
     return params, state
 
 
-def clip_grad_norm(grads, max_norm: float):
+def clip_grad_norm(grads: FlatViews, max_norm: float):
     """Scale all gradients so the global L2 norm is at most max_norm, which
-    must be > 0."""
+    must be > 0: the squares are summed array by array, and a scale is
+    applied in place to the whole gradient vector. Returns grads."""
     if not max_norm > 0:
         raise ContractError(f"max_norm must be > 0, got {max_norm!r}")
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if total > max_norm and total > 0:
-        scale = max_norm / total
-        return [g * scale for g in grads]
+        grads.vector *= max_norm / total
     return grads

@@ -40,6 +40,7 @@ from .numeric import (
     MaskedCategorical,
     choice_cdf,
     entropy,
+    head_columns,
     inverse_cdf,
     load_net,
     log_prob,
@@ -258,15 +259,6 @@ def iter_valid_actions(table: MaskTable):
 # Structure policy
 # ---------------------------------------------------------------------------
 
-def head_columns(sizes) -> np.ndarray:
-    """(heads, widest head) output column of every (head, choice) slot of
-    consecutive heads of the given sizes, padded with -1: the layout in
-    which `score_choices` scores all heads of a row at once."""
-    offsets = np.cumsum((0,) + tuple(sizes))
-    return np.array([[int(offsets[h]) + k if k < size else -1 for k in range(max(sizes))]
-                     for h, size in enumerate(sizes)])
-
-
 _HEAD_OFFSETS = np.cumsum((0,) + HEAD_SIZES)
 _HEAD_WIDTH = max(HEAD_SIZES)
 _HEAD_COLUMNS = head_columns(HEAD_SIZES)  # the trunk's six heads, as `replay` scores them
@@ -320,7 +312,7 @@ def _conditioned_heads(logits: np.ndarray, layout: HeadLayout, workflow_id: int)
     """Logits and masks of the five heads after the workflow head, under the
     masks the chosen workflow conditions: two (5, widest head) arrays in the
     _HEAD_COLUMNS layout, padding masked."""
-    return logits[_HEAD_COLUMNS[1:]], layout.masks[workflow_id, 1:]
+    return logits[_HEAD_COLUMNS.table[1:]], layout.masks[workflow_id, 1:]
 
 
 @dataclass
@@ -603,9 +595,10 @@ def _prompt_draws(policy: PromptPolicy, inputs, masks):
     return log_probs, choice_cdf(probs)
 
 
-def _given_prompt_steps(policy: PromptPolicy, s_vecs, actions, sequences):
-    """Each episode's steps that produce its given sequences, each STOP
-    included; raises on any atom the masks forbid."""
+def _given_chooser(policy: PromptPolicy, actions, sequences):
+    """A `_walk_prompts` chooser that takes each row's given sequences
+    (one per active agent), each STOP included; it raises on any atom the
+    masks forbid."""
     for a, seqs in zip(actions, sequences):
         if len(seqs) != a.workflow.agents_active:
             raise InvalidActionError("one prompt sequence required per active agent")
@@ -622,7 +615,7 @@ def _given_prompt_steps(policy: PromptPolicy, s_vecs, actions, sequences):
             picked.append(int(atom))
         return picked, [0.0] * len(rows)
 
-    return [st for _, st in _walk_prompts(policy, s_vecs, actions, given)]
+    return given
 
 
 def sample_prompts_lockstep(
@@ -749,22 +742,35 @@ def log_prob_prompts(
     `sample_prompts` uses, to the step's masked-categorical log-prob row,
     which they fix exactly while the prompt net's parameters stay fixed; the
     caller drops it once they change. It holds no CDFs, so it is not a
-    sampling memo. Steps it holds are read from it; the others, or without
-    a memo every step, are scored in one `DenseNet.forward_rows` pass and
-    join it. That pass gives each row the bits of its one-row pass, so a
-    score does not depend on what the memo held, and each step's term is
-    the log-prob a one-episode `sample_prompts` records for it. The terms
-    are summed in step order."""
-    steps = _given_prompt_steps(policy, [s.as_vector()], [a_struct], [sequences])[0]
+    sampling memo. The walk records no `PromptStep`: each step's key is read
+    off the live input and mask, and only the steps the memo misses are
+    copied. Steps it holds are read from it; the others, or without a memo
+    every step, are scored in one `DenseNet.forward_rows` pass after the
+    walk and join it. That pass gives each row the bits of its one-row
+    pass, so a score does not depend on what the memo held, and each step's
+    term is the log-prob a one-episode `sample_prompts` records for it. The
+    terms are summed in step order."""
     memo = {} if memo is None else memo
-    keys = [st.input_vec.tobytes() + st.mask.tobytes() for st in steps]
-    new = {key: st for key, st in zip(keys, steps) if key not in memo}
+    given = _given_chooser(policy, [a_struct], [sequences])
+    keys, actions = [], []
+    new: dict = {}  # key -> (input, mask) copies of the steps memo misses
+
+    def scored(rows, agents, positions, inputs, masks):
+        picked, log_probs = given(rows, agents, positions, inputs, masks)
+        key = inputs[0].tobytes() + masks[0].tobytes()
+        if key not in memo and key not in new:
+            new[key] = (inputs[0].copy(), masks[0].copy())
+        keys.append(key)
+        actions.append(picked[0])
+        return picked, log_probs
+
+    _walk_prompts(policy, [s.as_vector()], [a_struct], scored, record=False)
     if new:
-        _, log_probs, _ = masked_categorical(
-            policy.net.forward_rows(np.array([st.input_vec for st in new.values()])),
-            np.array([st.mask for st in new.values()]))
+        inputs, masks = zip(*new.values())
+        _, log_probs, _ = masked_categorical(policy.net.forward_rows(np.array(inputs)),
+                                             np.array(masks))
         memo.update(zip(new, log_probs))
-    return float(np.array([memo[key][st.action] for key, st in zip(keys, steps)]).sum())
+    return float(np.array([memo[key][a] for key, a in zip(keys, actions)]).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +830,8 @@ def replay_batch(prompt_policy: PromptPolicy, table: MaskTable, records) -> Repl
         if not table.is_valid(a):
             raise InvalidActionError(f"structure action invalid under mask table: {a}")
     states = [r.state.as_vector() for r in records]
-    steps = _given_prompt_steps(prompt_policy, states, actions,
-                                [r.prompt_actions for r in records])
+    given = _given_chooser(prompt_policy, actions, [r.prompt_actions for r in records])
+    steps = [st for _, st in _walk_prompts(prompt_policy, states, actions, given)]
     return ReplayBatch.build(prompt_policy, table, states, actions, steps)
 
 
@@ -849,13 +855,16 @@ def replay(policies, table: MaskTable, records):
     return (s_lp.sum(axis=1), p_lp), (s_h.sum(axis=1), p_h), (s_cache, p_cache)
 
 
-def vjp(cache, dlogp, dentropy) -> dict:
+def vjp(cache, dlogp, dentropy, out: Optional[dict] = None) -> dict:
     """Gradients of sum(dlogp * log_probs + dentropy * entropy) over a
     `replay`, keyed struct_trunk and prompt_net. dlogp and dentropy are
-    (structure, steps) pairs broadcasting to the shapes replay returned."""
+    (structure, steps) pairs broadcasting to the shapes replay returned.
+    out, if given, maps those keys to the gradients to overwrite (see
+    `DenseNet.backward`)."""
     s_cache, p_cache = cache
+    out = {} if out is None else out
     return {
         "struct_trunk": score_vjp(s_cache, np.asarray(dlogp[0])[..., None],
-                                  np.asarray(dentropy[0])[..., None]),
-        "prompt_net": score_vjp(p_cache, dlogp[1], dentropy[1]),
+                                  np.asarray(dentropy[0])[..., None], out.get("struct_trunk")),
+        "prompt_net": score_vjp(p_cache, dlogp[1], dentropy[1], out.get("prompt_net")),
     }

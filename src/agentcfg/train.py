@@ -308,12 +308,12 @@ def _ppo_terms(new_lp, entropy, old_lp, adv, cfg: PPOConfig):
     return loss, -coeff / n, -cfg.entropy_coef / n, hits
 
 
-def _value_regression(net: DenseNet, inputs, targets, scale: float):
+def _value_regression(net: DenseNet, inputs, targets, scale: float, out=None):
     """Sum of squared errors of net's scalar predictions and the gradients of
-    scale times it."""
+    scale times it, written to out if given (see `DenseNet.backward`)."""
     v, activations = net.forward_batch(inputs)
     err = v[:, 0] - targets
-    grads = net.backward(inputs, (2.0 * scale * err)[:, None], activations)
+    grads = net.backward(inputs, (2.0 * scale * err)[:, None], activations, out)
     return float(err @ err), grads
 
 
@@ -357,6 +357,7 @@ def ppo_loss_and_grads(
     rollouts,
     cfg: PPOConfig,
     use_value_loss: bool = True,
+    out: Optional[dict] = None,
 ):
     """Clipped-surrogate PPO loss over one batch, with value MSE and entropy
     regularization; masks are applied identically to old and new log-probs.
@@ -365,7 +366,8 @@ def ppo_loss_and_grads(
 
     Returns (loss, grads, diagnostics) where grads maps net name -> gradient
     list aligned with that net's parameters. Without the value loss (GRPO)
-    grads holds no value-net entries.
+    grads holds no value-net entries. out, if given, maps net names to the
+    gradients to overwrite (`_grad_buffers`).
     """
     batch = rollouts if isinstance(rollouts, PPOBatch) else ppo_batch(
         prompt_policy, table, rollouts)
@@ -376,7 +378,8 @@ def ppo_loss_and_grads(
     p_loss, p_dlogp, p_dh, p_hits = _ppo_terms(p_lp, p_h, batch.step_old_lp,
                                                batch.step_adv, cfg)
     loss = s_loss + p_loss
-    grads = vjp(cache, (s_dlogp, p_dlogp), (s_dh, p_dh))
+    out = {} if out is None else out
+    grads = vjp(cache, (s_dlogp, p_dlogp), (s_dh, p_dh), out)
     n_struct, n_steps = layout.n, len(batch.step_old_lp)
     sq_err = 0.0
     if use_value_loss:
@@ -387,7 +390,7 @@ def ppo_loss_and_grads(
              n_steps),
         ):
             scale = cfg.value_coef / max(n, 1)
-            sq, grads[name] = _value_regression(net, inputs, targets, scale)
+            sq, grads[name] = _value_regression(net, inputs, targets, scale, out.get(name))
             loss += scale * sq
             sq_err += sq
 
@@ -400,6 +403,13 @@ def ppo_loss_and_grads(
         "mean_reward": batch.mean_reward,
     }
     return loss, grads, diagnostics
+
+
+def _grad_buffers(**nets: DenseNet) -> dict:
+    """One gradient per named net, for an update to overwrite at every
+    epoch: each is consumed by `adam_step` before the next epoch writes it,
+    so the epochs map no fresh net-sized vectors."""
+    return {name: net.params.empty_like() for name, net in nets.items()}
 
 
 @dataclass
@@ -434,10 +444,12 @@ def ppo_update(
     Adam states stay as they are. The batch is laid out once, for every
     epoch."""
     batch = ppo_batch(prompt_policy, table, rollouts)
+    out = _grad_buffers(struct_trunk=struct_policy.trunk, struct_value=struct_policy.value_net,
+                        prompt_net=prompt_policy.net, prompt_value=prompt_policy.value_net)
     last = None
     for _ in range(cfg.epochs_per_batch):
         loss, grads, last = ppo_loss_and_grads(
-            struct_policy, prompt_policy, table, batch, cfg, use_value_loss
+            struct_policy, prompt_policy, table, batch, cfg, use_value_loss, out
         )
         if not math.isfinite(loss):
             raise TrainingDivergenceError(f"non-finite PPO loss: {last}")
@@ -571,15 +583,16 @@ def sft_loss_and_grads(
     table: MaskTable,
     records,
     entropy_reg: float = 0.0,
+    out: Optional[dict] = None,
 ):
     """Mean negative log-likelihood of the elite demonstrations (structure
     action and every prompt step), minus entropy_reg times the mean policy
     entropy at the visited decisions. records: EpisodeRecords or their
-    ReplayBatch."""
+    ReplayBatch. out as in `ppo_loss_and_grads`."""
     (s_lp, p_lp), (s_h, p_h), cache = replay((struct_policy, prompt_policy), table, records)
     n = max(len(s_lp), 1)
     loss = -float(s_lp.sum() + p_lp.sum() + entropy_reg * (s_h.sum() + p_h.sum())) / n
-    grads = vjp(cache, (-1.0 / n, -1.0 / n), (-entropy_reg / n, -entropy_reg / n))
+    grads = vjp(cache, (-1.0 / n, -1.0 / n), (-entropy_reg / n, -entropy_reg / n), out)
     return loss, grads
 
 
@@ -597,10 +610,11 @@ def sft_update(
     batch = replay_batch(prompt_policy, table, elite.records)
     opt_struct = AdamState.for_params(struct_policy.trunk.params)
     opt_prompt = AdamState.for_params(prompt_policy.net.params)
+    out = _grad_buffers(struct_trunk=struct_policy.trunk, prompt_net=prompt_policy.net)
     losses = []
     for _ in range(cfg.epochs):
         loss, grads = sft_loss_and_grads(
-            struct_policy, prompt_policy, table, batch, cfg.entropy_reg
+            struct_policy, prompt_policy, table, batch, cfg.entropy_reg, out
         )
         if not math.isfinite(loss):
             raise TrainingDivergenceError("non-finite SFT loss")
@@ -662,10 +676,11 @@ def dpo_update(
     batch = _pair_batch(prompt_policy, table, pairs)
     opt_struct = AdamState.for_params(struct_policy.trunk.params)
     opt_prompt = AdamState.for_params(prompt_policy.net.params)
+    out = _grad_buffers(struct_trunk=struct_policy.trunk, prompt_net=prompt_policy.net)
     losses = []
     for _ in range(cfg.epochs):
         loss, grads = dpo_loss_and_grads(
-            struct_policy, prompt_policy, table, batch, ref_lps, cfg
+            struct_policy, prompt_policy, table, batch, ref_lps, cfg, out
         )
         if not math.isfinite(loss):
             raise TrainingDivergenceError("non-finite DPO loss")
@@ -703,10 +718,11 @@ def _pair_batch(prompt_policy, table, pairs) -> ReplayBatch:
                         [pos for pos, _ in pairs] + [neg for _, neg in pairs])
 
 
-def dpo_loss_and_grads(struct_policy, prompt_policy, table, pairs, ref_lps, cfg: DPOConfig):
+def dpo_loss_and_grads(struct_policy, prompt_policy, table, pairs, ref_lps, cfg: DPOConfig,
+                       out: Optional[dict] = None):
     """loss = -log sigmoid(beta * [(l(a+) - l_ref(a+)) - (l(a-) - l_ref(a-))])
     averaged over pairs. pairs: (positive, negative) records, or their
-    `_pair_batch`."""
+    `_pair_batch`. out as in `ppo_loss_and_grads`."""
     batch = pairs if isinstance(pairs, ReplayBatch) else _pair_batch(
         prompt_policy, table, pairs)
     logp, _, cache = replay((struct_policy, prompt_policy), table, batch)
@@ -718,7 +734,7 @@ def dpo_loss_and_grads(struct_policy, prompt_policy, table, pairs, ref_lps, cfg:
     # d loss / d lp_pos = -beta * sigmoid(-margin); flipped sign for lp_neg
     coeff = -cfg.beta * np.exp(-np.logaddexp(0.0, margin)) / max(n, 1)
     dlogp = np.concatenate([coeff, -coeff])
-    grads = vjp(cache, (dlogp, dlogp[batch.step_owner]), (0.0, 0.0))
+    grads = vjp(cache, (dlogp, dlogp[batch.step_owner]), (0.0, 0.0), out)
     return loss, grads
 
 

@@ -1,6 +1,8 @@
 """Dense-net numerics: forward/backward oracles, masked categoricals, Adam."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,11 +20,13 @@ from agentcfg.errors import (
 from agentcfg.numeric import (
     AdamState,
     DenseNet,
+    FlatViews,
     MaskedCategorical,
     adam_step,
     categorical_grad_logits,
     choice_cdf,
     clip_grad_norm,
+    head_columns,
     draw,
     entropy,
     entropy_grad_logits,
@@ -153,10 +157,96 @@ class TestDenseNetBackward:
                 assert abs(fd - flat_analytic[i]) / denom < 1e-4
             net.set_flat(flat0)
 
+    def test_gradients_overwrite_a_given_buffer(self):
+        net = DenseNet([5, 32, 4], rng=np.random.default_rng(3))
+        X = np.random.default_rng(4).normal(size=(6, 5))
+        upstream = np.random.default_rng(5).normal(size=(6, 4))
+        fresh = net.backward(X, upstream)
+        out = net.params.empty_like()
+        out.vector[...] = np.nan
+        assert net.backward(X, upstream, out=out) is out
+        assert np.array_equal(out.vector, fresh.vector)
+        assert not np.shares_memory(out.vector, net.vector)
+
     def test_zero_upstream(self):
         net = DenseNet([3, 5, 2], rng=np.random.default_rng(2))
         grads = net.backward(np.ones(3), np.zeros(2))
         assert all(np.allclose(g, 0.0) for g in grads)
+
+
+def assert_views_of_own_vector(net):
+    """net's params are views of net.vector, in `get_flat` order."""
+    vector = net.vector
+    assert vector.dtype == np.float64 and vector.flags.c_contiguous
+    assert vector.shape == (net.n_params,)
+    start = vector.__array_interface__["data"][0]
+    offset = 0
+    for p in net.params:
+        assert p.__array_interface__["data"][0] == start + 8 * offset
+        assert p.base is vector or p.base.base is vector
+        offset += p.size
+    assert offset == net.n_params
+    assert np.array_equal(np.concatenate([p.ravel() for p in net.params]), net.get_flat())
+    x = np.linspace(-1.0, 1.0, net.input_size)
+    before = net.forward(x)
+    vector[-net.output_size:] += 1.0  # the last bias, read through params by forward
+    assert np.array_equal(net.forward(x), before + 1.0)
+    vector[-net.output_size:] -= 1.0
+
+
+def adam_steps(net, k, seed=0):
+    """k clipped Adam steps of net on a fixed random objective."""
+    rng = np.random.default_rng(seed)
+    state = AdamState.for_params(net.params)
+    for _ in range(k):
+        X = rng.normal(size=(5, net.input_size))
+        grads = net.backward(X, rng.normal(size=(5, net.output_size)))
+        adam_step(net.params, clip_grad_norm(grads, 0.5), state, 1e-2)
+
+
+class TestFlatParameters:
+    SIZES = [(21, 32, 41), (69, 128, 128, 83)]
+
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_params_are_views_of_the_own_vector(self, sizes, tmp_path):
+        net = DenseNet(sizes, rng=np.random.default_rng(0))
+        assert_views_of_own_vector(net)
+        shallow = copy.copy(net)
+        assert_views_of_own_vector(shallow)
+        assert shallow.vector is net.vector  # a shallow copy shares the parameters
+        for twin in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+            assert_views_of_own_vector(twin)
+            assert not np.shares_memory(twin.vector, net.vector)
+            assert np.array_equal(twin.vector, net.vector)
+        save_net(net, tmp_path / "net.params")
+        loaded = load_net(tmp_path / "net.params")
+        assert_views_of_own_vector(loaded)
+        vector = net.vector
+        net.set_flat(np.arange(net.n_params, dtype=np.float64))
+        assert net.vector is vector
+        assert_views_of_own_vector(net)
+        assert np.array_equal(net.params[0].ravel()[:3], [0.0, 1.0, 2.0])
+
+    def test_flat_views_need_one_contiguous_float64_vector(self):
+        with pytest.raises(ShapeError):
+            FlatViews(np.zeros(5), [(2, 2)])
+        with pytest.raises(ShapeError):
+            FlatViews(np.zeros(8)[::2], [(2, 2)])
+        with pytest.raises(ShapeError):
+            FlatViews(np.zeros(4, dtype=np.float32), [(2, 2)])
+
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_copies_train_like_the_original(self, sizes):
+        net = DenseNet(sizes, rng=np.random.default_rng(1))
+        x = np.linspace(-1.0, 1.0, net.input_size)
+        start = net.forward(x)
+        twins = [copy.deepcopy(net), pickle.loads(pickle.dumps(net))]
+        for n in [net, *twins]:
+            adam_steps(n, 4)
+        assert not np.array_equal(net.forward(x), start)
+        for twin in twins:
+            assert np.array_equal(twin.vector, net.vector)
+            assert np.array_equal(twin.forward(x), net.forward(x))
 
 
 class TestParameterSerialization:
@@ -484,23 +574,29 @@ class TestDistributionGradients:
         assert np.array_equal(got, plain)
 
 
+def one_array(values) -> FlatViews:
+    """values as the one array of a `FlatViews` over their own vector."""
+    vector = np.array(values, dtype=np.float64)
+    return FlatViews(vector, [vector.shape])
+
+
 class TestAdam:
     def test_zero_gradient_identity(self):
-        params = [np.array([1.0, 2.0])]
+        params = one_array([1.0, 2.0])
         state = AdamState.for_params(params)
-        adam_step(params, [np.zeros(2)], state, lr=0.1)
+        adam_step(params, one_array(np.zeros(2)), state, lr=0.1)
         assert np.allclose(params[0], [1.0, 2.0])
 
     def test_lr_zero_identity(self):
-        params = [np.array([1.0, 2.0])]
+        params = one_array([1.0, 2.0])
         state = AdamState.for_params(params)
-        adam_step(params, [np.array([0.5, -0.5])], state, lr=0.0)
+        adam_step(params, one_array([0.5, -0.5]), state, lr=0.0)
         assert np.allclose(params[0], [1.0, 2.0])
 
     def test_first_step_direction(self):
-        params = [np.array([0.0])]
+        params = one_array([0.0])
         state = AdamState.for_params(params)
-        adam_step(params, [np.array([3.0])], state, lr=0.01)
+        adam_step(params, one_array([3.0]), state, lr=0.01)
         # first Adam step is ~ -lr * sign(g)
         assert params[0][0] == pytest.approx(-0.01, rel=1e-6)
 
@@ -514,22 +610,74 @@ class TestAdam:
             m_hat = m / (1 - b1**t)
             v_hat = v / (1 - b2**t)
             p -= lr * m_hat / (math.sqrt(v_hat) + eps)
-        params = [np.array([0.0])]
+        params = one_array([0.0])
         state = AdamState.for_params(params)
-        adam_step(params, [np.array([1.0])], state, lr)
-        adam_step(params, [np.array([-0.5])], state, lr)
+        adam_step(params, one_array([1.0]), state, lr)
+        adam_step(params, one_array([-0.5]), state, lr)
         assert params[0][0] == pytest.approx(p, abs=1e-10)
 
     def test_shape_mismatch(self):
-        params = [np.zeros(2)]
+        params = one_array(np.zeros(2))
         state = AdamState.for_params(params)
         with pytest.raises(ShapeError):
-            adam_step(params, [np.zeros(3)], state, 0.1)
+            adam_step(params, one_array(np.zeros(3)), state, 0.1)
+
+
+@pytest.mark.parametrize("sizes", [(9, 16, 16, 3, 3, 3), (9, 16, 16, 3, 3, 3, 11), (4,)])
+def test_head_columns_scatter_inverts_the_table(sizes):
+    columns = head_columns(sizes)
+    assert columns.table.shape == (len(sizes), max(sizes))
+    assert np.array_equal(columns.table.ravel()[columns.scatter], np.arange(sum(sizes)))
+
+
+def reference_adam_step(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam over a list of arrays, one array at a time."""
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = b1 * m[i] + (1 - b1) * g
+        v[i] = b2 * v[i] + (1 - b2) * g * g
+        m_hat = m[i] / (1 - b1**t)
+        v_hat = v[i] / (1 - b2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def reference_clip_grad_norm(grads, max_norm):
+    """Clipping of a list of arrays, returning new arrays when it scales."""
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    if total > max_norm and total > 0:
+        scale = max_norm / total
+        return [g * scale for g in grads]
+    return grads
+
+
+@pytest.mark.parametrize("sizes", [(21, 32, 41), (69, 128, 128, 83)])
+def test_flat_update_matches_the_per_array_reference(sizes):
+    net = DenseNet(sizes, rng=np.random.default_rng(2))
+    ref_params = [p.copy() for p in net.params]
+    m = [np.zeros_like(p) for p in ref_params]
+    v = [np.zeros_like(p) for p in ref_params]
+    state = AdamState.for_params(net.params)
+    rng = np.random.default_rng(3)
+    branches = set()
+    for t, max_norm in enumerate((1e9, 0.5, 1e9, 0.05, 0.5, 1e9), start=1):
+        X = rng.normal(size=(6, net.input_size))
+        grads = net.backward(X, rng.normal(size=(6, net.output_size)))
+        branches.add(np.sqrt(sum(float(np.sum(g * g)) for g in grads)) > max_norm)
+        want = reference_clip_grad_norm([g.copy() for g in grads], max_norm)
+        got = clip_grad_norm(grads, max_norm)
+        assert got is grads
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        adam_step(net.params, got, state, 1e-2)
+        reference_adam_step(ref_params, want, m, v, t, 1e-2)
+        assert state.t == t
+        assert all(np.array_equal(a, b) for a, b in zip(net.params, ref_params, strict=True))
+        assert np.array_equal(state.m, np.concatenate([a.ravel() for a in m]))
+        assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v]))
+    assert branches == {True, False}  # both branches of the clip ran
 
 
 class TestClipGradNorm:
     def test_scales_large(self):
-        out = clip_grad_norm([np.array([3.0, 4.0])], 0.5)
+        out = clip_grad_norm(one_array([3.0, 4.0]), 0.5)
         assert np.allclose(out[0], [0.3, 0.4])
 
     def test_leaves_small(self):
@@ -544,6 +692,6 @@ class TestClipGradNorm:
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=10))
     @settings(max_examples=100, deadline=None)
     def test_postclip_norm_bounded(self, values):
-        g = [np.array(values)]
+        g = one_array(values)
         out = clip_grad_norm(g, 0.5)
         assert np.sqrt(np.sum(out[0] ** 2)) <= 0.5 + 1e-12

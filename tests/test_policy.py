@@ -545,6 +545,24 @@ class TestPromptPolicy:
         assert log_prob_prompts(other, s, a, ((0, 1), (2,), (3,))) == lp
 
 
+def test_log_prob_prompts_records_no_steps_and_copies_only_misses(monkeypatch):
+    prompt = PromptPolicy(STATE_DIM, compact_atom_library(), hidden=(16,),
+                          rng=np.random.default_rng(41))
+    s, a = make_state(3), StructureAction(2, 0, 0, (0, 0, 0))
+    seqs = ((0, 1), (2,), (3,))
+    want = log_prob_prompts(prompt, s, a, seqs)
+    built, rows = [], []
+    monkeypatch.setattr(policy_module, "PromptStep", lambda *args: built.append(args))
+    forward_rows = prompt.net.forward_rows
+    prompt.net.forward_rows = lambda x: rows.append(len(x)) or forward_rows(x)
+    memo: dict = {}
+    assert log_prob_prompts(prompt, s, a, seqs, memo) == want
+    assert rows == [len(memo)] == [sum(len(q) + 1 for q in seqs)]
+    # a second scoring reads every step from the memo: no pass, no copy
+    assert log_prob_prompts(prompt, s, a, seqs, memo) == want
+    assert rows == [len(memo)] and built == []
+
+
 @pytest.mark.parametrize("table", [
     default_mask_table(),
     mask_table_from_config({"workflows": ["Direct", "ReasonVerifyAns"],

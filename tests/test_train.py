@@ -43,6 +43,7 @@ from agentcfg.train import (
     SFTConfig,
     _config_log_prob,
     _episode_seed,
+    _grad_buffers,
     _surrogate_and_coeff,
     action_key,
     collect_episodes,
@@ -970,3 +971,27 @@ class TestScoringCore:
         ref_loss, ref_grads = reference_dpo(struct, prompt, table, pairs, ref_lps, cfg.dpo.beta)
         assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
         assert _max_rel_diff(grads, ref_grads) <= 1e-10
+
+    def test_objectives_overwrite_given_gradient_buffers(self, default_batch):
+        cfg, table, struct, prompt, rollouts = default_batch
+        records = [r.record for r in rollouts]
+        pairs = list(zip(records[:3], records[3:]))
+        ref_lps = [(-3.0 - i, -4.0 + i) for i in range(3)]
+        out = _grad_buffers(struct_trunk=struct.trunk, struct_value=struct.value_net,
+                            prompt_net=prompt.net, prompt_value=prompt.value_net)
+        objectives = [
+            lambda out=None: ppo_loss_and_grads(struct, prompt, table, rollouts,
+                                                PPOConfig(clip_eps=0.05), True, out)[:2],
+            lambda out=None: sft_loss_and_grads(struct, prompt, table, records, 0.01, out),
+            lambda out=None: dpo_loss_and_grads(struct, prompt, table, pairs, ref_lps, cfg.dpo,
+                                                out),
+        ]
+        for objective in objectives:
+            loss, fresh = objective()
+            for grads in out.values():
+                grads.vector[...] = np.nan  # stale contents must all be overwritten
+            got_loss, got = objective(out)
+            assert got_loss == loss
+            for name, grads in fresh.items():
+                assert got[name] is out[name]
+                assert np.array_equal(got[name].vector, grads.vector)
