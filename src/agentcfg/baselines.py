@@ -54,6 +54,7 @@ from .train import (
     _grad_buffers,
     _normalize,
     _ppo_terms,
+    _require_count,
     _value_regression,
 )
 
@@ -64,8 +65,8 @@ class SearchBudget:
     episodes_per_evaluation: int = 20
 
     def __post_init__(self):
-        if self.max_evaluations < 1 or self.episodes_per_evaluation < 1:
-            raise ContractError("search budget fields must be >= 1")
+        _require_count("max_evaluations", self.max_evaluations)
+        _require_count("episodes_per_evaluation", self.episodes_per_evaluation)
 
 
 @dataclass
@@ -80,7 +81,9 @@ class Harness:
     configuration scores the same every time. Each seed's random numbers
     are drawn once per harness (`SyntheticEnv.execute`'s memo) and kept
     while it lives: at most 2 per seed, with and without the
-    EvaluatorOptimizer's extra iterations."""
+    EvaluatorOptimizer's extra iterations. Every episode is one `execute`
+    call; an evaluation's episodes share few distinct outcomes (one per
+    outcome class), and each is scored by `shaped_reward` once."""
 
     env: SyntheticEnv
     reward_cfg: RewardConfig
@@ -93,24 +96,37 @@ class Harness:
     def _episode_seeds(self, episodes: int) -> list[list[int]]:
         """Each query's first `episodes` execution seeds. A query's block is
         hashed once: `generate_state` is prefix-stable, so a longer block
-        extends a shorter one."""
-        if not self._seed_blocks or len(self._seed_blocks[0]) < episodes:
-            self._seed_blocks = [
+        extends a shorter one. The blocks are rebuilt when the env's query
+        count changes."""
+        blocks = self._seed_blocks
+        if (len(blocks) != len(self.env.queries)
+                or (blocks and len(blocks[0]) < episodes)):
+            blocks = self._seed_blocks = [
                 np.random.SeedSequence([self.seed, qi]).generate_state(episodes).tolist()
                 for qi in range(len(self.env.queries))
             ]
-        return [block[:episodes] for block in self._seed_blocks]
+        return [block[:episodes] for block in blocks]
 
     def evaluate(self, config: Configuration, episodes_per_evaluation: int = 20) -> float:
+        _require_count("episodes_per_evaluation", episodes_per_evaluation)
+        if not self.env.queries:
+            raise ContractError("the harness scores over an env's queries; this env has none")
         self.n_evaluations += 1
         if self.expected_mode:
             return float(np.mean(self.env.expected_rewards(config, self.reward_cfg)))
+        # id(outcome) -> (outcome, its reward): the outcome is held so that
+        # its id is not reused within the evaluation
+        scored: dict = {}
         total = 0.0
         n = 0
         for q, seeds in zip(self.env.queries, self._episode_seeds(episodes_per_evaluation)):
             for exec_seed in seeds:
                 outcome = self.env.execute(q, config, exec_seed, self._draws)
-                total += shaped_reward(outcome, self.reward_cfg)[0]
+                hit = scored.get(id(outcome))
+                if hit is None:
+                    hit = scored[id(outcome)] = (
+                        outcome, shaped_reward(outcome, self.reward_cfg)[0])
+                total += hit[1]
                 n += 1
         return total / n
 

@@ -248,19 +248,24 @@ def _execution_draws(seed: int, eo: bool, jitter: int):
     return u, extra, offset
 
 
-def _outcome(query: Query, q: _QueryTerms, c: _ConfigTerms, truth, seed: int,
-             memo: Optional[dict] = None) -> ExecutionOutcome:
-    """One seeded execution. memo, if given, maps (seed, eo, jitter) to the
-    execution's `_execution_draws`, so a seed's draws are made once however
-    many configurations run on it."""
-    p, n_used, n_tokens = truth
-    key = (seed, c.eo, q.jitter)
-    memo = {} if memo is None else memo
+def _memo_draws(seed: int, eo: bool, jitter: int, memo: Optional[dict]):
+    """`_execution_draws`, through memo if given: a dict mapping (seed, eo,
+    jitter) to the draws, so a seed's draws are made once however many
+    configurations run on it."""
+    if memo is None:
+        return _execution_draws(seed, eo, jitter)
+    key = (seed, eo, jitter)
     draws = memo.get(key)
     if draws is None:
-        draws = memo[key] = _execution_draws(seed, c.eo, q.jitter)
-    u, extra, offset = draws
-    correct = bool(u < p)
+        draws = memo[key] = _execution_draws(seed, eo, jitter)
+    return draws
+
+
+def _outcome(query: Query, c: _ConfigTerms, truth, correct: bool, extra: int,
+             offset: int) -> ExecutionOutcome:
+    """The execution of outcome class (correct, extra, offset): with the
+    ground truth these fix every field, and the query adds its gold answer."""
+    _, n_used, n_tokens = truth
     answer = query.gold_answer if (correct and query.gold_answer) else "no answer"
     return ExecutionOutcome(
         answer_text=answer,
@@ -320,8 +325,10 @@ def execute_synthetic(
     seed: int,
 ) -> ExecutionOutcome:
     """Deterministic given (spec, configuration, seed)."""
-    c = _config_terms(config, library)
-    return _outcome(query, spec.terms, c, _ground_truth(spec.terms, c, model), seed)
+    q, c = spec.terms, _config_terms(config, library)
+    truth = _ground_truth(q, c, model)
+    u, extra, offset = _execution_draws(seed, c.eo, q.jitter)
+    return _outcome(query, c, truth, u < truth[0], extra, offset)
 
 
 def expected_reward(
@@ -570,12 +577,18 @@ def compact_atom_library() -> tuple[PromptAtom, ...]:
 # ---------------------------------------------------------------------------
 
 
+class _QueryMemo(NamedTuple):
+    spec: SyntheticQuerySpec
+    truth: tuple      # _ground_truth of the spec and the configuration
+    outcomes: dict    # outcome class (correct, extra, offset) -> ExecutionOutcome
+
+
 class _Memo(NamedTuple):
     config: Configuration
     library: tuple
     model: SuccessModel
     terms: _ConfigTerms
-    truths: dict      # SyntheticQuerySpec -> _ground_truth on it
+    queries: dict     # Query -> _QueryMemo
 
 
 @dataclass
@@ -613,40 +626,51 @@ class SyntheticEnv:
     def spec_for(self, query: Query) -> SyntheticQuerySpec:
         return self.specs[query.id]
 
-    def _truth(self, query: Query, config: Configuration):
-        """The query's and the configuration's terms and the ground truth
-        over them. The last configuration's terms and truths are kept, so
-        scoring one configuration over many queries and seeds computes them
-        once."""
+    def _query_memo(self, query: Query, config: Configuration):
+        """The configuration's terms and the query's `_QueryMemo` under it.
+        The last configuration's terms and, per query, its truth and
+        outcomes are kept, so scoring one configuration over many queries
+        and seeds computes each once. An entry is keyed by the query, not by
+        its spec alone, because an outcome carries the gold answer."""
         memo = self._memo
         if not (memo and memo.config is config and memo.library is self.library
                 and memo.model is self.model):
             memo = self._memo = _Memo(config, self.library, self.model,
                                       _config_terms(config, self.library), {})
         spec = self.spec_for(query)
-        truth = memo.truths.get(spec)
-        if truth is None:
-            truth = memo.truths[spec] = _ground_truth(spec.terms, memo.terms, self.model)
-        return spec.terms, memo.terms, truth
+        entry = memo.queries.get(query)
+        if entry is None or entry.spec is not spec:
+            entry = memo.queries[query] = _QueryMemo(
+                spec, _ground_truth(spec.terms, memo.terms, self.model), {})
+        return memo.terms, entry
 
     def execute(self, query: Query, config: Configuration, seed: int,
                 memo: Optional[dict] = None) -> ExecutionOutcome:
         """`execute_synthetic` on the query's spec.
 
-        memo, if given, is a dict the caller keeps across executions that
-        share seeds: each (seed, EvaluatorOptimizer or not, jitter) maps to
-        the execution's random numbers, drawn on first use. The outcome is
-        the same with or without it; it saves rebuilding the seed's
-        generator when many configurations run on one seed (the search
-        harness's common random numbers)."""
-        q, c, truth = self._truth(query, config)
-        return _outcome(query, q, c, truth, seed, memo)
+        An execution's outcome class is its (correct, extra iterations,
+        token offset): with the query and the configuration it fixes every
+        field. The outcome of each class is built once per (query,
+        configuration) and shared; it is frozen. memo, if given, is a dict
+        the caller keeps across executions that share seeds: each (seed,
+        EvaluatorOptimizer or not, jitter) maps to the execution's random
+        numbers, drawn on first use. The outcome is the same with or without
+        it; it saves rebuilding the seed's generator when many
+        configurations run on one seed (the search harness's common random
+        numbers)."""
+        c, entry = self._query_memo(query, config)
+        u, extra, offset = _memo_draws(seed, c.eo, entry.spec.terms.jitter, memo)
+        key = (u < entry.truth[0], extra, offset)
+        outcome = entry.outcomes.get(key)
+        if outcome is None:
+            outcome = entry.outcomes[key] = _outcome(query, c, entry.truth, *key)
+        return outcome
 
     def expected_reward(self, query: Query, config: Configuration,
                         reward_cfg: RewardConfig) -> float:
         """`expected_reward` on the query's spec."""
-        _, c, truth = self._truth(query, config)
-        return _expected(c, truth, reward_cfg)
+        c, entry = self._query_memo(query, config)
+        return _expected(c, entry.truth, reward_cfg)
 
     def expected_rewards(self, config: Configuration, reward_cfg: RewardConfig) -> list[float]:
         """`expected_reward` of one configuration on every query, in query

@@ -87,15 +87,15 @@ class DenseNet:
     vector.
     """
 
-    def __init__(self, sizes, rng=None, init_scale=None):
+    def __init__(self, sizes, rng=None):
         if len(sizes) < 2:
             raise ShapeError("need at least input and output sizes")
         self._adopt(sizes)
         rng = rng if rng is not None else np.random.default_rng(0)
         for W in self.params[::2]:
-            # the draws of rng.normal(0.0, scale, W.shape), made in place
+            # the draws of rng.normal(0.0, 1 / sqrt(fan-in), W.shape), made in place
             rng.standard_normal(out=W)
-            W *= init_scale if init_scale is not None else 1.0 / np.sqrt(W.shape[1])
+            W *= 1.0 / np.sqrt(W.shape[1])
 
     @classmethod
     def from_vector(cls, sizes, vector: np.ndarray) -> "DenseNet":

@@ -743,11 +743,12 @@ def dpo_loss_and_grads(struct_policy, prompt_policy, table, pairs, ref_lps, cfg:
 # ---------------------------------------------------------------------------
 
 
-def _require_samples(n_samples: int) -> None:
-    """A bool is not taken as 0 or 1, nor 2.5 as two samples and a half."""
-    if not (isinstance(n_samples, (int, np.integer)) and not isinstance(n_samples, bool)
-            and n_samples >= 1):
-        raise ContractError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+def _require_count(name: str, value: int) -> None:
+    """A count is an integer >= 1, numpy integers included: a bool is not
+    taken as 0 or 1, nor 2.5 as two and a half."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= 1):
+        raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _require_elite(elite: EliteSet) -> None:
@@ -781,7 +782,7 @@ def verify_support_restriction(
     lies in that state's elite action set. Returns (passed, violations).
     Raises EmptyEliteError on an empty elite set, and ContractError unless
     n_samples is an integer >= 1."""
-    _require_samples(n_samples)
+    _require_count("n_samples", n_samples)
     _require_elite(elite)
     violations = []
     for s_key, state in elite.state_examples.items():
@@ -806,7 +807,7 @@ def verify_reward_floor(
     recorded support. Returns (estimate, passed, n_support_violations).
     Refuses an empty elite set or a bad n_samples as
     `verify_support_restriction` does."""
-    _require_samples(n_samples)
+    _require_count("n_samples", n_samples)
     _require_elite(elite)
     reward_lookup = {
         key: float(np.mean(rewards)) for key, rewards in elite.action_rewards.items()

@@ -181,6 +181,40 @@ class TestHarness:
                     fresh = Harness(env=env, reward_cfg=REWARD, seed=2, expected_mode=False)
                     assert h.evaluate(c, episodes) == fresh.evaluate(c, episodes)
 
+    def test_harness_moved_to_an_env_with_another_query_count(self):
+        # the seed blocks follow the query count: no query is dropped, none
+        # keeps a block hashed for another env
+        grid = default_grid(default_mask_table(), default_atom_library())
+        small, large = (build_env(QueryDistribution(), n, seed=1, semantic_dim=8)
+                        for n in (2, 5))
+        for first, second in ((small, large), (large, small)):
+            h = Harness(env=first, reward_cfg=REWARD, seed=4, expected_mode=False)
+            h.evaluate(grid[3], 6)
+            h.env = second
+            for c in grid[:8]:
+                fresh = Harness(env=second, reward_cfg=REWARD, seed=4, expected_mode=False)
+                assert h.evaluate(c, 6) == fresh.evaluate(c, 6)
+
+    def test_sampled_evaluate_equals_a_per_episode_reference(self):
+        # one execute_synthetic and one shaped_reward per episode, summed in
+        # episode order, over the default grid (EvaluatorOptimizer included)
+        # on plain and jittered specs
+        from agentcfg.env import execute_synthetic
+
+        library = compact_atom_library()
+        grid = default_grid(default_mask_table(), library)
+        for env in self._plain_and_jittered(3):
+            h = Harness(env=env, reward_cfg=REWARD, seed=6, expected_mode=False)
+            for episodes in (5, 1):
+                for c in grid:
+                    rewards = [
+                        shaped_reward(execute_synthetic(q, env.specs[q.id], c, env.model,
+                                                        library, int(s)), REWARD)[0]
+                        for qi, q in enumerate(env.queries)
+                        for s in np.random.SeedSequence([6, qi]).generate_state(episodes)
+                    ]
+                    assert h.evaluate(c, episodes) == sum(rewards) / len(rewards)
+
     def test_draw_memo_holds_two_entries_per_seed(self):
         library = compact_atom_library()
         table = default_mask_table()
@@ -212,6 +246,39 @@ class TestHarness:
             SearchBudget(max_evaluations=0)
         with pytest.raises(ContractError):
             SearchBudget(episodes_per_evaluation=0)
+
+
+    @pytest.mark.parametrize("field_name", ["max_evaluations", "episodes_per_evaluation"])
+    @pytest.mark.parametrize("value", [2.5, True, False, -3, "4", None])
+    def test_budget_fields_must_be_integers_at_least_one(self, field_name, value):
+        with pytest.raises(ContractError, match=field_name):
+            SearchBudget(**{field_name: value})
+
+    def test_budget_accepts_numpy_integers(self):
+        budget = SearchBudget(max_evaluations=np.int64(3), episodes_per_evaluation=np.int32(2))
+        env = build_env(QueryDistribution(), 2, seed=0, semantic_dim=8)
+        h = Harness(env=env, reward_cfg=REWARD, expected_mode=False)
+        _, _, trace = grid_search(h, default_grid(default_mask_table(), env.library), budget)
+        assert len(trace) == h.n_evaluations == 3
+
+    @pytest.mark.parametrize("expected_mode", [True, False])
+    @pytest.mark.parametrize("episodes", [0, 2.5, True])
+    def test_evaluate_refuses_a_bad_episode_count(self, expected_mode, episodes):
+        env = build_env(QueryDistribution(), 2, seed=0, semantic_dim=8)
+        h = Harness(env=env, reward_cfg=REWARD, expected_mode=expected_mode)
+        c = Configuration(StructureAction(0, 0, 0, (0, 0, 0)), ((),))
+        with pytest.raises(ContractError, match="episodes_per_evaluation"):
+            h.evaluate(c, episodes)
+        assert h.n_evaluations == 0
+
+    @pytest.mark.parametrize("expected_mode", [True, False])
+    def test_evaluate_refuses_an_env_without_queries(self, expected_mode):
+        env = SyntheticEnv(queries=[], specs={}, semantic_dim=8)
+        h = Harness(env=env, reward_cfg=REWARD, expected_mode=expected_mode)
+        c = Configuration(StructureAction(0, 0, 0, (0, 0, 0)), ((),))
+        with pytest.raises(ContractError, match="none"):
+            h.evaluate(c, 3)
+        assert h.n_evaluations == 0
 
 
 class TestGridSearch:

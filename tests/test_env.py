@@ -238,6 +238,55 @@ class TestExecution:
                         q, specs[q.id], c, MODEL, LIB, seed)
         assert len(memo) == 40 * 2 * 2   # seeds x EvaluatorOptimizer or not x jitter
 
+    @staticmethod
+    def _twin_gold_env():
+        """Three generated queries with token jitter, plus two queries of
+        one spec whose gold answers differ."""
+        env = build_env(QueryDistribution(noise_scale=2.0), 3, seed=5, library=LIB,
+                        semantic_dim=8)
+        spec = SyntheticQuerySpec(0.0, 0, 1)
+        for qid, gold in (("a", "4"), ("b", "6")):
+            env.queries.append(Query(id=qid, text="Calculate the total of 2 and 2.",
+                                     gold_answer=gold))
+            env.specs[qid] = spec
+        return env
+
+    def test_execute_equals_execute_synthetic_on_every_outcome_class(self):
+        # the env shares one outcome per (query, configuration, outcome
+        # class): over the default grid, every query and 50 seeds, with and
+        # without a draw memo, each equals a fresh execution field for field,
+        # the gold answer of twin-spec queries included
+        from agentcfg.baselines import default_grid
+        from agentcfg.policy import default_mask_table
+
+        env = self._twin_gold_env()
+        grid = default_grid(default_mask_table(), LIB)
+        answers = set()
+        for memo in (None, {}):
+            for c in grid:
+                for seed in range(50):
+                    for q in env.queries:
+                        outcome = env.execute(q, c, seed, memo)
+                        assert outcome == execute_synthetic(q, env.spec_for(q), c, MODEL,
+                                                            LIB, seed)
+                        answers.add((q.id, outcome.answer_text))
+        assert {("a", "4"), ("b", "6")} <= answers
+
+    def test_a_repeated_outcome_class_is_the_same_object(self):
+        env = self._twin_gold_env()
+        env.specs = {k: SyntheticQuerySpec(0.4, s.required_tools, s.required_depth,
+                                           noise_scale=1.0) for k, s in env.specs.items()}
+        correct = set()
+        for c in (cfg(0, budgets=(2, 0, 0)), cfg(7, t1=0b01, budgets=(1, 2, 0))):
+            for q in env.queries:
+                outcomes = [env.execute(q, c, seed) for seed in range(60)]
+                distinct = set(outcomes)
+                correct |= {o.correct for o in distinct}
+                # one object per distinct outcome
+                assert len({id(o) for o in outcomes}) == len(distinct) < len(outcomes)
+                assert env.execute(q, c, 0) is outcomes[0]
+        assert correct == {True, False}
+
     @pytest.mark.parametrize("noise_scale", [-1.0, 0.5, 0.9, 1.5, float("nan"), float("inf")])
     def test_noise_scale_must_be_whole_tokens(self, noise_scale):
         # the jitter is a half-width in whole tokens: a fraction would be

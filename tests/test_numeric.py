@@ -76,6 +76,17 @@ def reference_forward(params, sizes, x):
 
 
 class TestDenseNetForward:
+    def test_initial_weights_are_scaled_normal_draws(self):
+        # each weight matrix takes rng.normal(0, 1/sqrt(fan-in)) draws in
+        # layer order; biases start at zero
+        sizes = [5, 7, 3]
+        net = DenseNet(sizes, rng=np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        for layer, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
+            W = rng.normal(0.0, 1.0 / np.sqrt(n_in), (n_out, n_in))
+            assert np.array_equal(net.params[2 * layer], W)
+            assert not net.params[2 * layer + 1].any()
+
     def test_zero_weights_give_zero(self):
         net = DenseNet([3, 4, 2])
         for p in net.params:
