@@ -50,10 +50,12 @@ class FlatViews(tuple):
     """Reshaped views of consecutive slices of one contiguous float64
     vector, kept as `vector`: a net's parameters [W0, b0, W1, b1, ...], or
     a gradient in their layout. Writing a view writes the vector, so
-    `adam_step` and `clip_grad_norm` can act on all arrays at once. Copies
-    and pickles rebuild the views on their own vector."""
+    `adam_step` and `clip_grad_norm` can act on all arrays at once. `cache`
+    holds values derived from the vector, by kind (see `DenseNet`). Copies
+    and pickles rebuild the views on their own vector, with an empty cache."""
 
     vector: np.ndarray
+    cache: dict
 
     def __new__(cls, vector: np.ndarray, shapes):
         sizes = [math.prod(shape) for shape in shapes]
@@ -65,7 +67,7 @@ class FlatViews(tuple):
             views.append(vector[offset : offset + size].reshape(shape))
             offset += size
         obj = super().__new__(cls, views)
-        obj.vector = vector
+        obj.vector, obj.cache = vector, {}
         return obj
 
     def __reduce__(self):
@@ -82,9 +84,11 @@ class DenseNet:
     The parameters are one contiguous float64 `vector`, laid out as W0
     (row-major, shape (out, in)), b0, W1, b1, ...: `params` is `FlatViews`
     of it in that order, and `backward` returns the gradient the same way.
-    Only `adam_step` mutates parameters, in place; a frozen net is safe to
-    share across readers. Copies and pickles rebuild the views on their own
-    vector.
+    `adam_step` and `set_flat` are the write paths: each writes in place
+    and clears `params.cache`, where the samplers and scorers keep what they
+    derive from the parameters. A write through a view or `vector` skips
+    that clear, so it must come before the first cached call. Copies,
+    pickles, `from_vector` and `load_net` start with an empty cache.
     """
 
     def __init__(self, sizes, rng=None):
@@ -219,10 +223,12 @@ class DenseNet:
         return self.vector.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        """Write flat, in `vector` layout, into the parameters."""
+        """Write flat, in `vector` layout, into the parameters, and clear
+        their cache."""
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != self.vector.shape:
             raise ShapeError(f"expected {self.n_params} params, got {flat.shape}")
+        self.params.cache.clear()
         self.vector[...] = flat
 
     @property
@@ -529,7 +535,8 @@ _ADAM_SLICE = 8192
 
 
 def adam_step(params: FlatViews, grads: FlatViews, state: AdamState, lr: float):
-    """Standard Adam update with bias correction; mutates params/state.
+    """Standard Adam update with bias correction; mutates params/state and
+    clears the parameters' cache.
     Works in place on the parameter vector, slice by slice, and gives each
     entry exactly the arithmetic of the per-array update
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
@@ -538,6 +545,7 @@ def adam_step(params: FlatViews, grads: FlatViews, state: AdamState, lr: float):
     if p.shape != grad.shape or p.shape != state.m.shape:
         raise ShapeError(f"param/grad/state size mismatch: {p.size}, {grad.size}, "
                          f"{state.m.size}")
+    params.cache.clear()
     state.t += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
     c1, c2 = 1 - b1**state.t, 1 - b2**state.t

@@ -317,12 +317,11 @@ def _conditioned_heads(logits: np.ndarray, layout: HeadLayout, workflow_id: int)
 
 @dataclass
 class _StateHeads:
-    """What scoring and drawing structures for one state needs, fixed while
-    the trunk's parameters and the table stay fixed: the memo entry that
-    `sample_structure` and `log_prob_structure` share. The trunk pass and
-    the workflow head are built with the entry; each other part is built
-    the first time a call reads it, so scoring builds no CDF and no
-    entropy."""
+    """What scoring or drawing structures for one state needs, fixed while
+    the trunk's parameters and the table stay fixed: an entry of the
+    trunk's cache (see `_state_heads`). The trunk pass and the workflow
+    head are built with the entry; each other part is built the first time
+    a call reads it, so scoring builds no CDF and no entropy."""
 
     logits: np.ndarray                # the trunk's output
     workflow: MaskedCategorical       # the workflow head
@@ -333,17 +332,27 @@ class _StateHeads:
     workflow_cdf: Optional[np.ndarray] = None        # the workflow head's `choice_cdf`
 
 
+def _state_entries(trunk: DenseNet, kind: str, table: MaskTable) -> dict:
+    """The trunk cache's `_StateHeads` of kind ("sample" or "score") under
+    table, by state vector bytes. One table per kind: the held one is
+    compared by identity, then by value (hashing serialises the masks)."""
+    held = trunk.params.cache.get(kind)
+    if held is None or not (held[0] is table or held[0] == table):
+        held = trunk.params.cache[kind] = (table, {})
+    return held[1]
+
+
 def _state_heads(policy: StructurePolicy, table: MaskTable, s_vec: np.ndarray,
-                 memo: dict) -> _StateHeads:
-    """memo's entry for the state vector s_vec, keyed by its bytes; a new
-    entry takes one trunk pass and the workflow head under the table's
-    mask."""
+                 kind: str) -> _StateHeads:
+    """The cached entry of kind for the state vector s_vec; a new entry
+    takes one trunk pass and the workflow head under the table's mask."""
+    entries = _state_entries(policy.trunk, kind, table)
     key = s_vec.tobytes()
-    heads = memo.get(key)
+    heads = entries.get(key)
     if heads is None:
         logits = policy.trunk.forward(s_vec)
         wf_logits = logits[head_slice(0)]
-        heads = memo[key] = _StateHeads(logits, MaskedCategorical.view(
+        heads = entries[key] = _StateHeads(logits, MaskedCategorical.view(
             wf_logits, table.workflow_mask, masked_categorical(wf_logits, table.workflow_mask)))
     return heads
 
@@ -387,7 +396,6 @@ def sample_structure(
     table: MaskTable,
     s: StateEmbedding,
     rng: np.random.Generator,
-    memo: Optional[dict] = None,
 ):
     """Sample workflow first, then the remaining heads under its masks; the
     five conditioned heads share one padded `masked_categorical` pass.
@@ -397,15 +405,13 @@ def sample_structure(
     over their padded CDFs. They are the same choices, and leave the same
     generator state, as one `numeric.draw` per head.
 
-    memo, if given, maps a state vector's bytes to its `_StateHeads`, which
-    the state fixes exactly while the trunk's parameters and the table stay
-    fixed: repeated calls for one state then run the trunk and score each
-    workflow's heads once, and draw the same as fresh calls. It may be
-    shared with `log_prob_structure`. The caller drops the memo once the
-    parameters or the table change.
+    The trunk's cache keeps each state's "sample" `_StateHeads`, which the
+    state fixes exactly while the parameters and the table stay fixed:
+    repeated calls for one state run the trunk and score each workflow's
+    heads once, and draw the same as calls on a fresh copy.
     Returns (action, joint_log_prob, per_head_entropies).
     """
-    heads = _state_heads(policy, table, s.as_vector(), {} if memo is None else memo)
+    heads = _state_heads(policy, table, s.as_vector(), "sample")
     if heads.workflow_cdf is None:
         heads.workflow_cdf = choice_cdf(heads.workflow.stats[0])
     u = rng.random(len(HEAD_SIZES))
@@ -421,24 +427,19 @@ def log_prob_structure(
     table: MaskTable,
     s: StateEmbedding,
     a: StructureAction,
-    memo: Optional[dict] = None,
 ) -> float:
     """Joint log-probability under the identical masking pipeline as
-    sampling: the workflow head and the five heads it conditions, from the
-    `_StateHeads` entry that `sample_structure` keeps for the state, summed
-    in head order as `sample_structure` sums them; errors on any action the
-    masks forbid.
-
-    memo is a structure memo as `sample_structure` takes it, and the two
-    may share one: a state seen before skips the trunk, a (state,
-    workflow) seen before also the padded pass. Without a memo the call
-    makes one trunk pass and one padded `masked_categorical` pass, and
-    builds no CDF and no entropy."""
+    sampling: the workflow head and the five heads it conditions, summed in
+    head order as `sample_structure` sums them; errors on any action the
+    masks forbid. They come from the state's "score" `_StateHeads` in the
+    trunk's cache, kept apart from the sampling one: a state seen before
+    skips the trunk, a (state, workflow) seen before also the padded pass.
+    No CDF and no entropy is built."""
     if not table.is_valid(a):
         raise InvalidActionError(
             f"structure action invalid under mask table: {a}"
         )
-    heads = _state_heads(policy, table, s.as_vector(), {} if memo is None else memo)
+    heads = _state_heads(policy, table, s.as_vector(), "score")
     dists, _ = _conditioned(heads, table.layout(), a.workflow_id)
     return _joint_log_prob(heads, dists, a.heads)
 
@@ -623,36 +624,34 @@ def sample_prompts_lockstep(
     states: Sequence[StateEmbedding],
     actions: Sequence[StructureAction],
     rngs: Sequence[np.random.Generator],
-    memo: Optional[dict] = None,
 ):
     """`sample_prompts` for a list of episodes at once: one prompt-net pass
     per step over the episodes still choosing. Episode e draws from rngs[e],
     in the order `sample_prompts` would: each step takes one uniform from
     each row's generator and picks every row with one `inverse_cdf`.
 
-    memo, if given, maps a step's input and mask bytes to its (log-prob
-    row, CDF row), which they fix exactly while the prompt net's parameters
-    stay fixed; the caller drops it once they change. Steps it holds are
-    read from it, the others are scored in one pass and join it, and each
-    row is picked on its own: a memo serves one-row walks, where stacking
-    the rows costs more than it saves. Returns each episode's (sequences,
-    steps)."""
+    A one-episode walk reads the prompt net's "sample" cache instead, which
+    maps a step's input and mask bytes to its (log-prob row, CDF row), the
+    bits of the step's one-row pass while the parameters stay fixed: a step
+    it holds is read from it, another is scored and joins it. A walk of
+    several episodes keeps its one batched pass per step and bypasses the
+    cache, since its rows need not have one-row bits. Returns each
+    episode's (sequences, steps)."""
+    cache = policy.net.params.cache.setdefault("sample", {}) if len(states) == 1 else None
 
     def drawn(rows, agents, positions, inputs, masks):
         u = [rngs[e].random() for e in rows]
-        if memo is None:
+        if cache is None:
             log_probs, cdfs = _prompt_draws(policy, inputs, masks)
             picked = inverse_cdf(cdfs, np.array(u))
             return picked.tolist(), log_probs[np.arange(len(rows)), picked].tolist()
-        keys = [x.tobytes() + m.tobytes() for x, m in zip(inputs, masks)]
-        new = [i for i, key in enumerate(keys) if key not in memo]
-        if new:
-            memo.update(zip([keys[i] for i in new],
-                            zip(*_prompt_draws(policy, [inputs[i] for i in new],
-                                               [masks[i] for i in new]))))
-        scored = [memo[key] for key in keys]
-        picked = [inverse_cdf(cdf, x) for (_, cdf), x in zip(scored, u)]
-        return picked, [lp.item(a) for (lp, _), a in zip(scored, picked)]
+        key = inputs[0].tobytes() + masks[0].tobytes()
+        scored = cache.get(key)
+        if scored is None:
+            log_probs, cdfs = _prompt_draws(policy, inputs, masks)
+            scored = cache[key] = (log_probs[0], cdfs[0])
+        picked = inverse_cdf(scored[1], u[0])
+        return [picked], [scored[0].item(picked)]
 
     return _walk_prompts(policy, [s.as_vector() for s in states], actions, drawn)
 
@@ -662,14 +661,12 @@ def sample_prompts(
     s: StateEmbedding,
     a_struct: StructureAction,
     rng: np.random.Generator,
-    memo: Optional[dict] = None,
 ):
     """One STOP-terminated sequence per active agent; agent i takes role
     ROLES[i]. Returns (sequences, steps) with stepwise log-probs recorded.
-    Repeated calls under fixed parameters can share a memo (see
-    `sample_prompts_lockstep`): the draws are the same, without recomputing
-    the steps seen before."""
-    return sample_prompts_lockstep(policy, [s], [a_struct], [rng], memo)[0]
+    Steps seen before under the same parameters come from the prompt net's
+    cache (see `sample_prompts_lockstep`), and draw as on a fresh copy."""
+    return sample_prompts_lockstep(policy, [s], [a_struct], [rng])[0]
 
 
 _NEAR_TIE = 1e-12  # logit gap below which exp/divide rounding may tie two probabilities
@@ -734,31 +731,28 @@ def log_prob_prompts(
     s: StateEmbedding,
     a_struct: StructureAction,
     sequences: Sequence[Sequence[int]],
-    memo: Optional[dict] = None,
 ) -> float:
     """Total log-probability of given sequences (including each STOP).
 
-    memo, if given, maps a step's input and mask bytes, the key
-    `sample_prompts` uses, to the step's masked-categorical log-prob row,
-    which they fix exactly while the prompt net's parameters stay fixed; the
-    caller drops it once they change. It holds no CDFs, so it is not a
-    sampling memo. The walk records no `PromptStep`: each step's key is read
-    off the live input and mask, and only the steps the memo misses are
-    copied. Steps it holds are read from it; the others, or without a memo
-    every step, are scored in one `DenseNet.forward_rows` pass after the
-    walk and join it. That pass gives each row the bits of its one-row
-    pass, so a score does not depend on what the memo held, and each step's
-    term is the log-prob a one-episode `sample_prompts` records for it. The
-    terms are summed in step order."""
-    memo = {} if memo is None else memo
+    The prompt net's "score" cache, kept apart from the sampling one, maps
+    a step's input and mask bytes to the step's masked-categorical log-prob
+    row. The walk records no `PromptStep`: each step's key is read off the
+    live input and mask, and only the steps the cache misses are copied.
+    Steps it holds are read from it; the others are scored in one
+    `DenseNet.forward_rows` pass after the walk and join it. That pass
+    gives each row the bits of its one-row pass, so a score does not depend
+    on what the cache held, and each step's term is the log-prob a
+    one-episode `sample_prompts` records for it. The terms are summed in
+    step order."""
+    cache = policy.net.params.cache.setdefault("score", {})
     given = _given_chooser(policy, [a_struct], [sequences])
     keys, actions = [], []
-    new: dict = {}  # key -> (input, mask) copies of the steps memo misses
+    new: dict = {}  # key -> (input, mask) copies of the steps the cache misses
 
     def scored(rows, agents, positions, inputs, masks):
         picked, log_probs = given(rows, agents, positions, inputs, masks)
         key = inputs[0].tobytes() + masks[0].tobytes()
-        if key not in memo and key not in new:
+        if key not in cache and key not in new:
             new[key] = (inputs[0].copy(), masks[0].copy())
         keys.append(key)
         actions.append(picked[0])
@@ -769,8 +763,8 @@ def log_prob_prompts(
         inputs, masks = zip(*new.values())
         _, log_probs, _ = masked_categorical(policy.net.forward_rows(np.array(inputs)),
                                              np.array(masks))
-        memo.update(zip(new, log_probs))
-    return float(np.array([memo[key][a] for key, a in zip(keys, actions)]).sum())
+        cache.update(zip(new, log_probs))
+    return float(np.array([cache[key][a] for key, a in zip(keys, actions)]).sum())
 
 
 # ---------------------------------------------------------------------------

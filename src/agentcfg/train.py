@@ -190,13 +190,12 @@ def collect_rollouts(
     """Embed -> sample structure (masked) -> sample prompts -> execute ->
     shaped reward, over the `_episode_starts` stream; the prompt decisions
     of the whole batch run in lockstep, each episode in its own draw order.
-    The parameters stay fixed for the whole batch, so episodes of one query
-    share one structure memo entry, dropped on return. Fully deterministic
-    given run_seed and the episode counter (single-executor mode)."""
+    Episodes of one query share the trunk's cached entry for its state,
+    which lives until the parameters change. Fully deterministic given
+    run_seed and the episode counter (single-executor mode)."""
     episodes, states, actions, rngs = [], [], [], []
-    memo: dict = {}
     for episode, rng, query, state in _episode_starts(env, run_seed, start_episode, n):
-        action, struct_lp, _ = sample_structure(struct_policy, table, state, rng, memo)
+        action, struct_lp, _ = sample_structure(struct_policy, table, state, rng)
         episodes.append((episode, query, struct_lp))
         states.append(state)
         actions.append(action)
@@ -629,18 +628,12 @@ def sft_update(
 # ---------------------------------------------------------------------------
 
 
-def _config_log_prob(struct_policy, prompt_policy, table, record: EpisodeRecord,
-                     structure_memo: Optional[dict] = None,
-                     prompt_memo: Optional[dict] = None) -> float:
-    """A record's configuration log-prob: its structure's, through
-    structure_memo, plus its prompt steps', through prompt_memo (see
-    `log_prob_structure` and `log_prob_prompts`)."""
-    return log_prob_structure(
-        struct_policy, table, record.state, record.structure_action, structure_memo
-    ) + log_prob_prompts(
-        prompt_policy, record.state, record.structure_action, record.prompt_actions,
-        prompt_memo
-    )
+def _config_log_prob(struct_policy, prompt_policy, table, record: EpisodeRecord) -> float:
+    """A record's configuration log-prob: its structure's plus its prompt
+    steps' (see `log_prob_structure` and `log_prob_prompts`)."""
+    return (log_prob_structure(struct_policy, table, record.state, record.structure_action)
+            + log_prob_prompts(prompt_policy, record.state, record.structure_action,
+                               record.prompt_actions))
 
 
 def _dpo_pairs(buffer: ExperienceBuffer, cfg: DPOConfig):
@@ -695,18 +688,14 @@ def dpo_update(
 def _reference_log_probs(struct_policy, prompt_policy, table, pairs) -> list[tuple]:
     """Each pair's (positive, negative) configuration log-probs under the
     current parameters: one score per distinct (state, configuration). The
-    scores share one structure memo and one prompt-step memo, so a state
-    scored before skips the trunk and a step scored before the prompt net;
-    both memos are dropped on return, before any parameter changes."""
+    scores read the nets' caches, so a state scored before skips the trunk
+    and a step scored before the prompt net; the first update clears them."""
     ref: dict = {}
-    structure_memo: dict = {}
-    prompt_memo: dict = {}
 
     def ref_lp(r: EpisodeRecord) -> float:
         key = (r.state.as_vector().tobytes(), action_key(r.structure_action, r.prompt_actions))
         if key not in ref:
-            ref[key] = _config_log_prob(struct_policy, prompt_policy, table, r,
-                                        structure_memo, prompt_memo)
+            ref[key] = _config_log_prob(struct_policy, prompt_policy, table, r)
         return ref[key]
 
     return [(ref_lp(pos), ref_lp(neg)) for pos, neg in pairs]
@@ -760,13 +749,11 @@ def _require_elite(elite: EliteSet) -> None:
 
 def _sample_config_keys(struct_policy, prompt_policy, table, state, n_samples, rng):
     """Keys of n_samples configurations drawn for one state, one after the
-    other from rng. The parameters stay fixed meanwhile, so the samples share
-    one structure memo and one prompt-step memo, dropped on return."""
-    structure_memo: dict = {}
-    prompt_memo: dict = {}
+    other from rng. Samples of a state seen before, in this call or an
+    earlier one under the same parameters, read the nets' caches."""
     for _ in range(n_samples):
-        action, _, _ = sample_structure(struct_policy, table, state, rng, structure_memo)
-        prompts, _ = sample_prompts(prompt_policy, state, action, rng, prompt_memo)
+        action, _, _ = sample_structure(struct_policy, table, state, rng)
+        prompts, _ = sample_prompts(prompt_policy, state, action, rng)
         yield action_key(action, prompts)
 
 

@@ -245,9 +245,9 @@ class TestCriterion2:
         )
         rng = np.random.default_rng(1)
         no_agent2_tools = True
-        memo: dict = {}  # one state under fixed parameters: the trunk runs once
+        # one state under fixed parameters: the trunk runs once, then its cache serves
         for _ in range(100_000):
-            action, _, _ = sample_structure(struct, direct_only, state, rng, memo)
+            action, _, _ = sample_structure(struct, direct_only, state, rng)
             if action.tools2 != 0:
                 no_agent2_tools = False
                 break

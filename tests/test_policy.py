@@ -29,7 +29,7 @@ from agentcfg.errors import (ContractError, InvalidActionError, InvalidMaskError
 from agentcfg.numeric import (MaskedCategorical, entropy, log_prob, masked_categorical,
                               masked_softmax, sample)
 from agentcfg import policy as policy_module
-from agentcfg.numeric import DEFAULT_HIDDEN
+from agentcfg.numeric import DEFAULT_HIDDEN, AdamState, DenseNet, adam_step
 from agentcfg.policy import (
     HEAD_NAMES,
     HEAD_SIZES,
@@ -330,9 +330,9 @@ class TestStructurePolicy:
         table = default_mask_table()
         s = make_state(2)
         rng = np.random.default_rng(5)
-        memo: dict = {}  # one state under fixed parameters: the trunk runs once
+        # one state under fixed parameters: the trunk runs once, then its cache serves
         for _ in range(100_000):
-            a, _, _ = sample_structure(policy, table, s, rng, memo)
+            a, _, _ = sample_structure(policy, table, s, rng)
             if a.workflow_id in (0, 1, 5):  # Direct, ReasonAns, ParallelVoting
                 assert a.tools2 == 0
             if a.workflow.agents_active < 2:
@@ -369,21 +369,22 @@ class TestStructurePolicy:
         passes = []
         policy.trunk.forward = lambda x: passes.append(1) or forward(x)
         states = [make_state(seed) for seed in range(4)]
-        memo, memo_passes, workflows = {}, 0, set()
+        cached_passes, workflows = 0, set()
         for i in range(400):
             s = states[i % len(states)]
             rng, twin = np.random.default_rng([36, i]), np.random.default_rng([36, i])
             before = len(passes)
-            got = sample_structure(policy, table, s, rng, memo)
-            memo_passes += len(passes) - before
-            want = sample_structure(policy, table, s, twin)
+            got = sample_structure(policy, table, s, rng)
+            cached_passes += len(passes) - before
+            want = sample_structure(copy.deepcopy(policy), table, s, twin)
             assert got[0] == want[0] and got[1] == want[1] and got[2] == want[2]
             assert rng.bit_generator.state == twin.bit_generator.state
             got[2].append(0.0)  # each call returns entropies of its own
             workflows.add((i % len(states), got[0].workflow_id))
-        # the trunk ran once per state, then the memo served every draw, of
+        # the trunk ran once per state, then the cache served every draw, of
         # several workflows per state
-        assert memo_passes == len(memo) == len(states)
+        entries = policy_module._state_entries(policy.trunk, "sample", table)
+        assert cached_passes == len(entries) == len(states)
         assert len(workflows) > len(states)
 
     def test_invalid_action_log_prob_rejected(self):
@@ -484,15 +485,16 @@ class TestPromptPolicy:
         forward_batch = policy.net.forward_batch
         passes = []
         policy.net.forward_batch = lambda x: passes.append(len(x)) or forward_batch(x)
-        memo, memo_passes = {}, 0
+        cached_passes = fresh_passes = 0
         for i in range(300):
             s = make_state(i % 3)
             a = StructureAction(int(pick.integers(0, 9)), 0, 0, (0, 0, 0))
             rng, twin = np.random.default_rng([34, i]), np.random.default_rng([34, i])
             before = len(passes)
-            seqs, steps = sample_prompts(policy, s, a, rng, memo)
-            memo_passes += len(passes) - before
-            fresh_seqs, fresh_steps = sample_prompts(policy, s, a, twin)
+            seqs, steps = sample_prompts(policy, s, a, rng)
+            cached_passes += len(passes) - before
+            fresh_seqs, fresh_steps = sample_prompts(copy.deepcopy(policy), s, a, twin)
+            fresh_passes += len(fresh_steps)
             assert seqs == fresh_seqs and len(steps) == len(fresh_steps)
             for step, fresh in zip(steps, fresh_steps):
                 assert (step.agent, step.action, step.log_prob) == (
@@ -500,8 +502,8 @@ class TestPromptPolicy:
                 assert np.array_equal(step.input_vec, fresh.input_vec)
                 assert np.array_equal(step.mask, fresh.mask)
             assert rng.bit_generator.state == twin.bit_generator.state
-        # each distinct step ran through the net once, then came from the memo
-        assert memo_passes == len(memo) < (len(passes) - memo_passes) / 2
+        # each distinct step ran through the net once, then came from the cache
+        assert cached_passes == len(policy.net.params.cache["sample"]) < fresh_passes / 2
 
     def test_non_finite_prompt_net_raises_divergence(self):
         policy = PromptPolicy(STATE_DIM, compact_atom_library(), hidden=(16,),
@@ -550,17 +552,17 @@ def test_log_prob_prompts_records_no_steps_and_copies_only_misses(monkeypatch):
                           rng=np.random.default_rng(41))
     s, a = make_state(3), StructureAction(2, 0, 0, (0, 0, 0))
     seqs = ((0, 1), (2,), (3,))
-    want = log_prob_prompts(prompt, s, a, seqs)
+    want = log_prob_prompts(copy.deepcopy(prompt), s, a, seqs)
     built, rows = [], []
     monkeypatch.setattr(policy_module, "PromptStep", lambda *args: built.append(args))
     forward_rows = prompt.net.forward_rows
     prompt.net.forward_rows = lambda x: rows.append(len(x)) or forward_rows(x)
-    memo: dict = {}
-    assert log_prob_prompts(prompt, s, a, seqs, memo) == want
-    assert rows == [len(memo)] == [sum(len(q) + 1 for q in seqs)]
-    # a second scoring reads every step from the memo: no pass, no copy
-    assert log_prob_prompts(prompt, s, a, seqs, memo) == want
-    assert rows == [len(memo)] and built == []
+    cache = prompt.net.params.cache
+    assert log_prob_prompts(prompt, s, a, seqs) == want
+    assert rows == [len(cache["score"])] == [sum(len(q) + 1 for q in seqs)]
+    # a second scoring reads every step from the cache: no pass, no copy
+    assert log_prob_prompts(prompt, s, a, seqs) == want
+    assert rows == [len(cache["score"])] and built == []
 
 
 @pytest.mark.parametrize("table", [
@@ -577,39 +579,42 @@ def test_shared_memos_score_as_fresh_calls(table):
     struct.trunk.forward = lambda x: passes.append(1) or forward(x)
     prompt.net.forward_rows = lambda x: rows.append(len(x)) or forward_rows(x)
     states = [make_state(seed) for seed in range(5)]
-    structure_memo, prompt_memo = {}, {}
-    memo_passes = memo_rows = n_steps = 0
+    # the samples come from copies, so they fill none of the scored policy's entries
+    sampler_struct, sampler_prompt = copy.deepcopy(struct), copy.deepcopy(prompt)
+    cached_passes = cached_rows = n_steps = 0
     for i in range(300):
         s = states[i % len(states)]
         rng = np.random.default_rng([39, i])
-        a = sample_structure(struct, table, s, rng)[0]
-        seqs, steps = sample_prompts(prompt, s, a, rng)
+        a = sample_structure(sampler_struct, table, s, rng)[0]
+        seqs, steps = sample_prompts(sampler_prompt, s, a, rng)
         n_steps += len(steps)
         before = len(passes), len(rows)
-        lp = log_prob_structure(struct, table, s, a, structure_memo)
-        prompt_lp = log_prob_prompts(prompt, s, a, seqs, prompt_memo)
-        memo_passes += len(passes) - before[0]
-        memo_rows += sum(rows[before[1]:])
-        assert lp == log_prob_structure(struct, table, s, a)
-        assert prompt_lp == log_prob_prompts(prompt, s, a, seqs)
+        lp = log_prob_structure(struct, table, s, a)
+        prompt_lp = log_prob_prompts(prompt, s, a, seqs)
+        cached_passes += len(passes) - before[0]
+        cached_rows += sum(rows[before[1]:])
+        assert lp == log_prob_structure(copy.deepcopy(struct), table, s, a)
+        assert prompt_lp == log_prob_prompts(copy.deepcopy(prompt), s, a, seqs)
         # each step scores as the one-row pass that drew it
         assert prompt_lp == np.array([st.log_prob for st in steps]).sum()
     # one trunk pass per state and one net row per distinct step; scoring
     # built no CDF and no entropy
-    assert memo_passes == len(structure_memo) == len(states)
-    assert memo_rows == len(prompt_memo) < n_steps / 2
-    assert all(h.workflow_cdf is None and not h.draws for h in structure_memo.values())
-    # the structure memo scoring filled draws as a fresh sampler does, and
-    # scores the same after sampling filled it further
+    scored = policy_module._state_entries(struct.trunk, "score", table)
+    assert cached_passes == len(scored) == len(states)
+    assert cached_rows == len(prompt.net.params.cache["score"]) < n_steps / 2
+    assert all(h.workflow_cdf is None and not h.draws for h in scored.values())
+    # sampling keeps entries of its own beside the scoring ones, draws as a
+    # fresh copy does, and leaves the scores as they were
     for i in range(100):
         s = states[i % len(states)]
         rng, twin = np.random.default_rng([40, i]), np.random.default_rng([40, i])
-        got = sample_structure(struct, table, s, rng, structure_memo)
-        want = sample_structure(struct, table, s, twin)
+        got = sample_structure(struct, table, s, rng)
+        want = sample_structure(copy.deepcopy(struct), table, s, twin)
         assert got[0] == want[0] and got[1] == want[1] and got[2] == want[2]
         assert rng.bit_generator.state == twin.bit_generator.state
-        assert log_prob_structure(struct, table, s, got[0], structure_memo) == got[1]
-    assert len(structure_memo) == len(states)
+        assert log_prob_structure(struct, table, s, got[0]) == got[1]
+    assert len(scored) == len(states)
+    assert len(policy_module._state_entries(struct.trunk, "sample", table)) == len(states)
 
 
 class TestGreedyConfiguration:
@@ -812,3 +817,103 @@ class TestLoadParameters:
     def test_missing_file_fails_as_persistence_error(self, tmp_path):
         with pytest.raises(PersistenceError, match="structure_trunk.params"):
             StructurePolicy(STATE_DIM, hidden=(16,)).load(tmp_path)
+
+
+class TestParameterCache:
+    """The samplers and scorers keep what they derive from a net's
+    parameters in the net's cache. After every write path, and in every
+    copy, all four give what a never-cached policy built from the same
+    vectors gives."""
+
+    TABLE = default_mask_table()
+    REDUCED = mask_table_from_config({"workflows": ["Direct", "ReasonVerifyAns"],
+                                      "Direct": {"tools1": [0, 1], "budgets": [[0, 2], [0], [0]]}})
+    STATES = [make_state(seed) for seed in range(4)]
+    ACTIONS = (StructureAction(2, 1, 0, (0, 2, 1)), StructureAction(0, 1, 0, (2, 0, 0)))
+    SEQUENCES = (((0, 1), (2,), (3,)), ((1,),))
+
+    @staticmethod
+    def policies(seed=60):
+        return (StructurePolicy(STATE_DIM, hidden=(16,), rng=np.random.default_rng([seed, 1])),
+                PromptPolicy(STATE_DIM, compact_atom_library(), hidden=(16,),
+                             rng=np.random.default_rng([seed, 2])))
+
+    @staticmethod
+    def never_cached(struct, prompt):
+        """Shallow copies of both policies whose trunk and prompt net are
+        new nets over copies of the same vectors."""
+        fresh_struct, fresh_prompt = copy.copy(struct), copy.copy(prompt)
+        fresh_struct.trunk = DenseNet.from_vector(struct.trunk.sizes, struct.trunk.get_flat())
+        fresh_prompt.net = DenseNet.from_vector(prompt.net.sizes, prompt.net.get_flat())
+        return fresh_struct, fresh_prompt
+
+    def outputs(self, struct, prompt, table=TABLE):
+        """What all four samplers and scorers give on fixed states, actions,
+        sequences and generators; the prompt walks revisit the same steps."""
+        got = []
+        for i, s in enumerate(self.STATES):
+            got.append(sample_structure(struct, table, s, np.random.default_rng([50, i])))
+            got.append([log_prob_structure(struct, table, s, a) for a in self.ACTIONS])
+            for j, a in enumerate(self.ACTIONS):
+                seqs, steps = sample_prompts(prompt, s, a, np.random.default_rng([51, i, j]))
+                got.append((seqs, [st.log_prob for st in steps]))
+            got.append([log_prob_prompts(prompt, s, a, seqs)
+                        for a, seqs in zip(self.ACTIONS, self.SEQUENCES)])
+        return got
+
+    def assert_fresh(self, struct, prompt, before):
+        got = self.outputs(struct, prompt)
+        assert got == self.outputs(*self.never_cached(struct, prompt))
+        assert got != before  # the parameters did change
+
+    def test_cached_calls_equal_never_cached_ones(self):
+        struct, prompt = self.policies()
+        first = self.outputs(struct, prompt)
+        assert struct.trunk.params.cache and prompt.net.params.cache
+        assert self.outputs(struct, prompt) == first
+        assert first == self.outputs(*self.never_cached(struct, prompt))
+
+    def test_adam_step_clears_the_cache(self):
+        struct, prompt = self.policies()
+        before = self.outputs(struct, prompt)
+        rng = np.random.default_rng(61)
+        for net in (struct.trunk, prompt.net):
+            grads, state = net.params.empty_like(), AdamState.for_params(net.params)
+            for _ in range(20):
+                grads.vector[...] = rng.normal(size=net.n_params)
+                adam_step(net.params, grads, state, 1e-2)
+        self.assert_fresh(struct, prompt, before)
+
+    def test_set_flat_clears_the_cache(self):
+        struct, prompt = self.policies()
+        before = self.outputs(struct, prompt)
+        for net in (struct.trunk, prompt.net):
+            net.set_flat(1.5 * net.get_flat())
+        self.assert_fresh(struct, prompt, before)
+
+    def test_load_starts_an_empty_cache(self, tmp_path):
+        struct, prompt = self.policies()
+        before = self.outputs(struct, prompt)
+        for saved in self.policies(seed=62):
+            saved.save(tmp_path)
+        struct.load(tmp_path)
+        prompt.load(tmp_path)
+        self.assert_fresh(struct, prompt, before)
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy,
+                                           lambda obj: pickle.loads(pickle.dumps(obj))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copy_starts_an_empty_cache(self, duplicate):
+        struct, prompt = self.policies()
+        before = self.outputs(struct, prompt)
+        struct, prompt = duplicate((struct, prompt))
+        # a write through the vector, before the copy's first cached call
+        struct.trunk.vector[...] *= 1.5
+        prompt.net.vector[...] *= 1.5
+        self.assert_fresh(struct, prompt, before)
+
+    def test_another_table_starts_afresh(self):
+        struct, prompt = self.policies()
+        for table in (self.TABLE, self.REDUCED, default_mask_table(), self.REDUCED):
+            want = self.outputs(*self.never_cached(struct, prompt), table)
+            assert self.outputs(struct, prompt, table) == want

@@ -340,6 +340,28 @@ class TestCollection:
             assert np.allclose([st.log_prob for st in a.prompt_steps],
                                [st.log_prob for st in b.prompt_steps], rtol=0, atol=1e-12)
 
+    def test_warm_caches_collect_as_fresh_copies(self):
+        # later batches on one policy read the structure and prompt-step
+        # entries the earlier ones left in its caches; the one-episode
+        # batches walk through the prompt net's cache
+        struct, prompt = make_policies(15)
+        env = small_env(8, n=3)
+        batches = [(24, 0), (1, 24), (24, 25), (1, 24)]
+        for n, start in batches:
+            fresh = copy.deepcopy((struct, prompt))
+            got = collect_rollouts(struct, prompt, TABLE, env, n, REWARD, 6, start)
+            want = collect_rollouts(*fresh, TABLE, env, n, REWARD, 6, start)
+            assert [r.record.to_json_dict() for r in got] == [
+                r.record.to_json_dict() for r in want]
+            for a, b in zip(got, want):
+                assert a.struct_log_prob == b.struct_log_prob
+                assert len(a.prompt_steps) == len(b.prompt_steps)
+                for x, y in zip(a.prompt_steps, b.prompt_steps):
+                    assert (x.agent, x.action, x.log_prob) == (y.agent, y.action, y.log_prob)
+                    assert np.array_equal(x.input_vec, y.input_vec)
+                    assert np.array_equal(x.mask, y.mask)
+        assert struct.trunk.params.cache and prompt.net.params.cache
+
     def test_non_finite_prompt_net_raises_divergence(self):
         struct, prompt = make_policies(14)
         for p in prompt.net.params:
@@ -581,14 +603,36 @@ def test_guarantee_checks_match_an_uncached_reference(table, monkeypatch):
         return support, floor, rng.bit_generator.state
 
     cached = [checks(seed) for seed in range(10)]
+    # the reference draws every sample on a fresh copy of the policy
     monkeypatch.setattr(train, "sample_prompts",
-                        lambda policy, s, a, rng, memo=None: sample_prompts(policy, s, a, rng))
+                        lambda policy, s, a, rng: sample_prompts(copy.deepcopy(policy), s, a, rng))
     monkeypatch.setattr(train, "sample_structure",
-                        lambda policy, t, s, rng, memo=None: sample_structure(policy, t, s, rng))
+                        lambda policy, t, s, rng: sample_structure(copy.deepcopy(policy), t, s, rng))
     for seed, got in enumerate(cached):
         assert got == checks(seed)
     assert any(support[1] for support, _, _ in cached)  # the samples leave the support
     assert any(floor[0] > 0 for _, floor, _ in cached)  # and hit it
+
+
+@pytest.mark.parametrize("table", [TABLE, mask_table_from_config(REDUCED_TABLE_RULES)],
+                         ids=["default", "reduced"])
+def test_guarantee_checks_in_turn_match_each_on_a_fresh_copy(table):
+    # the floor check reads the entries the support check left in the caches
+    struct, prompt = make_policies(43)
+    buffer = collect_episodes(struct, prompt, table, small_env(4), 64, REWARD, run_seed=7)
+    elite = filter_elite(buffer, SFTConfig(elite_fraction=0.3))
+    sft_update(struct, prompt, table, elite,
+               SFTConfig(lr_struct=0.01, lr_prompt=0.01, epochs=15, elite_fraction=0.3))
+    assert len(elite.state_examples) > 1
+    rng, twin = np.random.default_rng(44), np.random.default_rng(44)
+    support = verify_support_restriction(struct, prompt, table, elite, 25, rng)
+    floor = verify_reward_floor(struct, prompt, table, elite, 25, rng)
+    assert support == verify_support_restriction(*copy.deepcopy((struct, prompt)), table,
+                                                 elite, 25, twin)
+    assert floor == verify_reward_floor(*copy.deepcopy((struct, prompt)), table, elite, 25,
+                                        twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert support[1] and floor[0] > 0  # the samples leave the support and hit it
 
 
 @pytest.mark.parametrize("table", [TABLE, mask_table_from_config(REDUCED_TABLE_RULES)],
@@ -602,22 +646,24 @@ def test_dpo_matches_an_unmemoized_reference(table, monkeypatch):
     members = [r for pair in train._dpo_pairs(buffer, cfg) for r in pair]
     configs = {(r.state.key(), action_key(r.structure_action, r.prompt_actions))
                for r in members}
-    assert len({r.state.key() for r in members}) < len(configs)  # the memos are read
+    assert len({r.state.key() for r in members}) < len(configs)  # the caches are read
 
     def refine():
         s, p = copy.deepcopy(struct), copy.deepcopy(prompt)
         losses = dpo_update(s, p, table, buffer, cfg)
         return losses, np.concatenate([s.trunk.get_flat(), p.net.get_flat()])
 
-    memoized = refine()
+    cached = refine()
+    # the reference scores every configuration on a fresh copy of the policy
     monkeypatch.setattr(train, "log_prob_structure",
-                        lambda policy, t, s, a, memo=None: log_prob_structure(policy, t, s, a))
+                        lambda policy, t, s, a: log_prob_structure(copy.deepcopy(policy), t, s, a))
     monkeypatch.setattr(train, "log_prob_prompts",
-                        lambda policy, s, a, seqs, memo=None: log_prob_prompts(policy, s, a, seqs))
+                        lambda policy, s, a, seqs: log_prob_prompts(copy.deepcopy(policy), s, a,
+                                                                    seqs))
     plain = refine()
-    assert memoized[0] == plain[0]
-    assert np.array_equal(memoized[1], plain[1])
-    assert not np.array_equal(memoized[1], np.concatenate([struct.trunk.get_flat(),
+    assert cached[0] == plain[0]
+    assert np.array_equal(cached[1], plain[1])
+    assert not np.array_equal(cached[1], np.concatenate([struct.trunk.get_flat(),
                                                            prompt.net.get_flat()]))
 
 
@@ -706,9 +752,9 @@ class TestDPO:
         buf.append(make_record(1.0, correct=False, workflow=1, prompts=((), ()), seed=1))
         scored = []
 
-        def counted(struct, prompt, table, record, structure_memo, prompt_memo):
+        def counted(struct, prompt, table, record):
             scored.append(record)
-            return _config_log_prob(struct, prompt, table, record, structure_memo, prompt_memo)
+            return _config_log_prob(struct, prompt, table, record)
 
         monkeypatch.setattr(train, "_config_log_prob", counted)
         struct, prompt = make_policies(20)
