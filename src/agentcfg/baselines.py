@@ -25,13 +25,10 @@ from .core import (
     StructureAction,
 )
 from .env import SyntheticEnv, rank_key
-from .errors import ContractError, TrainingDivergenceError
+from .errors import ContractError
 from .numeric import (
-    AdamState,
     DenseNet,
     MaskedCategorical,
-    adam_step,
-    clip_grad_norm,
     head_columns,
     log_prob,
     masked_categoricals,
@@ -48,10 +45,10 @@ from .policy import (
 )
 from .reward import RewardConfig, shaped_reward
 from .train import (
+    Descent,
     PPOConfig,
     _episode_seed,
     _episode_starts,
-    _grad_buffers,
     _normalize,
     _ppo_terms,
     _require_count,
@@ -480,9 +477,10 @@ def _flat_collect(policy, env, n, reward_cfg, run_seed, start, gamma,
 
 
 def _flat_ppo_update(policy, episodes: Sequence[FlatEpisode], cfg: PPOConfig,
-                     opt_net: AdamState, opt_value: AdamState):
+                     descent: Descent):
     """Clipped surrogate and entropy averaged over every choice, value loss
-    over every decision row."""
+    over every decision row; epochs_per_batch clipped steps of descent on
+    the policy's `net` and `value` nets, both at lr_struct."""
     decisions = [d for ep in episodes for d in ep.decisions]
     inputs = np.stack([d.input_vec for d in decisions])
     masks = np.stack([d.mask for d in decisions])
@@ -492,21 +490,17 @@ def _flat_ppo_update(policy, episodes: Sequence[FlatEpisode], cfg: PPOConfig,
     advs = _normalize(targets - policy.value_net.forward_batch(inputs)[0][:, 0])
     advs = advs.reshape(advs.shape + (1,) * (actions.ndim - 1))  # shared by a row's heads
     value_scale = cfg.value_coef / len(decisions)
-    out = _grad_buffers(net=policy.net, value=policy.value_net)
+    out = descent.grads
+    lrs = {"net": cfg.lr_struct, "value": cfg.lr_struct}
     diag = {}
     for _ in range(cfg.epochs_per_batch):
         new_lp, ent, cache = score_choices(policy.net, inputs, masks, actions, policy.columns)
         loss, dlogp, dent, _ = _ppo_terms(new_lp, ent, old_lp, advs, cfg)
-        g_net = score_vjp(cache, dlogp, dent, out["net"])
-        sq, g_val = _value_regression(policy.value_net, inputs, targets, value_scale,
-                                      out["value"])
+        grads = {"net": score_vjp(cache, dlogp, dent, out["net"])}
+        sq, grads["value"] = _value_regression(policy.value_net, inputs, targets, value_scale,
+                                               out["value"])
         loss += value_scale * sq
-        if not math.isfinite(loss):
-            raise TrainingDivergenceError("non-finite flat-policy loss")
-        adam_step(policy.net.params, clip_grad_norm(g_net, cfg.max_grad_norm),
-                  opt_net, cfg.lr_struct)
-        adam_step(policy.value_net.params, clip_grad_norm(g_val, cfg.max_grad_norm),
-                  opt_value, cfg.lr_struct)
+        descent.step(loss, grads, lrs, cfg.max_grad_norm)
         diag = {"loss": loss, "mean_reward": float(np.mean([e.reward for e in episodes]))}
     return diag
 
@@ -514,8 +508,7 @@ def _flat_ppo_update(policy, episodes: Sequence[FlatEpisode], cfg: PPOConfig,
 def _flat_train(policy, env, cfg: PPOConfig, reward_cfg, run_seed, gamma, table=None):
     """PPO on a flat policy, batch by batch over the episode stream.
     Returns (policy, diagnostics)."""
-    opt_net = AdamState.for_params(policy.net.params)
-    opt_value = AdamState.for_params(policy.value_net.params)
+    descent = Descent(net=policy.net, value=policy.value_net)
     diagnostics = []
     episode = 0
     while episode < cfg.total_episodes:
@@ -523,8 +516,7 @@ def _flat_train(policy, env, cfg: PPOConfig, reward_cfg, run_seed, gamma, table=
         episodes = _flat_collect(policy, env, n, reward_cfg, run_seed, episode, gamma, table)
         episode += n
         diagnostics.append(
-            dict(_flat_ppo_update(policy, episodes, cfg, opt_net, opt_value),
-                 episodes=episode)
+            dict(_flat_ppo_update(policy, episodes, cfg, descent), episodes=episode)
         )
     return policy, diagnostics
 

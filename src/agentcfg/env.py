@@ -594,17 +594,13 @@ class _Memo(NamedTuple):
 @dataclass
 class SyntheticEnv:
     """Synthetic environment: embeds queries and executes configurations
-    against the logistic ground truth. Declared maxima bound the reward."""
+    against the logistic ground truth."""
 
     queries: list[Query]
     specs: dict[str, SyntheticQuerySpec]
     model: SuccessModel = field(default_factory=SuccessModel)
     library: tuple[PromptAtom, ...] = field(default_factory=default_atom_library)
     semantic_dim: int = 64
-
-    s_max: int = 7   # max reasoning steps (EvaluatorOptimizer worst case)
-    u_max: int = 4   # max tools invokable
-    a_max: int = 8   # max tools allocatable (two agents x 4)
     _embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _memo: Optional[_Memo] = field(default=None, init=False, repr=False, compare=False)
 

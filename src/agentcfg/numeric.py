@@ -512,6 +512,13 @@ def score_vjp(cache, dlogp, dentropy, out: Optional[FlatViews] = None) -> FlatVi
 # ---------------------------------------------------------------------------
 
 
+# Adam's published defaults (Kingma & Ba 2015, arXiv:1412.6980), the same
+# for every net and objective.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam's moments of one parameter vector, as vectors of its shape."""
@@ -519,13 +526,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: FlatViews, **kw) -> "AdamState":
-        return cls(m=np.zeros_like(params.vector), v=np.zeros_like(params.vector), **kw)
+    def for_params(cls, params: FlatViews) -> "AdamState":
+        return cls(m=np.zeros_like(params.vector), v=np.zeros_like(params.vector))
 
 
 # Entries `adam_step` updates per pass: its temporaries (64 KiB each) stay
@@ -547,7 +551,7 @@ def adam_step(params: FlatViews, grads: FlatViews, state: AdamState, lr: float):
                          f"{state.m.size}")
     params.cache.clear()
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1, c2 = 1 - b1**state.t, 1 - b2**state.t
     for lo in range(0, p.size, _ADAM_SLICE):
         part = slice(lo, lo + _ADAM_SLICE)

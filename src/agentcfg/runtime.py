@@ -127,7 +127,6 @@ class RunConfig:
     sft: SFTConfig = field(default_factory=SFTConfig)
     dpo: DPOConfig = field(default_factory=DPOConfig)
     mask_table: dict = field(default_factory=dict)
-    backend: Optional[BackendEndpoint] = None
 
     def __post_init__(self):
         if self.mode not in ("synthetic", "real"):
@@ -146,7 +145,6 @@ _SECTION_TYPES = {
     "ppo": PPOConfig,
     "sft": SFTConfig,
     "dpo": DPOConfig,
-    "backend": BackendEndpoint,
 }
 
 

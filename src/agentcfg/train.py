@@ -91,9 +91,9 @@ class PPOConfig:
     total_episodes: int = 4000
 
     def __post_init__(self):
-        # total_episodes <= 0 is refused by train_policies (ContractError)
         _require_finite("ppo", self)
-        _require("ppo", self, ">= 1", lambda v: v >= 1, "batch_size", "epochs_per_batch")
+        _require("ppo", self, ">= 1", lambda v: v >= 1, "batch_size", "epochs_per_batch",
+                 "total_episodes")
         _require("ppo", self, "> 0", lambda v: v > 0, "clip_eps", "max_grad_norm")
         _require("ppo", self, ">= 0", lambda v: v >= 0, "lr_struct", "lr_prompt",
                  "entropy_coef", "value_coef")
@@ -366,7 +366,7 @@ def ppo_loss_and_grads(
     Returns (loss, grads, diagnostics) where grads maps net name -> gradient
     list aligned with that net's parameters. Without the value loss (GRPO)
     grads holds no value-net entries. out, if given, maps net names to the
-    gradients to overwrite (`_grad_buffers`).
+    gradients to overwrite (a `Descent`'s grads).
     """
     batch = rollouts if isinstance(rollouts, PPOBatch) else ppo_batch(
         prompt_policy, table, rollouts)
@@ -404,28 +404,48 @@ def ppo_loss_and_grads(
     return loss, grads, diagnostics
 
 
-def _grad_buffers(**nets: DenseNet) -> dict:
-    """One gradient per named net, for an update to overwrite at every
-    epoch: each is consumed by `adam_step` before the next epoch writes it,
-    so the epochs map no fresh net-sized vectors."""
-    return {name: net.params.empty_like() for name, net in nets.items()}
+class Descent:
+    """Adam on a set of named nets, the one update loop of every objective
+    (PPO, GRPO, SFT, DPO and the flat baselines). Per net it keeps its
+    `AdamState` and one gradient buffer, `grads`, for each step's objective
+    to overwrite: a step consumes the buffer before the next one writes it,
+    so the steps map no fresh net-sized vectors."""
 
-
-@dataclass
-class OptimizerSet:
-    struct_trunk: AdamState
-    struct_value: AdamState
-    prompt_net: AdamState
-    prompt_value: AdamState
+    def __init__(self, **nets: DenseNet):
+        self.nets = nets
+        self.states = {name: AdamState.for_params(net.params) for name, net in nets.items()}
+        self.grads = {name: net.params.empty_like() for name, net in nets.items()}
 
     @classmethod
-    def create(cls, struct_policy: StructurePolicy, prompt_policy: PromptPolicy):
-        return cls(
-            struct_trunk=AdamState.for_params(struct_policy.trunk.params),
-            struct_value=AdamState.for_params(struct_policy.value_net.params),
-            prompt_net=AdamState.for_params(prompt_policy.net.params),
-            prompt_value=AdamState.for_params(prompt_policy.value_net.params),
-        )
+    def for_policies(cls, struct_policy: StructurePolicy, prompt_policy: PromptPolicy,
+                     value_nets: bool = True) -> "Descent":
+        """The policies' nets, under the names their objectives' grads use;
+        the value nets only if value_nets."""
+        nets = {"struct_trunk": struct_policy.trunk, "prompt_net": prompt_policy.net}
+        if value_nets:
+            nets.update(struct_value=struct_policy.value_net,
+                        prompt_value=prompt_policy.value_net)
+        return cls(**nets)
+
+    def step(self, loss: float, grads: dict, lrs: dict,
+             max_grad_norm: Optional[float] = None) -> None:
+        """One Adam step of each net grads holds a gradient for, at its rate
+        in lrs, after clipping the gradient to max_grad_norm if one is given;
+        nets without a gradient and their Adam states stay as they are. A
+        non-finite loss raises TrainingDivergenceError before any net moves."""
+        if not math.isfinite(loss):
+            raise TrainingDivergenceError(f"non-finite loss {loss!r}: no net was stepped")
+        for name, g in grads.items():
+            if max_grad_norm is not None:
+                g = clip_grad_norm(g, max_grad_norm)
+            adam_step(self.nets[name].params, g, self.states[name], lrs[name])
+
+
+def _policy_lrs(cfg) -> dict:
+    """Per-net learning rates of a PPO, SFT or DPO config: the structure
+    policy's nets at lr_struct, the prompt policy's at lr_prompt."""
+    return {"struct_trunk": cfg.lr_struct, "struct_value": cfg.lr_struct,
+            "prompt_net": cfg.lr_prompt, "prompt_value": cfg.lr_prompt}
 
 
 def ppo_update(
@@ -434,32 +454,21 @@ def ppo_update(
     table: MaskTable,
     rollouts: Sequence[Rollout],
     cfg: PPOConfig,
-    opt: OptimizerSet,
+    descent: Descent,
     use_value_loss: bool = True,
 ):
-    """epochs_per_batch gradient steps on the batch; per-network gradient
-    clipping and per-policy learning rates. Only the nets that receive a
-    gradient are stepped: without the value loss the value nets and their
-    Adam states stay as they are. The batch is laid out once, for every
-    epoch."""
+    """epochs_per_batch clipped steps of descent (`Descent.for_policies`) on
+    the batch, at per-policy learning rates. Without the value loss the
+    value nets get no gradient, so they and their Adam states stay as they
+    are. The batch is laid out once, for every epoch."""
     batch = ppo_batch(prompt_policy, table, rollouts)
-    out = _grad_buffers(struct_trunk=struct_policy.trunk, struct_value=struct_policy.value_net,
-                        prompt_net=prompt_policy.net, prompt_value=prompt_policy.value_net)
+    lrs = _policy_lrs(cfg)
     last = None
     for _ in range(cfg.epochs_per_batch):
         loss, grads, last = ppo_loss_and_grads(
-            struct_policy, prompt_policy, table, batch, cfg, use_value_loss, out
+            struct_policy, prompt_policy, table, batch, cfg, use_value_loss, descent.grads
         )
-        if not math.isfinite(loss):
-            raise TrainingDivergenceError(f"non-finite PPO loss: {last}")
-        for name, net, state, lr in (
-            ("struct_trunk", struct_policy.trunk, opt.struct_trunk, cfg.lr_struct),
-            ("struct_value", struct_policy.value_net, opt.struct_value, cfg.lr_struct),
-            ("prompt_net", prompt_policy.net, opt.prompt_net, cfg.lr_prompt),
-            ("prompt_value", prompt_policy.value_net, opt.prompt_value, cfg.lr_prompt),
-        ):
-            if name in grads:
-                adam_step(net.params, clip_grad_norm(grads[name], cfg.max_grad_norm), state, lr)
+        descent.step(loss, grads, lrs, cfg.max_grad_norm)
     return last
 
 
@@ -480,11 +489,9 @@ def train_policies(
     episode gets the episode's standardized reward) and no value loss.
 
     Returns (buffer, diagnostics list)."""
-    if cfg.total_episodes <= 0:
-        raise ContractError("total_episodes must be positive")
     if objective not in ("ppo", "grpo"):
         raise ContractError(f"unknown objective: {objective}")
-    opt = OptimizerSet.create(struct_policy, prompt_policy)
+    descent = Descent.for_policies(struct_policy, prompt_policy)
     buffer = ExperienceBuffer()
     diagnostics = []
     episode = 0
@@ -502,7 +509,7 @@ def train_policies(
                 r.step_advs = [float(a)] * len(r.prompt_steps)
         else:
             compute_advantages(rollouts, struct_policy, prompt_policy, cfg.gamma)
-        diag = ppo_update(struct_policy, prompt_policy, table, rollouts, cfg, opt,
+        diag = ppo_update(struct_policy, prompt_policy, table, rollouts, cfg, descent,
                           use_value_loss=objective == "ppo")
         diag = dict(diag or {}, batch=batch_idx, episodes=episode)
         diagnostics.append(diag)
@@ -607,18 +614,14 @@ def sft_update(
     if len(elite) == 0:
         raise EmptyEliteError("sft_update requires a non-empty elite set")
     batch = replay_batch(prompt_policy, table, elite.records)
-    opt_struct = AdamState.for_params(struct_policy.trunk.params)
-    opt_prompt = AdamState.for_params(prompt_policy.net.params)
-    out = _grad_buffers(struct_trunk=struct_policy.trunk, prompt_net=prompt_policy.net)
+    descent = Descent.for_policies(struct_policy, prompt_policy, value_nets=False)
+    lrs = _policy_lrs(cfg)
     losses = []
     for _ in range(cfg.epochs):
         loss, grads = sft_loss_and_grads(
-            struct_policy, prompt_policy, table, batch, cfg.entropy_reg, out
+            struct_policy, prompt_policy, table, batch, cfg.entropy_reg, descent.grads
         )
-        if not math.isfinite(loss):
-            raise TrainingDivergenceError("non-finite SFT loss")
-        adam_step(struct_policy.trunk.params, grads["struct_trunk"], opt_struct, cfg.lr_struct)
-        adam_step(prompt_policy.net.params, grads["prompt_net"], opt_prompt, cfg.lr_prompt)
+        descent.step(loss, grads, lrs)
         losses.append(loss)
     return losses
 
@@ -667,20 +670,14 @@ def dpo_update(
     pairs = _dpo_pairs(buffer, cfg)
     ref_lps = _reference_log_probs(struct_policy, prompt_policy, table, pairs)
     batch = _pair_batch(prompt_policy, table, pairs)
-    opt_struct = AdamState.for_params(struct_policy.trunk.params)
-    opt_prompt = AdamState.for_params(prompt_policy.net.params)
-    out = _grad_buffers(struct_trunk=struct_policy.trunk, prompt_net=prompt_policy.net)
+    descent = Descent.for_policies(struct_policy, prompt_policy, value_nets=False)
+    lrs = _policy_lrs(cfg)
     losses = []
     for _ in range(cfg.epochs):
         loss, grads = dpo_loss_and_grads(
-            struct_policy, prompt_policy, table, batch, ref_lps, cfg, out
+            struct_policy, prompt_policy, table, batch, ref_lps, cfg, descent.grads
         )
-        if not math.isfinite(loss):
-            raise TrainingDivergenceError("non-finite DPO loss")
-        g1 = clip_grad_norm(grads["struct_trunk"], cfg.max_grad_norm)
-        g2 = clip_grad_norm(grads["prompt_net"], cfg.max_grad_norm)
-        adam_step(struct_policy.trunk.params, g1, opt_struct, cfg.lr_struct)
-        adam_step(prompt_policy.net.params, g2, opt_prompt, cfg.lr_prompt)
+        descent.step(loss, grads, lrs, cfg.max_grad_norm)
         losses.append(loss)
     return losses
 

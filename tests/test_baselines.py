@@ -17,7 +17,7 @@ from agentcfg.core import (
     Query,
     StructureAction,
 )
-from agentcfg import baselines
+from agentcfg import baselines, train
 from agentcfg.baselines import (
     BanditPolicy,
     FlatEpisodePolicy,
@@ -41,7 +41,7 @@ from agentcfg.env import (
     rank_key,
 )
 from agentcfg.errors import ContractError
-from agentcfg.numeric import AdamState, MaskedCategorical, sample, score_choices, score_vjp
+from agentcfg.numeric import MaskedCategorical, sample, score_choices, score_vjp
 from agentcfg.policy import (
     HEAD_NAMES,
     HEAD_SIZES,
@@ -54,6 +54,7 @@ from agentcfg.policy import (
 )
 from agentcfg.reward import RewardConfig, shaped_reward
 from agentcfg.train import (
+    Descent,
     PPOConfig,
     _episode_seed,
     _episode_starts,
@@ -462,11 +463,10 @@ class TestBanditPolicy:
         cfg = PPOConfig(clip_eps=0.05, epochs_per_batch=1, max_grad_norm=1e9)
         ref_loss, ref_grads = _seven_row_reference(policy, episodes, cfg)
         steps = []
-        monkeypatch.setattr(baselines, "adam_step",
+        monkeypatch.setattr(train, "adam_step",
                             lambda params, grads, state, lr: steps.append(grads))
         diag = baselines._flat_ppo_update(policy, episodes, cfg,
-                                          AdamState.for_params(policy.net.params),
-                                          AdamState.for_params(policy.value_net.params))
+                                          Descent(net=policy.net, value=policy.value_net))
         assert abs(diag["loss"] - ref_loss) <= 1e-10 * abs(ref_loss)
         assert len(steps) == 2  # one step of the policy net, one of the value net
         for got, want in zip(steps, ref_grads):

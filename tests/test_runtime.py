@@ -115,7 +115,6 @@ class TestRunConfig:
             "objective": "grpo",
             "ppo": {"batch_size": 8, "total_episodes": 64},
             "env": {"n_queries": 4, "semantic_dim": 16},
-            "backend": {"model": "m", "max_retries": 1},
         })
         cfg = load_config(original)
         dumped = dump_config(cfg)
@@ -131,6 +130,26 @@ class TestRunConfig:
             BackendEndpoint(timeout=0)
         with pytest.raises(ConfigError):
             BackendEndpoint(max_retries=-1)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"timeout": float("nan")}, "backend.timeout"),
+        ({"timeout": float("inf")}, "backend.timeout"),
+        ({"timeout": 0.0}, "backend.timeout"),
+        ({"temperature": float("nan")}, "backend.temperature"),
+        ({"max_retries": -1}, "backend.max_retries"),
+    ])
+    def test_bad_backend_value_names_its_field(self, kwargs, field):
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)} must be"):
+            BackendEndpoint(**kwargs)
+
+    def test_backend_section_is_not_a_config_key(self, tmp_path, capsys):
+        from agentcfg.cli import main
+
+        path = write_yaml(tmp_path, {"backend": {"model": "m"}})
+        with pytest.raises(ConfigError, match="unknown config key: backend"):
+            load_config(path)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "error: unknown config key: backend" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
         ("n_queries", 0), ("semantic_dim", 0), ("depth_probs", (0.5, 0.5)),
@@ -165,11 +184,11 @@ class TestRunConfig:
         ({"sft": {"elite_fraction": 0.0}}, "sft.elite_fraction"),
         ({"ppo": {"lr_struct": float("nan")}}, "ppo.lr_struct"),
         ({"dpo": {"beta": float("inf")}}, "dpo.beta"),
-        ({"backend": {"timeout": float("nan")}}, "backend.timeout"),
-        ({"backend": {"timeout": float("inf")}}, "backend.timeout"),
-        ({"backend": {"timeout": 0.0}}, "backend.timeout"),
-        ({"backend": {"temperature": float("nan")}}, "backend.temperature"),
-        ({"backend": {"max_retries": -1}}, "backend.max_retries"),
+        ({"ppo": {"total_episodes": 0}}, "ppo.total_episodes"),
+        ({"refinement": "dpo", "dpo": {"negative_reward": float("nan")}}, "dpo.negative_reward"),
+        ({"ppo": {"clip_eps": 0.0}}, "ppo.clip_eps"),
+        ({"sft": {"tau": float("nan")}}, "sft.tau"),
+        ({"refinement": "dpo", "dpo": {"max_grad_norm": 0.0}}, "dpo.max_grad_norm"),
         ({"ppo": {"max_grad_norm": 0.0}}, "ppo.max_grad_norm"),
         ({"ppo": {"max_grad_norm": -1.0}}, "ppo.max_grad_norm"),
         ({"refinement": "dpo", "dpo": {"max_grad_norm": -1.0}}, "dpo.max_grad_norm"),
@@ -579,11 +598,8 @@ class TestRunTraining:
         assert prompt_policy.n_atoms == len(library)
 
     def test_zero_episode_run_rejected(self):
-        from agentcfg.errors import ContractError
-
-        cfg = small_run_config(ppo=PPOConfig(total_episodes=0))
-        with pytest.raises(ContractError):
-            run_training(cfg)
+        with pytest.raises(ConfigError, match=r"ppo\.total_episodes"):
+            small_run_config(ppo=PPOConfig(total_episodes=0))
 
     def test_deterministic_same_seed(self):
         flats = []

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from agentcfg import baselines, train
 from agentcfg.core import (
     Configuration,
     EpisodeRecord,
@@ -36,14 +37,13 @@ from agentcfg.policy import (
 )
 from agentcfg.reward import RewardConfig, shaped_reward
 from agentcfg.train import (
+    Descent,
     DPOConfig,
-    OptimizerSet,
     PPOConfig,
     Rollout,
     SFTConfig,
     _config_log_prob,
     _episode_seed,
-    _grad_buffers,
     _surrogate_and_coeff,
     action_key,
     collect_episodes,
@@ -239,7 +239,7 @@ class TestPPOGradients:
         builds = []
         monkeypatch.setattr(ReplayBatch, "build", lambda *a, _build=ReplayBatch.build:
                             builds.append(1) or _build(*a))
-        ppo_update(struct, prompt, TABLE, rollouts, cfg, OptimizerSet.create(struct, prompt),
+        ppo_update(struct, prompt, TABLE, rollouts, cfg, Descent.for_policies(struct, prompt),
                    use_value_loss)
         assert len(builds) == 1
 
@@ -251,7 +251,7 @@ class TestPPOGradients:
         compute_advantages(rollouts, struct, prompt, cfg.gamma)
         best = max(rollouts, key=lambda r: r.struct_adv)
         lp_before = log_prob_structure(struct, TABLE, best.state, best.record.structure_action)
-        opt = OptimizerSet.create(struct, prompt)
+        opt = Descent.for_policies(struct, prompt)
         diag = ppo_update(struct, prompt, TABLE, rollouts, cfg, opt)
         lp_after = log_prob_structure(struct, TABLE, best.state, best.record.structure_action)
         assert lp_after > lp_before
@@ -270,11 +270,12 @@ class TestPPOGradients:
         assert set(grads) == {"struct_trunk", "prompt_net"}
         nets = (struct.trunk, struct.value_net, prompt.net, prompt.value_net)
         before = [net.get_flat() for net in nets]
-        opt = OptimizerSet.create(struct, prompt)
+        opt = Descent.for_policies(struct, prompt)
         ppo_update(struct, prompt, TABLE, rollouts, cfg, opt, use_value_loss=False)
-        assert opt.struct_value.t == 0 and opt.prompt_value.t == 0
-        assert opt.struct_trunk.t == opt.prompt_net.t == cfg.epochs_per_batch
-        for state in (opt.struct_value, opt.prompt_value):
+        states = opt.states
+        assert states["struct_value"].t == 0 and states["prompt_value"].t == 0
+        assert states["struct_trunk"].t == states["prompt_net"].t == cfg.epochs_per_batch
+        for state in (states["struct_value"], states["prompt_value"]):
             assert not any(a.any() for a in state.m + state.v)
         after = [net.get_flat() for net in nets]
         assert np.array_equal(after[1], before[1]) and np.array_equal(after[3], before[3])
@@ -787,9 +788,8 @@ class TestDPO:
 class TestTrainPolicies:
     def test_zero_episodes_rejected(self):
         struct, prompt = make_policies(19)
-        with pytest.raises(ContractError):
-            train_policies(struct, prompt, TABLE, small_env(), PPOConfig(total_episodes=0),
-                           REWARD, 0)
+        with pytest.raises(ConfigError, match=r"ppo\.total_episodes"):
+            PPOConfig(total_episodes=0)
         with pytest.raises(ContractError):
             train_policies(struct, prompt, TABLE, small_env(), PPOConfig(total_episodes=8),
                            REWARD, 0, objective="nope")
@@ -821,6 +821,82 @@ class TestTrainPolicies:
             results.append(np.concatenate([struct.trunk.get_flat(),
                                            prompt.net.get_flat()]))
         assert np.array_equal(results[0], results[1])
+
+
+# ---------------------------------------------------------------------------
+# The shared descent refuses a non-finite loss
+# ---------------------------------------------------------------------------
+
+
+def _descent_state(descent):
+    """Copies of every parameter vector and Adam state a descent steps."""
+    return {name: (net.get_flat(), descent.states[name].t, descent.states[name].m.copy(),
+                   descent.states[name].v.copy())
+            for name, net in descent.nets.items()}
+
+
+def _ppo_run():
+    struct, prompt = make_policies(30)
+    cfg = PPOConfig(batch_size=8, total_episodes=8)
+    rollouts = collect_rollouts(struct, prompt, TABLE, small_env(2), 8, REWARD, run_seed=7)
+    compute_advantages(rollouts, struct, prompt, cfg.gamma)
+    ppo_update(struct, prompt, TABLE, rollouts, cfg, Descent.for_policies(struct, prompt))
+
+
+def _sft_run():
+    struct, prompt = make_policies(31)
+    buf = ExperienceBuffer()
+    buf.append(make_record(5.0, seed=1, prompts=((0,),)))
+    buf.append(make_record(4.0, seed=2, workflow=1, prompts=((), ())))
+    elite = filter_elite(buf, SFTConfig(elite_fraction=1.0, tau=0.0))
+    sft_update(struct, prompt, TABLE, elite, SFTConfig(epochs=3))
+
+
+def _dpo_run():
+    struct, prompt = make_policies(32)
+    dpo_update(struct, prompt, TABLE, TestDPO()._pair_buffer(), DPOConfig(epochs=3))
+
+
+def _flat_run():
+    policy = baselines.BanditPolicy(13, len(LIB), hidden=HIDDEN,
+                                    rng=np.random.default_rng(33))
+    episodes = baselines._flat_collect(policy, small_env(3), 8, REWARD, 5, 0, 0.0)
+    baselines._flat_ppo_update(policy, episodes, PPOConfig(),
+                               Descent(net=policy.net, value=policy.value_net))
+
+
+@pytest.mark.parametrize("run, module, loss_fn", [
+    (_ppo_run, train, "ppo_loss_and_grads"),
+    (_sft_run, train, "sft_loss_and_grads"),
+    (_dpo_run, train, "dpo_loss_and_grads"),
+    (_flat_run, baselines, "_ppo_terms"),
+], ids=["ppo", "sft", "dpo", "flat-ppo"])
+def test_non_finite_loss_moves_no_net_and_no_adam_state(run, module, loss_fn, monkeypatch):
+    """The first epoch steps every net; the second's loss is NaN, and the
+    descent raises with every net and Adam state as the first step left them."""
+    real_loss, real_step = getattr(module, loss_fn), Descent.step
+    losses, entered = [], []
+
+    def nan_after_first(*args, **kwargs):
+        out = real_loss(*args, **kwargs)
+        losses.append(out[0])
+        return (out[0] if len(losses) == 1 else float("nan"), *out[1:])
+
+    def step(self, *args, **kwargs):
+        entered.append((self, _descent_state(self)))
+        return real_step(self, *args, **kwargs)
+
+    monkeypatch.setattr(module, loss_fn, nan_after_first)
+    monkeypatch.setattr(Descent, "step", step)
+    with pytest.raises(TrainingDivergenceError, match="non-finite loss nan"):
+        run()
+    assert len(entered) == 2 and math.isfinite(losses[0])
+    descent, before = entered[-1]
+    assert all(t == 1 for _, t, _, _ in before.values())
+    for name, (flat, t, m, v) in _descent_state(descent).items():
+        flat0, t0, m0, v0 = before[name]
+        assert t == t0, name
+        assert np.array_equal(flat, flat0) and np.array_equal(m, m0) and np.array_equal(v, v0)
 
 
 # ---------------------------------------------------------------------------
@@ -1023,8 +1099,7 @@ class TestScoringCore:
         records = [r.record for r in rollouts]
         pairs = list(zip(records[:3], records[3:]))
         ref_lps = [(-3.0 - i, -4.0 + i) for i in range(3)]
-        out = _grad_buffers(struct_trunk=struct.trunk, struct_value=struct.value_net,
-                            prompt_net=prompt.net, prompt_value=prompt.value_net)
+        out = Descent.for_policies(struct, prompt).grads
         objectives = [
             lambda out=None: ppo_loss_and_grads(struct, prompt, table, rollouts,
                                                 PPOConfig(clip_eps=0.05), True, out)[:2],
