@@ -53,6 +53,7 @@ from .train import (
     _ppo_terms,
     _require_count,
     _value_regression,
+    discounted_targets,
 )
 
 
@@ -77,10 +78,10 @@ class Harness:
     candidate, so candidates are compared on the same draws and a
     configuration scores the same every time. Each seed's random numbers
     are drawn once per harness (`SyntheticEnv.execute`'s memo) and kept
-    while it lives: at most 2 per seed, with and without the
-    EvaluatorOptimizer's extra iterations. Every episode is one `execute`
-    call; an evaluation's episodes share few distinct outcomes (one per
-    outcome class), and each is scored by `shaped_reward` once."""
+    while it lives: at most 2 per seed, one per `refinements` value of the
+    workflow rows (0, and EvaluatorOptimizer's 3). Every episode is one
+    `execute` call; an evaluation's episodes share few distinct outcomes (one
+    per outcome class), and each is scored by `shaped_reward` once."""
 
     env: SyntheticEnv
     reward_cfg: RewardConfig
@@ -461,7 +462,7 @@ def _flat_collect(policy, env, n, reward_cfg, run_seed, start, gamma,
     """Episodes start..start+n-1 of `collect_rollouts`' episode stream,
     configured by one lockstep `act` of a flat policy over the whole batch
     (under table, if one is given), then executed and given their value
-    targets in episode order."""
+    targets (`discounted_targets`) in episode order."""
     starts = list(_episode_starts(env, run_seed, start, n))
     s_vecs = [state.as_vector() for _, _, _, state in starts]
     rngs = [rng for _, rng, _, _ in starts]
@@ -469,10 +470,9 @@ def _flat_collect(policy, env, n, reward_cfg, run_seed, start, gamma,
     for (idx, _, query, _), ep in zip(starts, episodes):
         outcome = env.execute(query, ep.config, _episode_seed(run_seed, idx))
         ep.reward = shaped_reward(outcome, reward_cfg)[0]
-        k = len(ep.decisions)
-        for j, d in enumerate(ep.decisions):
-            remaining = k - 1 - j
-            d.target = ep.reward if (gamma == 0.0 or remaining == 0) else gamma**remaining * ep.reward
+        for d, target in zip(ep.decisions, discounted_targets(ep.reward, len(ep.decisions),
+                                                               gamma)):
+            d.target = target
     return episodes
 
 

@@ -74,6 +74,16 @@ def _config_summary(config) -> dict:
     }
 
 
+def _print_json(report: dict, out) -> None:
+    """Print report as indented JSON, and write the same text to out if
+    given."""
+    text = json.dumps(report, indent=2)
+    if out:
+        with atomic_write(out) as fh:
+            fh.write(text)
+    print(text)
+
+
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     artifacts = run_training(cfg)
@@ -164,7 +174,6 @@ def cmd_analyze(args) -> int:
             label = categorize_error(record, args.query_text or "", args.gold or "")
             key = f"{label.category}/{label.subtype}"
             errors[key] = errors.get(key, 0) + 1
-    div = diversity_report(counts)
     points = [
         ParetoPoint(
             cost=float(np.mean([cost_per_episode(r.outcome.n_tokens, args.price)
@@ -178,26 +187,19 @@ def cmd_analyze(args) -> int:
     report = {
         "episodes": len(buffer),
         "mean_reward": float(np.mean([r.reward for r in buffer])) if len(buffer) else 0.0,
-        "diversity": {
-            "unique_workflows": div.unique_workflows,
-            "entropy_nats": div.entropy_nats,
-            "gini": div.gini,
-        },
+        "diversity": dataclasses.asdict(diversity_report(counts)),
         "error_histogram": errors,
         "pareto_frontier": [
             {"label": p.label, "cost": p.cost, "accuracy": p.accuracy} for p in frontier
         ],
     }
-    if args.out:
-        with atomic_write(args.out) as fh:
-            fh.write(json.dumps(report, indent=2))
     if args.frontier_csv:
         lines = ["label,cost,accuracy"] + [
             f"{p.label},{p.cost},{p.accuracy}" for p in frontier
         ]
         with atomic_write(args.frontier_csv) as fh:
             fh.write("\n".join(lines) + "\n")
-    print(json.dumps(report, indent=2))
+    _print_json(report, args.out)
     return 0
 
 
@@ -225,13 +227,12 @@ def cmd_enumerate_masks(args) -> int:
         "configured_closed_form": enumerate_valid(table),
         "configured_exhaustive": enumerate_valid_exhaustive(table),
     }
-    print(json.dumps(report, indent=2))
+    _print_json(report, args.out)
     return 0
 
 
 def cmd_show_config(args) -> int:
-    cfg = _load_run_config(args)
-    print(json.dumps(dump_config(cfg), indent=2))
+    _print_json(dump_config(_load_run_config(args)), args.out)
     return 0
 
 

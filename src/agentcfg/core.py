@@ -31,8 +31,6 @@ TIER_NAMES = ("Low", "Mid", "High")
 TIER_TOKENS = (256, 1024, 4096)
 N_TIERS = 3
 
-LOW, MID, HIGH = 0, 1, 2
-
 
 def toolset_members(mask: int) -> tuple[str, ...]:
     """Tool names present in a 4-bit subset index."""
@@ -57,39 +55,43 @@ def toolset_from_names(names: Sequence[str]) -> int:
 
 @dataclass(frozen=True)
 class Workflow:
+    """One workflow: its call counts and agents, and how both worlds run it.
+
+    `plan` names the call topology `runtime.execute_real` follows (direct,
+    chain, routing, sectioning, voting, orchestrator, evaluator_optimizer or
+    autonomous); `fan_out` is the width of its parallel stage. Up to
+    `refinements` rounds of critique and revision follow the first draft: the
+    synthetic environment draws 0..refinements extra calls per execution,
+    uniformly. `auto_tools` marks a loop that invokes its allocated tools
+    without a prompt atom asking for them."""
+
     id: int
     name: str
     min_calls: int
     max_calls: int
     agents_active: int
     agent2_tools_allowed: bool
-
-    @property
-    def llm_call_count(self) -> int:
-        """Nominal call count (minimum for the iterative workflow)."""
-        return self.min_calls
+    plan: str
+    fan_out: int = 1
+    refinements: int = 0
+    auto_tools: bool = False
 
 
 WORKFLOWS: tuple[Workflow, ...] = (
-    Workflow(0, "Direct", 1, 1, 1, False),
-    Workflow(1, "ReasonAns", 2, 2, 2, False),
-    Workflow(2, "ReasonVerifyAns", 3, 3, 3, True),
-    Workflow(3, "Routing", 3, 3, 3, True),
-    Workflow(4, "ParallelSectioning", 4, 4, 3, True),
-    Workflow(5, "ParallelVoting", 4, 4, 2, False),
-    Workflow(6, "OrchestratorWorkers", 4, 4, 3, True),
-    Workflow(7, "EvaluatorOptimizer", 4, 7, 2, True),
-    Workflow(8, "AutonomousAgent", 4, 4, 1, True),
+    Workflow(0, "Direct", 1, 1, 1, False, "direct"),
+    Workflow(1, "ReasonAns", 2, 2, 2, False, "chain"),
+    Workflow(2, "ReasonVerifyAns", 3, 3, 3, True, "chain"),
+    Workflow(3, "Routing", 3, 3, 3, True, "routing"),
+    Workflow(4, "ParallelSectioning", 4, 4, 3, True, "sectioning", fan_out=3),
+    Workflow(5, "ParallelVoting", 4, 4, 2, False, "voting", fan_out=3),
+    Workflow(6, "OrchestratorWorkers", 4, 4, 3, True, "orchestrator", fan_out=2,
+             auto_tools=True),
+    Workflow(7, "EvaluatorOptimizer", 4, 7, 2, True, "evaluator_optimizer", refinements=3),
+    Workflow(8, "AutonomousAgent", 4, 4, 1, True, "autonomous", auto_tools=True),
 )
 
 N_WORKFLOWS = len(WORKFLOWS)
 WORKFLOW_BY_NAME = {wf.name: wf for wf in WORKFLOWS}
-
-EVALUATOR_OPTIMIZER_ID = 7
-AUTONOMOUS_AGENT_ID = 8
-# Workflows whose execution loop invokes allocated tools without an explicit
-# instruction atom asking for them.
-AUTO_TOOL_WORKFLOWS = frozenset({6, 8})
 
 STRUCT_SPACE_SIZE = N_WORKFLOWS * N_TOOL_SUBSETS**2 * N_TIERS**3  # 62,208
 
@@ -166,10 +168,6 @@ class StateEmbedding:
             raise ContractError(f"feature vector must have 5 entries, got {self.features.shape}")
         if not (np.all(np.isfinite(self.semantic)) and np.all(np.isfinite(self.features))):
             raise ContractError("state embedding entries must be finite")
-
-    @property
-    def dim(self) -> int:
-        return self.semantic.shape[0] + 5
 
     # Raw count features (char/word counts) are orders of magnitude larger
     # than the unit-norm semantic entries and would saturate a tanh trunk, so

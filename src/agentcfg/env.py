@@ -20,8 +20,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import (
-    AUTO_TOOL_WORKFLOWS,
-    EVALUATOR_OPTIMIZER_ID,
     ROLES,
     TIER_TOKENS,
     TOOL_REGISTRY,
@@ -36,11 +34,10 @@ from .core import (
     toolset_size,
 )
 from .errors import ContractError
-from .reward import RewardConfig, tool_shaping
+from .reward import RewardConfig, reward_terms
 
 TOOL_TOKEN_OVERHEAD = 150      # tokens charged per invoked tool
 BASE_NEEDED_TOKENS = 256       # token need at difficulty 0
-EO_EXPECTED_EXTRA = 1.5        # mean of the seeded uniform {0,1,2,3} extra iterations
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +140,8 @@ class _StructureTerms(NamedTuple):
     n_alloc: int                  # tools allocated over both agents
     tokens: tuple[int, ...]       # token allowance of each active agent
     auto_tools: bool              # the workflow calls tools without being asked
-    n_steps: int                  # nominal LLM calls
-    eo: bool                      # EvaluatorOptimizer: seeded extra iterations
+    n_steps: int                  # LLM calls before any refinement round
+    rounds: int                   # refinement rounds: 0..rounds extra calls, seeded
 
 
 class _PromptTerms(NamedTuple):
@@ -162,7 +159,7 @@ class _ConfigTerms(NamedTuple):
     n_chosen: int
     matched: tuple[str, ...]
     n_steps: int
-    eo: bool
+    rounds: int
 
 
 def _structure_terms(s: StructureAction) -> _StructureTerms:
@@ -172,9 +169,9 @@ def _structure_terms(s: StructureAction) -> _StructureTerms:
         s.tools1 | s.tools2,
         toolset_size(s.tools1) + toolset_size(s.tools2),
         tuple([TIER_TOKENS[b] for b in s.budgets[: wf.agents_active]]),
-        s.workflow_id in AUTO_TOOL_WORKFLOWS,
-        wf.llm_call_count,
-        s.workflow_id == EVALUATOR_OPTIMIZER_ID,
+        wf.auto_tools,
+        wf.min_calls,
+        wf.refinements,
     )
 
 
@@ -195,7 +192,7 @@ def _prompt_terms(prompts: Sequence[Sequence[int]], library: Sequence[PromptAtom
 
 def _combine_terms(s: _StructureTerms, p: _PromptTerms) -> _ConfigTerms:
     return _ConfigTerms(s.agents_active, s.allocated, s.n_alloc, s.tokens,
-                        p.tool_atom or s.auto_tools, p.n_chosen, p.matched, s.n_steps, s.eo)
+                        p.tool_atom or s.auto_tools, p.n_chosen, p.matched, s.n_steps, s.rounds)
 
 
 def _config_terms(config: Configuration, library: Sequence[PromptAtom]) -> _ConfigTerms:
@@ -235,29 +232,29 @@ def _ground_truth(q: _QueryTerms, c: _ConfigTerms, model: SuccessModel):
     return _sigmoid(x), n_used, n_tokens
 
 
-def _execution_draws(seed: int, eo: bool, jitter: int):
+def _execution_draws(seed: int, rounds: int, jitter: int):
     """The random numbers of one seeded execution, in the fixed draw order:
-    the correctness uniform u, then the EvaluatorOptimizer's extra
-    iterations (0 unless eo), then the token jitter offset (0 unless
-    jitter > 0). They depend on nothing else, so (seed, eo, jitter) keys
+    the correctness uniform u, then the extra calls, uniform on 0..rounds
+    (no draw when rounds is 0), then the token jitter offset (0 unless
+    jitter > 0). They depend on nothing else, so (seed, rounds, jitter) keys
     them."""
     rng = np.random.default_rng(seed)
     u = rng.random()
-    extra = int(rng.integers(0, 4)) if eo else 0
+    extra = int(rng.integers(0, rounds + 1)) if rounds else 0
     offset = int(rng.integers(-jitter, jitter + 1)) if jitter > 0 else 0
     return u, extra, offset
 
 
-def _memo_draws(seed: int, eo: bool, jitter: int, memo: Optional[dict]):
-    """`_execution_draws`, through memo if given: a dict mapping (seed, eo,
-    jitter) to the draws, so a seed's draws are made once however many
-    configurations run on it."""
+def _memo_draws(seed: int, rounds: int, jitter: int, memo: Optional[dict]):
+    """`_execution_draws`, through memo if given: a dict mapping (seed,
+    rounds, jitter) to the draws, so a seed's draws are made once however
+    many configurations run on it."""
     if memo is None:
-        return _execution_draws(seed, eo, jitter)
-    key = (seed, eo, jitter)
+        return _execution_draws(seed, rounds, jitter)
+    key = (seed, rounds, jitter)
     draws = memo.get(key)
     if draws is None:
-        draws = memo[key] = _execution_draws(seed, eo, jitter)
+        draws = memo[key] = _execution_draws(seed, rounds, jitter)
     return draws
 
 
@@ -278,22 +275,14 @@ def _outcome(query: Query, c: _ConfigTerms, truth, correct: bool, extra: int,
 
 
 def _expected(c: _ConfigTerms, truth, reward_cfg: RewardConfig) -> float:
-    """Success marginalized in closed form, step/token randomness replaced
-    by its mean."""
+    """The shaped reward's terms summed on each branch of success, weighted
+    in closed form, at the mean outcome: the extra calls, uniform on
+    0..rounds, have mean rounds / 2, and the token jitter has mean 0."""
     p, n_used, n_tokens = truth
-    n_steps = float(c.n_steps)
-    if c.eo:
-        n_steps += EO_EXPECTED_EXTRA
-
-    def branch(correct: bool) -> float:
-        return (
-            reward_cfg.alpha * (1.0 if correct else 0.0)
-            - reward_cfg.beta_s * n_steps
-            - reward_cfg.beta_t * n_tokens / reward_cfg.t_max
-            + reward_cfg.eta * tool_shaping(n_used, c.n_alloc, correct, reward_cfg)
-        )
-
-    return p * branch(True) + (1.0 - p) * branch(False)
+    n_steps = c.n_steps + c.rounds / 2
+    right = sum(reward_terms(True, n_steps, n_tokens, n_used, c.n_alloc, reward_cfg))
+    wrong = sum(reward_terms(False, n_steps, n_tokens, n_used, c.n_alloc, reward_cfg))
+    return p * right + (1.0 - p) * wrong
 
 
 def prompt_relevance(spec, config: Configuration, library) -> float:
@@ -327,7 +316,7 @@ def execute_synthetic(
     """Deterministic given (spec, configuration, seed)."""
     q, c = spec.terms, _config_terms(config, library)
     truth = _ground_truth(q, c, model)
-    u, extra, offset = _execution_draws(seed, c.eo, q.jitter)
+    u, extra, offset = _execution_draws(seed, c.rounds, q.jitter)
     return _outcome(query, c, truth, u < truth[0], extra, offset)
 
 
@@ -469,11 +458,14 @@ def hash_embed(text: str, dim: int = 64) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QueryDistribution:
+    """How `generate_query` draws a query's latent spec. `runtime.EnvConfig`
+    extends it with its checks and the environment's size."""
+
     tool_prob: float = 0.4
     depth_probs: tuple[float, float, float] = (0.5, 0.3, 0.2)
     difficulty_low: float = 0.0
     difficulty_high: float = 0.8
-    noise_scale: float = 0.0
+    noise_scale: float = 0.0  # half-width of the token jitter, in whole tokens
 
 
 _NOUNS = (
@@ -649,13 +641,13 @@ class SyntheticEnv:
         field. The outcome of each class is built once per (query,
         configuration) and shared; it is frozen. memo, if given, is a dict
         the caller keeps across executions that share seeds: each (seed,
-        EvaluatorOptimizer or not, jitter) maps to the execution's random
+        refinement rounds, jitter) maps to the execution's random
         numbers, drawn on first use. The outcome is the same with or without
         it; it saves rebuilding the seed's generator when many
         configurations run on one seed (the search harness's common random
         numbers)."""
         c, entry = self._query_memo(query, config)
-        u, extra, offset = _memo_draws(seed, c.eo, entry.spec.terms.jitter, memo)
+        u, extra, offset = _memo_draws(seed, c.rounds, entry.spec.terms.jitter, memo)
         key = (u < entry.truth[0], extra, offset)
         outcome = entry.outcomes.get(key)
         if outcome is None:

@@ -41,15 +41,22 @@ def tool_shaping(n_used: int, n_alloc: int, correct: bool, cfg: RewardConfig) ->
     return 0.0
 
 
-def shaped_reward(outcome: ExecutionOutcome, cfg: RewardConfig):
-    """Returns (reward, breakdown) with breakdown =
-    (success_term, step_penalty, token_penalty, tool_term); the terms sum to
-    the reward exactly."""
-    success = cfg.alpha * (1.0 if outcome.correct else 0.0)
-    step_pen = -cfg.beta_s * outcome.n_steps
-    token_pen = -cfg.beta_t * (outcome.n_tokens / cfg.t_max)
-    tool = cfg.eta * tool_shaping(
-        outcome.n_tools_used, outcome.n_tools_allocated, outcome.correct, cfg
+def reward_terms(correct: bool, n_steps: float, n_tokens: float, n_used: int, n_alloc: int,
+                 cfg: RewardConfig) -> tuple[float, float, float, float]:
+    """(success_term, step_penalty, token_penalty, tool_term) of an outcome
+    with these fields; the shaped reward is their sum. The oracle calls it at
+    the mean step count, which need not be whole."""
+    return (
+        cfg.alpha * (1.0 if correct else 0.0),
+        -cfg.beta_s * n_steps,
+        -cfg.beta_t * (n_tokens / cfg.t_max),
+        cfg.eta * tool_shaping(n_used, n_alloc, correct, cfg),
     )
-    breakdown = (success, step_pen, token_pen, tool)
+
+
+def shaped_reward(outcome: ExecutionOutcome, cfg: RewardConfig):
+    """Returns (reward, breakdown) with breakdown = `reward_terms` of the
+    outcome; the terms sum to the reward exactly."""
+    breakdown = reward_terms(outcome.correct, outcome.n_steps, outcome.n_tokens,
+                             outcome.n_tools_used, outcome.n_tools_allocated, cfg)
     return sum(breakdown), breakdown

@@ -41,6 +41,7 @@ from .errors import (
     BackendError,
     ConfigError,
     EmptyEliteError,
+    NoPairsError,
     PersistenceError,
     ResponseParseError,
 )
@@ -58,6 +59,7 @@ from .train import (
     SFTConfig,
     _require,
     _require_finite,
+    dpo_update,
     filter_elite,
     kl_to_empirical,
     sft_update,
@@ -70,14 +72,11 @@ from .train import (
 
 
 @dataclass(frozen=True)
-class EnvConfig:
+class EnvConfig(QueryDistribution):
+    """The query distribution, validated, plus the environment's size."""
+
     n_queries: int = 32
     semantic_dim: int = 64
-    tool_prob: float = 0.4
-    depth_probs: tuple = (0.5, 0.3, 0.2)
-    difficulty_low: float = 0.0
-    difficulty_high: float = 0.8
-    noise_scale: float = 0.0  # half-width of the token jitter, in whole tokens
 
     def __post_init__(self):
         _require("env", self, ">= 1", lambda v: v >= 1, "n_queries", "semantic_dim")
@@ -156,10 +155,6 @@ def _coerce(value, hint, path: str):
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        return value
-    if hint is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {value!r}")
         return value
     if hint is str:
         if not isinstance(value, str):
@@ -370,31 +365,6 @@ def chat_call(
     ) from last_exc
 
 
-@dataclass(frozen=True)
-class WorkflowPlan:
-    """Call topology of one workflow: the fan-out of the parallel stage if
-    any, and the iteration cap for iterative workflows. The call cap is the
-    workflow's `max_calls`."""
-
-    kind: str          # direct | chain | routing | sectioning | voting |
-    #                    orchestrator | evaluator_optimizer | autonomous
-    fan_out: int = 1
-    max_refinements: int = 0
-
-
-PLAN_REGISTRY: dict[int, WorkflowPlan] = {
-    0: WorkflowPlan("direct"),
-    1: WorkflowPlan("chain"),
-    2: WorkflowPlan("chain"),
-    3: WorkflowPlan("routing"),
-    4: WorkflowPlan("sectioning", fan_out=3),
-    5: WorkflowPlan("voting", fan_out=3),
-    6: WorkflowPlan("orchestrator", fan_out=2),
-    7: WorkflowPlan("evaluator_optimizer", max_refinements=3),
-    8: WorkflowPlan("autonomous"),
-}
-
-
 def normalize_answer(text: str) -> str:
     return re.sub(r"\s+", " ", text.strip().lower())
 
@@ -452,40 +422,42 @@ class _RealExecution:
         return "\n".join(results)
 
 
-def _run_plan(ex: _RealExecution, plan: WorkflowPlan) -> str:
+def _run_plan(ex: _RealExecution) -> str:
+    """The call topology of the workflow's `plan`, capped at its
+    `max_calls`."""
     q = ex.query.text
     workflow = ex.config.structure.workflow
-    cap = workflow.max_calls
+    plan, fan_out, cap = workflow.plan, workflow.fan_out, workflow.max_calls
 
     def call_with_tools(agent: int, text: str) -> str:
         content = ex.call(agent, text, cap)
         tool_block = ex.resolve_tools(agent, content)
         return content + ("\n" + tool_block if tool_block else "")
 
-    if plan.kind == "direct":
+    if plan == "direct":
         return call_with_tools(0, q)
-    if plan.kind == "chain":
+    if plan == "chain":
         context = q
         out = ""
         for agent in range(workflow.agents_active):
             out = call_with_tools(agent, context)
             context = f"{q}\n\nPrevious stage output:\n{out}"
         return out
-    if plan.kind == "routing":
+    if plan == "routing":
         route = call_with_tools(0, f"Route this query to a specialist and restate it:\n{q}")
         specialist = call_with_tools(1, f"{q}\n\nRouting note:\n{route}")
         return call_with_tools(2, f"{q}\n\nSpecialist output:\n{specialist}")
-    if plan.kind == "sectioning":
+    if plan == "sectioning":
         sections = [
-            call_with_tools(0, f"{q}\n\nHandle section {i + 1} of {plan.fan_out}.")
-            for i in range(plan.fan_out)
+            call_with_tools(0, f"{q}\n\nHandle section {i + 1} of {fan_out}.")
+            for i in range(fan_out)
         ]
         joined = "\n---\n".join(sections)
         return call_with_tools(2, f"{q}\n\nSection outputs:\n{joined}")
-    if plan.kind == "voting":
+    if plan == "voting":
         votes = [
             call_with_tools(0, f"{q}\n\nGive your independent answer (vote {i + 1}).")
-            for i in range(plan.fan_out)
+            for i in range(fan_out)
         ]
         ex.call(1, f"{q}\n\nVotes:\n" + "\n".join(votes), cap)  # aggregator call
         normalized = [normalize_answer(v) for v in votes]
@@ -496,16 +468,16 @@ def _run_plan(ex: _RealExecution, plan: WorkflowPlan) -> str:
         for v, original in zip(normalized, votes):
             if counts[v] == best:
                 return original
-    if plan.kind == "orchestrator":
-        outline = call_with_tools(0, f"Decompose into {plan.fan_out} subtasks:\n{q}")
+    if plan == "orchestrator":
+        outline = call_with_tools(0, f"Decompose into {fan_out} subtasks:\n{q}")
         worker_out = [
             call_with_tools(1, f"{q}\n\nSubtask {i + 1} from plan:\n{outline}")
-            for i in range(plan.fan_out)
+            for i in range(fan_out)
         ]
         return call_with_tools(2, f"{q}\n\nWorker outputs:\n" + "\n---\n".join(worker_out))
-    if plan.kind == "evaluator_optimizer":
+    if plan == "evaluator_optimizer":
         draft = call_with_tools(0, q)
-        for round_idx in range(plan.max_refinements):
+        for _ in range(workflow.refinements):
             verdict = ex.call(1, f"{q}\n\nDraft:\n{draft}\n\nReply ACCEPT or critique.", cap)
             if "ACCEPT" in verdict:
                 return draft
@@ -513,7 +485,7 @@ def _run_plan(ex: _RealExecution, plan: WorkflowPlan) -> str:
                 return draft
             draft = call_with_tools(0, f"{q}\n\nRevise per critique:\n{verdict}")
         return draft
-    if plan.kind == "autonomous":
+    if plan == "autonomous":
         context = q
         content = ""
         while ex.n_calls < cap:
@@ -523,7 +495,7 @@ def _run_plan(ex: _RealExecution, plan: WorkflowPlan) -> str:
                 return content
             context = f"{q}\n\nAgent trace:\n{content}\n{tool_block}"
         return content
-    raise BackendError(f"unknown plan kind: {plan.kind}")
+    raise BackendError(f"unknown plan: {plan}")
 
 
 def execute_real(
@@ -536,10 +508,9 @@ def execute_real(
 ) -> ExecutionOutcome:
     """Run one episode against a chat-completions backend. Backend and parse
     failures are recorded as failed episodes, never raised."""
-    plan = PLAN_REGISTRY[config.structure.workflow_id]
     ex = _RealExecution(query, config, endpoint, library, transport, sleep)
     try:
-        answer = _run_plan(ex, plan)
+        answer = _run_plan(ex)
     except (BackendError, ResponseParseError) as exc:
         answer = f"EPISODE_FAILED: {exc}"
     correct = bool(
@@ -592,15 +563,8 @@ def build_components(cfg: RunConfig):
         if cfg.atom_library
         else default_atom_library()
     )
-    dist = QueryDistribution(
-        tool_prob=cfg.env.tool_prob,
-        depth_probs=tuple(cfg.env.depth_probs),
-        difficulty_low=cfg.env.difficulty_low,
-        difficulty_high=cfg.env.difficulty_high,
-        noise_scale=cfg.env.noise_scale,
-    )
     env = build_env(
-        dist, cfg.env.n_queries, cfg.seed, library=library,
+        cfg.env, cfg.env.n_queries, cfg.seed, library=library,
         semantic_dim=cfg.env.semantic_dim,
     )
     table = build_mask_table(cfg)
@@ -637,9 +601,6 @@ def run_training(cfg: RunConfig) -> TrainingArtifacts:
         except EmptyEliteError as exc:
             report["sft_skipped"] = str(exc)
     elif cfg.refinement == "dpo":
-        from .train import dpo_update
-        from .errors import NoPairsError
-
         try:
             dpo_losses = dpo_update(struct_policy, prompt_policy, table, buffer, cfg.dpo)
             report["dpo_final_loss"] = dpo_losses[-1]
@@ -648,12 +609,7 @@ def run_training(cfg: RunConfig) -> TrainingArtifacts:
     counts = np.zeros(len(WORKFLOWS))
     for record in buffer:
         counts[record.structure_action.workflow_id] += 1
-    div = diversity_report(counts)
-    report["diversity"] = {
-        "unique_workflows": div.unique_workflows,
-        "entropy_nats": div.entropy_nats,
-        "gini": div.gini,
-    }
+    report["diversity"] = dataclasses.asdict(diversity_report(counts))
     return TrainingArtifacts(
         struct_policy, prompt_policy, table, buffer, diagnostics, report, env
     )

@@ -242,6 +242,13 @@ def _normalize(values: np.ndarray) -> np.ndarray:
     return (values - values.mean()) / (values.std() + 1e-8)
 
 
+def discounted_targets(reward: float, k: int, gamma: float) -> list[float]:
+    """Value targets of an episode's k decisions under a terminal reward:
+    gamma ** (decisions after it) * reward, so the last gets the reward
+    itself and, at gamma 0, every earlier one gets 0."""
+    return [gamma ** (k - 1 - j) * reward for j in range(k)]
+
+
 def compute_advantages(
     rollouts: Sequence[Rollout],
     struct_policy: StructurePolicy,
@@ -261,8 +268,7 @@ def compute_advantages(
 
     steps = [step for r in rollouts for step in r.prompt_steps]
     for r in rollouts:
-        k = len(r.prompt_steps)
-        r.step_targets = [gamma ** (k - 1 - j) * r.record.reward for j in range(k)]
+        r.step_targets = discounted_targets(r.record.reward, len(r.prompt_steps), gamma)
         r.step_advs = []
     if steps:
         inputs = np.stack([step.input_vec for step in steps])

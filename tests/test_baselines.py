@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from agentcfg.core import (
-    EVALUATOR_OPTIMIZER_ID,
     MAX_PROMPT_LEN,
     N_WORKFLOWS,
     ROLES,
+    WORKFLOW_BY_NAME,
     Configuration,
     PromptAtom,
     Query,
@@ -173,7 +173,8 @@ class TestHarness:
     def test_reused_harness_scores_like_a_fresh_one(self):
         library = compact_atom_library()
         grid = default_grid(default_mask_table(), library)
-        assert {c.structure.workflow_id == EVALUATOR_OPTIMIZER_ID for c in grid} == {True, False}
+        eo_id = WORKFLOW_BY_NAME["EvaluatorOptimizer"].id
+        assert {c.structure.workflow_id == eo_id for c in grid} == {True, False}
         h = Harness(env=None, reward_cfg=REWARD, seed=2, expected_mode=False)
         for env in self._plain_and_jittered(2):
             h.env = env
@@ -554,6 +555,21 @@ class TestFlatEpisodePolicy:
         for _ in range(500):
             ep = policy.act([np.zeros(13)], [rng], table=table)[0]
             assert table.is_valid(ep.config.structure)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_value_targets_discount_like_the_hierarchical_policy(self, gamma):
+        # as for the hierarchical policy's prompt steps, a decision's target
+        # is gamma ** (decisions after it) * reward: at gamma 0 only the last
+        # decision keeps the reward
+        env = build_env(QueryDistribution(), 4, seed=1, library=compact_atom_library(),
+                        semantic_dim=8)
+        policy = FlatEpisodePolicy(13, env.library, hidden=(8,), rng=np.random.default_rng(7))
+        episodes = baselines._flat_collect(policy, env, 8, REWARD, 5, 0, gamma)
+        assert any(ep.reward != 0.0 for ep in episodes)
+        for ep in episodes:
+            *early, last = [d.target for d in ep.decisions]
+            assert last == ep.reward
+            assert early == [gamma ** (len(early) - j) * ep.reward for j in range(len(early))]
 
     def test_training_runs(self):
         env = build_env(QueryDistribution(), 4, seed=1,

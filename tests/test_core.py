@@ -244,5 +244,4 @@ class TestStateEmbedding:
 
     def test_dim(self):
         s = StateEmbedding(np.zeros(64), np.zeros(5))
-        assert s.dim == 69
         assert s.as_vector().shape == (69,)

@@ -236,7 +236,7 @@ class TestExecution:
                 for q in queries[::1 - 2 * (seed % 2)]:
                     assert env.execute(q, c, seed, memo) == execute_synthetic(
                         q, specs[q.id], c, MODEL, LIB, seed)
-        assert len(memo) == 40 * 2 * 2   # seeds x EvaluatorOptimizer or not x jitter
+        assert len(memo) == 40 * 2 * 2   # seeds x refinement rounds (3 or 0) x jitter
 
     @staticmethod
     def _twin_gold_env():
@@ -509,7 +509,7 @@ class TestQueryGeneration:
         env = build_env(QueryDistribution(), 4, seed=5, semantic_dim=32)
         s = env.embed(env.queries[0])
         assert s.semantic.shape == (32,)
-        assert s.dim == 37
+        assert s.as_vector().shape == (37,)
 
     def test_embedding_computed_once_and_read_only(self):
         env = build_env(QueryDistribution(), 4, seed=5, semantic_dim=32)

@@ -24,8 +24,9 @@ from agentcfg.core import (
     Query,
     StateEmbedding,
     StructureAction,
+    WORKFLOWS,
 )
-from agentcfg.env import compact_atom_library
+from agentcfg.env import SuccessModel, SyntheticQuerySpec, compact_atom_library, execute_synthetic
 from agentcfg.errors import (
     BackendError,
     ConfigError,
@@ -256,10 +257,20 @@ class TestRunConfig:
         for i, example in enumerate(examples):
             path = tmp_path / f"example{i}.yaml"
             path.write_text(example)
-            load_config(path)
+            cfg = load_config(path)
+            assert main(["show-config", "--config", str(path)]) == 0
+            assert json.loads(capsys.readouterr().out) == dump_config(cfg)
             assert main(["enumerate-masks", "--config", str(path)]) == 0
             counts = json.loads(capsys.readouterr().out)
             assert counts["configured_closed_form"] == counts["configured_exhaustive"] > 0
+
+    @pytest.mark.parametrize("command", ["show-config", "enumerate-masks"])
+    def test_printed_json_is_written_to_out(self, tmp_path, capsys, command):
+        from agentcfg.cli import main
+
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
 
     def test_real_mode_refused_until_a_real_env_exists(self, tmp_path, capsys):
         from agentcfg.cli import main
@@ -532,6 +543,20 @@ class TestExecuteReal:
         out = execute_real(QUERY, make_config(7), BackendEndpoint(), LIB,
                            transport=critique, sleep=lambda s: None)
         assert out.n_steps == 7  # draft + 3x(verdict, revision)
+
+    @pytest.mark.parametrize("wf", WORKFLOWS, ids=lambda wf: wf.name)
+    def test_row_fixes_the_call_counts_of_both_worlds(self, wf):
+        # a backend that always asks for a tool and never accepts drives a
+        # workflow to its row's max_calls; the synthetic step count spans
+        # [min_calls, max_calls] over seeds
+        transport = ScriptedTransport(["TOOL:calculator:2+2"])
+        out = execute_real(QUERY, make_config(wf.id, tools1=0b0001), BackendEndpoint(), LIB,
+                           transport=transport, sleep=lambda s: None)
+        assert out.n_steps == len(transport.payloads) == wf.max_calls
+        spec = SyntheticQuerySpec(0.3, 0b0001, 2)
+        steps = {execute_synthetic(QUERY, spec, make_config(wf.id), SuccessModel(), LIB,
+                                   seed).n_steps for seed in range(64)}
+        assert steps == set(range(wf.min_calls, wf.max_calls + 1))
 
     def test_autonomous_tool_loop_capped(self):
         transport = ScriptedTransport(["TOOL:calculator:2+2"])
