@@ -8,6 +8,7 @@ encoding so actions round-trip losslessly through a single integer.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -166,7 +167,7 @@ class StateEmbedding:
     def __post_init__(self):
         if self.features.shape != (5,):
             raise ContractError(f"feature vector must have 5 entries, got {self.features.shape}")
-        if not (np.all(np.isfinite(self.semantic)) and np.all(np.isfinite(self.features))):
+        if not (np.isfinite(self.semantic).all() and np.isfinite(self.features).all()):
             raise ContractError("state embedding entries must be finite")
 
     # Raw count features (char/word counts) are orders of magnitude larger
@@ -354,30 +355,77 @@ class EpisodeRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EpisodeRecord":
-        state = StateEmbedding(
-            semantic=np.array(d["state_semantic"], dtype=np.float64),
-            features=np.array(d["state_features"], dtype=np.float64),
-        )
-        action = StructureAction(
-            d["workflow"], d["tools1"], d["tools2"], tuple(d["budgets"])
-        )
+        """The record `to_json_dict` wrote. A missing field, one of another
+        JSON type or shape, or one the constructors refuse raises
+        ContractError naming the field."""
+        if type(d) is not dict:
+            raise ContractError(f"expected a JSON object, got {d!r:.40}")
+        semantic = _json_vector(d, "state_semantic")
+        features = _json_vector(d, "state_features")
+        heads = [_json_value(d, name, int) for name in ("workflow", "tools1", "tools2")]
+        budgets = _json_list("budgets", _json_value(d, "budgets", list), int)
+        try:
+            state = StateEmbedding(semantic=semantic, features=features)
+        except ContractError as exc:
+            bad = "state_features" if np.isfinite(semantic).all() else "state_semantic"
+            raise ContractError(f"{bad}: {exc}") from exc
+        try:
+            action = StructureAction(*heads, budgets)
+        except ContractError as exc:
+            raise ContractError(f"workflow, tools1, tools2, budgets: {exc}") from exc
         outcome = ExecutionOutcome(
-            answer_text=d["answer_text"],
-            correct=bool(d["correct"]),
-            n_steps=d["n_steps"],
-            n_tokens=d["n_tokens"],
-            n_tools_used=d["n_tools_used"],
-            n_tools_allocated=d["n_tools_allocated"],
+            answer_text=_json_value(d, "answer_text", str),
+            correct=_json_value(d, "correct", bool),
+            n_steps=_json_value(d, "n_steps", int),
+            n_tokens=_json_value(d, "n_tokens", int),
+            n_tools_used=_json_value(d, "n_tools_used", int),
+            n_tools_allocated=_json_value(d, "n_tools_allocated", int),
         )
         return cls(
             state=state,
             structure_action=action,
-            prompt_actions=tuple(tuple(p) for p in d["prompts"]),
+            prompt_actions=tuple([_json_list("prompts", p, int)
+                                  for p in _json_value(d, "prompts", list)]),
             outcome=outcome,
-            reward=float(d["reward"]),
-            reward_breakdown=tuple(float(x) for x in d["reward_terms"]),
-            seed=int(d["seed"]),
+            reward=float(_json_value(d, "reward", float)),
+            reward_breakdown=tuple([float(x) for x in _json_list(
+                "reward_terms", _json_value(d, "reward_terms", list), float)]),
+            seed=_json_value(d, "seed", int),
         )
+
+
+def _json_value(d: dict, name: str, kind: type):
+    """d[name] if its JSON type is kind: int, float, bool, str or list. A
+    bool is no number, an int is taken for a float, and a float must be
+    finite."""
+    if name not in d:
+        raise ContractError(f"{name}: missing")
+    return _json_checked(name, d[name], kind)
+
+
+def _json_checked(name: str, value, kind: type):
+    if type(value) is kind or (kind is float and type(value) is int):
+        if kind is not float or math.isfinite(value):
+            return value
+    raise ContractError(f"{name}: expected {kind.__name__}, got {value!r:.40}")
+
+
+def _json_list(name: str, values, kind: type) -> tuple:
+    """values, a list in field name whose items are of JSON type kind, as a
+    tuple."""
+    return tuple([_json_checked(name, v, kind) for v in _json_checked(name, values, list)])
+
+
+def _json_vector(d: dict, name: str) -> np.ndarray:
+    """d[name], a flat list of numbers, as a float64 vector."""
+    values = _json_value(d, name, list)
+    try:
+        vector = np.array(values)
+    except ValueError:   # a ragged nesting
+        vector = None
+    if vector is None or vector.ndim != 1 or vector.dtype.kind not in "if":
+        raise ContractError(f"{name}: expected a flat list of numbers, got {values!r:.40}")
+    return vector.astype(np.float64, copy=False)
 
 
 @dataclass

@@ -40,6 +40,7 @@ from .env import QueryDistribution, SyntheticEnv, build_env, default_atom_librar
 from .errors import (
     BackendError,
     ConfigError,
+    ContractError,
     EmptyEliteError,
     NoPairsError,
     PersistenceError,
@@ -273,7 +274,7 @@ def load_buffer(path) -> ExperienceBuffer:
                 continue
             try:
                 buffer.append(EpisodeRecord.from_json_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, ContractError, KeyError, TypeError, ValueError) as exc:
                 raise PersistenceError(
                     f"{path}: malformed episode at line {lineno}: {exc}"
                 ) from exc

@@ -31,6 +31,7 @@ from agentcfg.baselines import (
     random_policy_utility,
 )
 from agentcfg.env import (
+    ARRAY_PASS_MIN_QUERIES,
     QueryDistribution,
     SyntheticEnv,
     SyntheticQuerySpec,
@@ -235,13 +236,44 @@ class TestHarness:
         assert len(h._draws) == 3 * 9 * 2 + 3 * 5 * 2
 
     def test_expected_mode_is_the_mean_expected_reward(self):
-        env = build_env(QueryDistribution(), 5, seed=4, semantic_dim=8)
+        # below the array pass's threshold and above it
+        for n_queries in (5, 2 * ARRAY_PASS_MIN_QUERIES):
+            env = build_env(QueryDistribution(), n_queries, seed=4, semantic_dim=8)
+            h = Harness(env=env, reward_cfg=REWARD)
+            grid = default_grid(default_mask_table(), env.library)
+            for c in grid:
+                assert h.evaluate(c) == float(np.mean(
+                    [env.expected_reward(q, c, REWARD) for q in env.queries]))
+            assert h.n_evaluations == len(grid)
+
+    @pytest.mark.parametrize("edit", ["reversed queries", "fewer queries", "equal spec",
+                                      "other spec"])
+    def test_exact_harness_follows_replaced_queries_and_specs(self, edit):
+        # the env keeps its queries' terms as arrays for the array pass; after
+        # the query list or a spec object is replaced, it scores like a
+        # freshly built env
+        grid = default_grid(default_mask_table(), default_atom_library())
+        env = build_env(QueryDistribution(tool_prob=0.5), ARRAY_PASS_MIN_QUERIES + 3, seed=1,
+                        semantic_dim=8)
         h = Harness(env=env, reward_cfg=REWARD)
-        grid = default_grid(default_mask_table(), env.library)
-        for c in grid:
-            assert h.evaluate(c) == float(np.mean(
-                [env.expected_reward(q, c, REWARD) for q in env.queries]))
-        assert h.n_evaluations == len(grid)
+        h.evaluate(grid[3])
+        qid = env.queries[0].id
+        if edit == "reversed queries":
+            env.queries = env.queries[::-1]
+        elif edit == "fewer queries":
+            env.queries = env.queries[:-2]
+        elif edit == "equal spec":
+            env.specs[qid] = dataclasses.replace(env.specs[qid])
+        else:
+            spec = env.specs[qid]
+            env.specs[qid] = dataclasses.replace(spec, difficulty=1.0 - spec.difficulty,
+                                                 required_tools=0b100)
+        fresh = SyntheticEnv(queries=list(env.queries), specs=dict(env.specs),
+                             library=env.library, semantic_dim=8)
+        for c in grid[:12]:
+            assert env.expected_rewards(c, REWARD) == fresh.expected_rewards(c, REWARD) == [
+                fresh.expected_reward(q, c, REWARD) for q in fresh.queries]
+            assert h.evaluate(c) == Harness(env=fresh, reward_cfg=REWARD).evaluate(c)
 
     def test_budget_validation(self):
         with pytest.raises(ContractError):

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentcfg.core import (
+    MAX_PROMPT_LEN,
     Configuration,
     PromptAtom,
     Query,
@@ -14,6 +17,7 @@ from agentcfg.core import (
     extract_features,
 )
 from agentcfg.env import (
+    ARRAY_PASS_MIN_QUERIES,
     QueryDistribution,
     SuccessModel,
     SyntheticEnv,
@@ -35,7 +39,7 @@ from agentcfg.env import (
     tool_usage,
 )
 from agentcfg.errors import ContractError
-from agentcfg.policy import iter_valid_actions, mask_table_from_config
+from agentcfg.policy import default_mask_table, iter_valid_actions, mask_table_from_config
 from agentcfg.reward import RewardConfig, shaped_reward
 
 MODEL = SuccessModel()
@@ -468,6 +472,60 @@ class TestRewardMemo:
             # the same four objects may keep using it
             assert expected_reward(spec, c, MODEL, LIB, REWARD, memo) == (
                 expected_reward(spec, c, MODEL, LIB, REWARD))
+
+
+_weights = st.floats(-6.0, 6.0)
+_penalties = st.just(0.0) | st.floats(0.0, 6.0)
+
+
+@st.composite
+def _configurations(draw, library):
+    """A valid configuration of the default table: any workflow, each head
+    from its support, and per active agent up to MAX_PROMPT_LEN distinct
+    atoms of any role, or none."""
+    table = default_mask_table()
+    wf = draw(st.sampled_from(np.flatnonzero(table.workflow_mask).tolist()))
+    heads = [wf] + [draw(st.sampled_from(s)) for s in table.supports(wf)[1:]]
+    structure = StructureAction.from_heads(heads)
+    prompts = tuple(
+        tuple(draw(st.lists(st.integers(0, len(library) - 1), max_size=MAX_PROMPT_LEN,
+                            unique=True)))
+        for _ in range(structure.workflow.agents_active))
+    return Configuration(structure, prompts)
+
+
+@st.composite
+def _scored_envs(draw):
+    """An env of a random query distribution, success model and size (on
+    both sides of the array pass's threshold), a random reward config, and
+    configurations to score on it."""
+    library = draw(st.sampled_from([LIB, default_atom_library()]))
+    low, high = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    dist = QueryDistribution(
+        tool_prob=draw(st.floats(0.0, 1.0)),
+        depth_probs=tuple(draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))),
+        difficulty_low=low, difficulty_high=high,
+        noise_scale=float(draw(st.integers(0, 4))))
+    model = SuccessModel(*draw(st.lists(_weights, min_size=6, max_size=6)))
+    reward_cfg = RewardConfig(
+        *draw(st.lists(_penalties, min_size=7, max_size=7)),
+        t_max=draw(st.sampled_from([1, 7, 300, 4096]) | st.integers(1, 10_000)))
+    n_queries = draw(st.integers(1, 2 * ARRAY_PASS_MIN_QUERIES + 4))
+    env = build_env(dist, n_queries, seed=draw(st.integers(0, 2**16)), model=model,
+                    library=library, semantic_dim=4)
+    configs = draw(st.lists(_configurations(library), min_size=1, max_size=4))
+    return env, reward_cfg, configs
+
+
+class TestExpectedRewards:
+    @settings(max_examples=300, deadline=None)
+    @given(_scored_envs())
+    def test_equals_the_scalar_kernel_bit_for_bit(self, scored):
+        env, reward_cfg, configs = scored
+        for c in configs:
+            values = env.expected_rewards(c, reward_cfg)
+            scalar = [env.expected_reward(q, c, reward_cfg) for q in env.queries]
+            assert [v.hex() for v in values] == [v.hex() for v in scalar]
 
 
 class TestHashEmbed:

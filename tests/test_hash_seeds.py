@@ -12,6 +12,9 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
+
+from agentcfg.env import ARRAY_PASS_MIN_QUERIES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -63,16 +66,21 @@ def test_train_repeats_under_other_hash_seeds(tmp_path, flags):
         assert rows and all(row["value_loss"] == 0.0 for row in rows)
 
 
-@pytest.mark.parametrize("method", ["grid", "greedy"])
-def test_sampled_search_repeats_under_other_hash_seeds(tmp_path, method):
-    """Equal traces and summaries, and one trace row per counted evaluation."""
+@pytest.mark.parametrize("method,flags", [("grid", ("--sampled",)), ("greedy", ("--sampled",)),
+                                          ("grid", ()), ("greedy", ())],
+                         ids=["grid", "greedy", "grid-exact", "greedy-exact"])
+def test_sampled_search_repeats_under_other_hash_seeds(tmp_path, method, flags):
+    """Equal traces and summaries, and one trace row per counted evaluation,
+    for the sampled harness and for the exact one, which scores the config's
+    queries in one array pass."""
+    assert yaml.safe_load(SEARCH_CONFIG)["env"]["n_queries"] >= ARRAY_PASS_MIN_QUERIES
     config = tmp_path / "search.yaml"
     config.write_text(SEARCH_CONFIG)
     traces, summaries = [], []
     for hashseed in (1, 2):
         trace = tmp_path / f"{method}{hashseed}.jsonl"
         summaries.append(cli(tmp_path, hashseed, "search", "--config", str(config),
-                             "--method", method, "--sampled", "--out", str(trace)).stdout)
+                             "--method", method, *flags, "--out", str(trace)).stdout)
         traces.append(trace.read_bytes())
     assert traces[0] == traces[1]
     assert summaries[0] == summaries[1]

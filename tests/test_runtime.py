@@ -383,6 +383,49 @@ class TestBufferPersistence:
         with pytest.raises(PersistenceError, match="line 2"):
             load_buffer(path)
 
+    @pytest.mark.parametrize("name,value", [
+        ("correct", "no"),
+        ("seed", 1.5),
+        ("seed", True),
+        ("workflow", 1.5),
+        ("tools1", "3"),
+        ("workflow", None),          # the field is deleted
+        ("state_semantic", [[0.1, 0.2]]),
+        ("state_semantic", [0.1, "0.2"]),
+        ("state_semantic", [0.1, float("nan")]),
+        ("state_features", [1.0, 2.0, 3.0, 4.0, float("inf")]),
+        ("state_features", [1.0, 2.0]),
+        ("budgets", [0, 0]),
+        ("budgets", [0, 1.0, 0]),
+        ("prompts", [[0.5], []]),
+        ("n_steps", -1),
+        ("answer_text", 7),
+        ("reward", 123.0),           # not the sum of the terms
+        ("reward", float("nan")),
+        ("reward_terms", [0.0, "x", 0.0, 0.0]),
+    ])
+    def test_malformed_field_names_path_line_and_field(self, tmp_path, name, value):
+        path = tmp_path / "bad.jsonl"
+        persist_buffer(ExperienceBuffer([make_record(0), make_record(1)]), path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        if value is None:
+            del record[name]
+        else:
+            record[name] = value
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PersistenceError) as info:
+            load_buffer(path)
+        message = str(info.value)
+        assert str(path) in message and "line 2" in message and name in message
+
+    def test_a_line_that_is_no_object_is_refused(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(PersistenceError, match="line 1: expected a JSON object"):
+            load_buffer(path)
+
 
 # ---------------------------------------------------------------------------
 # Backend adapter
