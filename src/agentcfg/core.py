@@ -8,6 +8,7 @@ encoding so actions round-trip losslessly through a single integer.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from contextlib import contextmanager
@@ -176,8 +177,22 @@ class StateEmbedding:
     # the raw feature values.
     _FEATURE_SCALE = np.array([100.0, 20.0, 1.0, 1.0, 1.0])
 
+    @functools.cached_property
+    def _vector(self) -> np.ndarray:
+        vector = np.concatenate([self.semantic, self.features / self._FEATURE_SCALE])
+        vector.setflags(write=False)
+        return vector
+
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.semantic, self.features / self._FEATURE_SCALE])
+        """The net input [semantic; scaled features], built on the first call
+        and returned by every later one: read-only, since every caller shares
+        it. A copy or pickle carries no vector and builds its own."""
+        return self._vector
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_vector", None)
+        return state
 
     def key(self) -> tuple:
         """Quantized hashable key (round to 1e-6) for tabular bookkeeping."""
@@ -198,12 +213,15 @@ class StructureAction:
 
     def __post_init__(self):
         if not 0 <= self.workflow_id < N_WORKFLOWS:
-            raise ContractError(f"workflow id out of range: {self.workflow_id}")
-        for t in (self.tools1, self.tools2):
-            if not 0 <= t < N_TOOL_SUBSETS:
-                raise ContractError(f"tool subset out of range: {t}")
+            raise ContractError(
+                f"workflow_id: workflow out of range 0..{N_WORKFLOWS - 1}: {self.workflow_id}")
+        for name in ("tools1", "tools2"):
+            if not 0 <= getattr(self, name) < N_TOOL_SUBSETS:
+                raise ContractError(f"{name}: tool subset out of range 0..{N_TOOL_SUBSETS - 1}: "
+                                    f"{getattr(self, name)}")
         if len(self.budgets) != 3 or any(not 0 <= b < N_TIERS for b in self.budgets):
-            raise ContractError(f"bad budget tiers: {self.budgets}")
+            raise ContractError(f"budgets: three tiers in 0..{N_TIERS - 1} required, "
+                                f"got {self.budgets}")
 
     @property
     def workflow(self) -> Workflow:
@@ -369,10 +387,7 @@ class EpisodeRecord:
         except ContractError as exc:
             bad = "state_features" if np.isfinite(semantic).all() else "state_semantic"
             raise ContractError(f"{bad}: {exc}") from exc
-        try:
-            action = StructureAction(*heads, budgets)
-        except ContractError as exc:
-            raise ContractError(f"workflow, tools1, tools2, budgets: {exc}") from exc
+        action = StructureAction(*heads, budgets)  # its errors name their field
         outcome = ExecutionOutcome(
             answer_text=_json_value(d, "answer_text", str),
             correct=_json_value(d, "correct", bool),

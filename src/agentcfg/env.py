@@ -60,6 +60,12 @@ class SyntheticQuerySpec:
     def __post_init__(self):
         if not 0.0 <= self.difficulty <= 1.0:
             raise ContractError(f"difficulty out of [0,1]: {self.difficulty}")
+        tools = self.required_tools
+        if not (isinstance(tools, (int, np.integer)) and not isinstance(tools, bool)
+                and 0 <= tools < N_TOOL_SUBSETS):
+            raise ContractError(
+                f"required_tools must be a tool subset, an integer in 0..{N_TOOL_SUBSETS - 1}, "
+                f"got {tools!r}")
         if not 1 <= self.required_depth <= 3:
             raise ContractError(f"required_depth out of 1..3: {self.required_depth}")
         if not (self.noise_scale >= 0 and float(self.noise_scale).is_integer()):

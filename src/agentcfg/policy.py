@@ -11,6 +11,7 @@ always computed over the same valid support.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -476,10 +477,15 @@ class PromptPolicy:
         self.input_dim = state_dim + N_WORKFLOWS + self.n_atoms
         self.net = DenseNet([self.input_dim, *hidden, self.n_atoms + 1], rng=rng)
         self.value_net = DenseNet([self.input_dim, *hidden, 1], rng=rng)
-        self._role_masks = {
-            role: np.array([1.0 if a.role == role else 0.0 for a in library])
+        # The masks every agent's walk starts from, built once: each role's
+        # before any choice (its atoms and STOP) and the one at the length
+        # cap (STOP only). `step_mask` hands out copies.
+        self._start_masks = {
+            role: np.array([1.0 if a.role == role else 0.0 for a in library] + [1.0])
             for role in ROLES
         }
+        self._stop_only = np.zeros(self.n_atoms + 1)
+        self._stop_only[self.stop_index] = 1.0
 
     def step_input(self, s_vec: np.ndarray, workflow_id: int, chosen: Sequence[int]):
         wf_onehot = np.zeros(N_WORKFLOWS)
@@ -491,13 +497,13 @@ class PromptPolicy:
 
     def step_mask(self, role: str, chosen: Sequence[int], length: int) -> np.ndarray:
         """Valid actions at one step: role-matching unchosen atoms plus STOP;
-        STOP only once the sequence hits the length cap."""
-        mask = np.zeros(self.n_atoms + 1)
-        mask[self.stop_index] = 1.0
-        if length < MAX_PROMPT_LEN:
-            mask[: self.n_atoms] = self._role_masks[role]
-            for a in chosen:
-                mask[a] = 0.0
+        STOP only once the sequence hits the length cap. A new array each
+        call, which the caller may write."""
+        if length >= MAX_PROMPT_LEN:
+            return self._stop_only.copy()
+        mask = self._start_masks[role].copy()
+        for a in chosen:
+            mask[a] = 0.0
         return mask
 
     def save(self, directory) -> None:
@@ -536,13 +542,14 @@ def _walk_prompts(policy: PromptPolicy, s_vecs, actions: Sequence[StructureActio
     log-prob, as lists of Python numbers. Returns each row's (sequences,
     steps). With record False the steps stay empty, the log-probs go unread,
     and choose gets the live inputs and masks, which the walk changes once
-    it returns: a caller that reads only the sequences (greedy decoding)
-    pays for no copies and no `PromptStep`s. With record True each row's
+    it returns and which choose must not write: a caller that reads only
+    the sequences (greedy decoding) pays for no copies and no
+    `PromptStep`s. With record True each row's
     input and mask are copied, not stacked and viewed: stacking costs a
     one-row walk more than it saves a wide one."""
     stop = policy.stop_index
     chosen_at = policy.state_dim + N_WORKFLOWS  # the multi-hot of atoms chosen
-    stop_only = policy.step_mask(ROLES[0], (), MAX_PROMPT_LEN)
+    stop_only = policy._stop_only  # shared, so never written
     n = len(actions)
     if agents is None:
         agent, end = [0] * n, [a.workflow.agents_active for a in actions]
@@ -672,27 +679,56 @@ def sample_prompts(
 _NEAR_TIE = 1e-12  # logit gap below which exp/divide rounding may tie two probabilities
 
 
-def _mode(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The index over the last axis of (..., K) logits that the argmax of
-    their `masked_categorical` probabilities gives, read off the masked
-    logits: exp is monotone, so the largest valid logit is the mode. Only
-    where another valid logit lies within _NEAR_TIE of a row's maximum can
-    exp/divide rounding tie the probabilities, and argmax then takes the
-    first of the tied; such rows form the probabilities to decide alike.
+def _mode(logits: np.ndarray, mask: np.ndarray):
+    """The index over the last axis of (K,) or (rows, K) logits that the
+    argmax of their `masked_categorical` probabilities gives, read off the
+    masked logits: exp is monotone, so the first largest valid logit is the
+    mode. An int for one row, a list of ints for rows.
 
-    Raises TrainingDivergenceError, as `numeric.draw` does, when a row's
-    largest valid logit is not finite (a nan or +inf logit, or no finite
-    valid one): there the probabilities have no mode. A masked index is
-    never returned."""
-    z = np.where(mask > 0, logits, -np.inf)
-    top = z.max(axis=-1, keepdims=True)
-    if not np.isfinite(top).all():
-        raise TrainingDivergenceError("non-finite logits: greedy decode has no mode")
-    picked = z.argmax(axis=-1)
-    near = (z >= top - _NEAR_TIE).sum(axis=-1) > 1
-    if near.any():
-        picked = np.where(near, masked_categorical(logits, mask)[0].argmax(axis=-1), picked)
-    return picked
+    Only where a valid logit lies within _NEAR_TIE below a row's maximum can
+    exp/divide rounding tie it with the maximum; such rows, and only they,
+    form the probabilities to decide alike. Equal maxima need no
+    probabilities: their probabilities are equal, and argmax takes the
+    first of them, as the scan does.
+
+    This serves greedy decoding's small rows only (5-16 entries, one to
+    three rows), and scans `.tolist()` rows in Python: numpy's fixed cost
+    per call outweighs its work on so few entries. Only comparisons leave
+    numpy, and they are exact.
+
+    Raises TrainingDivergenceError, as `numeric.draw` does, when a row has a
+    nan valid logit, a +inf one or no finite one: there the probabilities
+    have no mode. A masked index is never returned."""
+    one_row = logits.ndim == 1
+    rows, valid = logits.tolist(), mask.tolist()
+    if one_row:
+        rows, valid = [rows], [valid]
+    picked, near = [], []
+    for i, (z, m) in enumerate(zip(rows, valid)):
+        # best: the first index of the largest valid logit, top; below: the
+        # largest valid logit under top. A nan compares neither way.
+        best, top, below = -1, -math.inf, -math.inf
+        for k, x in enumerate(z):
+            if m[k] > 0:
+                if x > top:
+                    best, top, below = k, x, top
+                elif x < top:
+                    if x > below:
+                        below = x
+                elif x != top:
+                    raise TrainingDivergenceError("nan logit: greedy decode has no mode")
+        if not -math.inf < top < math.inf:
+            raise TrainingDivergenceError(f"largest valid logit {top}: greedy decode has no mode")
+        if below >= top - _NEAR_TIE:
+            near.append(i)
+        picked.append(best)
+    if near:
+        by_probs = masked_categorical(logits, mask)[0].argmax(axis=-1).tolist()
+        if one_row:
+            return by_probs
+        for i in near:
+            picked[i] = by_probs[i]
+    return picked[0] if one_row else picked
 
 
 def greedy_configuration(
@@ -713,12 +749,12 @@ def greedy_configuration(
     modes are the argmax over those logits (see `_mode`)."""
     s_vec = s.as_vector()
     logits = struct_policy.trunk.forward(s_vec)
-    wf = int(_mode(logits[head_slice(0)], table.workflow_mask))
+    wf = _mode(logits[head_slice(0)], table.workflow_mask)
     c = _mode(*_conditioned_heads(logits, table.layout(), wf))
     action = StructureAction.from_heads([wf, *c])
 
     def mode(rows, agents, positions, inputs, masks):
-        return _mode(_prompt_logits(prompt_policy, inputs), np.array(masks)).tolist(), None
+        return _mode(_prompt_logits(prompt_policy, inputs), np.array(masks)), None
 
     n = action.workflow.agents_active
     walked = _walk_prompts(prompt_policy, [s_vec] * n, [action] * n, mode, agents=range(n),

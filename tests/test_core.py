@@ -1,5 +1,8 @@
 """Domain types: featurization, action indexing, episode schema."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,3 +248,30 @@ class TestStateEmbedding:
     def test_dim(self):
         s = StateEmbedding(np.zeros(64), np.zeros(5))
         assert s.as_vector().shape == (69,)
+
+    def test_vector_is_built_once_and_read_only(self):
+        rng = np.random.default_rng(4)
+        s = StateEmbedding(rng.normal(size=8), rng.normal(size=5) * 50)
+        v = s.as_vector()
+        assert s.as_vector() is v and not v.flags.writeable
+        want = np.concatenate([s.semantic, s.features / np.array([100.0, 20.0, 1.0, 1.0, 1.0])])
+        assert v.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+        with pytest.raises(ValueError):
+            v += 1.0
+        assert v.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_build_an_equal_read_only_vector(self, clone):
+        rng = np.random.default_rng(5)
+        s = StateEmbedding(rng.normal(size=8), rng.normal(size=5))
+        for touched in (False, True):
+            if touched:
+                s.as_vector()
+            c = clone(s)
+            v = c.as_vector()
+            assert v.tobytes() == s.as_vector().tobytes()
+            assert c.as_vector() is v and not v.flags.writeable

@@ -301,6 +301,16 @@ class TestExecution:
             build_env(QueryDistribution(noise_scale=noise_scale), 2, seed=0, library=LIB,
                       semantic_dim=8)
 
+    @pytest.mark.parametrize("tools", [16, -1, 1.0, 0.5, True, False, "1", None])
+    def test_required_tools_must_be_a_tool_subset(self, tools):
+        # 16 would be a tool query no allocation covers, -1 one requiring all four
+        with pytest.raises(ContractError, match="required_tools"):
+            SyntheticQuerySpec(0.2, tools, 1)
+
+    def test_required_tools_takes_every_subset(self):
+        for tools in [*range(16), np.int64(3)]:
+            assert SyntheticQuerySpec(0.2, tools, 1).terms.required_tools == tools
+
     def test_expected_matches_monte_carlo(self):
         rng = np.random.default_rng(0)
         for spec, c in [

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -547,6 +548,47 @@ class TestPromptPolicy:
         assert log_prob_prompts(other, s, a, ((0, 1), (2,), (3,))) == lp
 
 
+def test_step_mask_hands_out_copies():
+    library = default_atom_library()
+    policy = PromptPolicy(STATE_DIM, library, hidden=(16,), rng=np.random.default_rng(44))
+    for role in ROLES:
+        want = [1.0 if a.role == role else 0.0 for a in library] + [1.0]
+        first = policy.step_mask(role, (), 0)
+        assert first.tolist() == want
+        first[:] = 7.0
+        assert policy.step_mask(role, (), 0).tolist() == want
+    stop_only = [0.0] * len(library) + [1.0]
+    capped = policy.step_mask(ROLES[0], (), MAX_PROMPT_LEN)
+    assert capped.tolist() == stop_only
+    capped[:] = 7.0
+    assert policy.step_mask(ROLES[2], (1,), MAX_PROMPT_LEN).tolist() == stop_only
+    assert policy._stop_only.tolist() == stop_only
+
+
+def test_successive_calls_equal_calls_on_fresh_copies():
+    # Every call leaves the policy's caches, its start masks and the state's
+    # vector as a fresh copy of each would have them.
+    library = default_atom_library()
+    struct = StructurePolicy(STATE_DIM, hidden=(16,), rng=np.random.default_rng(45))
+    prompt = PromptPolicy(STATE_DIM, library, hidden=(16,), rng=np.random.default_rng(46))
+    table = default_mask_table()
+    for i, s in enumerate(map(make_state, range(6))):
+        for call in range(2):
+            fresh = copy.deepcopy((struct, prompt, s))
+            config = greedy_configuration(struct, prompt, table, s)
+            assert config == greedy_configuration(fresh[0], fresh[1], table, fresh[2])
+            seqs, steps = sample_prompts(prompt, s, config.structure,
+                                         np.random.default_rng([47, i, call]))
+            want_seqs, want_steps = sample_prompts(fresh[1], fresh[2], config.structure,
+                                                   np.random.default_rng([47, i, call]))
+            assert seqs == want_seqs and len(steps) == len(want_steps)
+            for got, want in zip(steps, want_steps):
+                assert (got.agent, got.action, got.log_prob) == (want.agent, want.action,
+                                                                  want.log_prob)
+                assert got.input_vec.tobytes() == want.input_vec.tobytes()
+                assert got.mask.tobytes() == want.mask.tobytes()
+
+
 def test_log_prob_prompts_records_no_steps_and_copies_only_misses(monkeypatch):
     prompt = PromptPolicy(STATE_DIM, compact_atom_library(), hidden=(16,),
                           rng=np.random.default_rng(41))
@@ -714,6 +756,46 @@ class TestGreedyConfiguration:
         assert chosen == best
 
 
+_ENTRY_KINDS = ("free", "top", "top", "below", "above", "gap", "gap", "ulps", "-inf")
+
+
+@st.composite
+def mode_inputs(draw):
+    """One row (1-D) or up to four rows (2-D) of 1-16 logits with a random
+    mask. Each row's entries are drawn around a base value: equal to it, its
+    `np.nextafter` neighbours, a few ulps off, a gap around 1e-12 either
+    way, any finite value up to 1e300 in magnitude, or -inf; then one entry
+    at any position may become +inf or nan."""
+    width = draw(st.integers(1, 16))
+    n_rows = draw(st.integers(0, 4))  # 0: a 1-D row
+    rows, masks = [], []
+    for _ in range(max(n_rows, 1)):
+        base = draw(st.one_of(st.floats(-1e300, 1e300), st.floats(-10.0, 10.0)))
+        row = []
+        for _ in range(width):
+            kind = draw(st.sampled_from(_ENTRY_KINDS))
+            if kind == "free":
+                row.append(draw(st.floats(-1e300, 1e300)))
+            elif kind == "top":
+                row.append(base)
+            elif kind in ("below", "above"):
+                row.append(np.nextafter(base, -np.inf if kind == "below" else np.inf))
+            elif kind == "gap":
+                row.append(base + draw(st.sampled_from((-1.0, 1.0)))
+                           * 10.0 ** draw(st.floats(-13.0, -11.0)))
+            elif kind == "ulps":
+                row.append(base + draw(st.integers(-4, 4)) * np.spacing(base))
+            else:
+                row.append(-np.inf)
+        rows.append(row)
+        masks.append([float(draw(st.booleans())) for _ in range(width)])
+    poison = draw(st.sampled_from((None, None, np.inf, np.nan)))
+    if poison is not None:
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, width - 1))] = poison
+    logits, mask = np.array(rows), np.array(masks)
+    return (logits[0], mask[0]) if n_rows == 0 else (logits, mask)
+
+
 class TestMode:
     """`_mode` reads the argmax of the masked probabilities off the logits."""
 
@@ -781,6 +863,31 @@ class TestMode:
         logits = np.array([-np.inf, 3.0, -np.inf])
         with pytest.raises(TrainingDivergenceError):
             policy_module._mode(logits, np.array([1.0, 0.0, 1.0]))
+
+    @given(mode_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_scan_equals_reference_on_drawn_rows(self, drawn):
+        logits, mask = drawn
+        z = np.where(mask > 0, logits, -np.inf)
+        top = z.max(axis=-1, keepdims=True)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return masked_categorical(*args)
+
+        with mock.patch.object(policy_module, "masked_categorical", counted):
+            if not np.isfinite(top).all():  # a nan or +inf valid logit, or no finite one
+                with pytest.raises(TrainingDivergenceError):
+                    policy_module._mode(logits, mask)
+                return
+            got = policy_module._mode(logits, mask)
+        assert np.array_equal(got, self.reference(logits, mask))
+        assert isinstance(got, int if logits.ndim == 1 else list)
+        # Only a valid logit within _NEAR_TIE below a row's maximum sends the
+        # rows to the probabilities; equal maxima are decided by the scan.
+        near = ((z >= top - policy_module._NEAR_TIE) & (z < top)).any()
+        assert len(calls) == int(near)
 
 
 class TestLoadParameters:

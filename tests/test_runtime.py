@@ -403,6 +403,10 @@ class TestBufferPersistence:
         ("reward", 123.0),           # not the sum of the terms
         ("reward", float("nan")),
         ("reward_terms", [0.0, "x", 0.0, 0.0]),
+        ("tools1", 16),
+        ("tools2", 16),
+        ("workflow", 9),
+        ("budgets", [0, 3, 0]),
     ])
     def test_malformed_field_names_path_line_and_field(self, tmp_path, name, value):
         path = tmp_path / "bad.jsonl"
@@ -419,6 +423,10 @@ class TestBufferPersistence:
             load_buffer(path)
         message = str(info.value)
         assert str(path) in message and "line 2" in message and name in message
+        structure = {"workflow", "tools1", "tools2", "budgets"}
+        if name in structure:
+            rest = message.replace(str(path), "")
+            assert not [other for other in structure - {name} if other in rest]
 
     def test_a_line_that_is_no_object_is_refused(self, tmp_path):
         path = tmp_path / "bad.jsonl"
