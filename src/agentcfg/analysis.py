@@ -123,8 +123,8 @@ def utility(correct_rate: float, cost: float, lam: float) -> float:
 
 
 def cost_per_episode(n_tokens: int, price_per_1k_tokens: float) -> float:
-    if price_per_1k_tokens < 0:
-        raise ContractError("price must be >= 0")
+    if not (math.isfinite(price_per_1k_tokens) and price_per_1k_tokens >= 0):
+        raise ContractError(f"price must be finite and >= 0, got {price_per_1k_tokens!r}")
     return n_tokens / 1000.0 * price_per_1k_tokens
 
 

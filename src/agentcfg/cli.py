@@ -28,7 +28,7 @@ from .baselines import (
     grid_search,
 )
 from .core import WORKFLOWS, atomic_write, index_structure_action
-from .errors import AgentCfgError, ConfigError
+from .errors import AgentCfgError, ConfigError, ContractError
 from .policy import (
     all_ones_mask_table,
     enumerate_valid,
@@ -162,7 +162,13 @@ def cmd_search(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    try:
+        cost_per_episode(0, args.price)
+    except ContractError as exc:
+        raise ConfigError(f"--price: {exc}") from None
     buffer = load_buffer(args.episodes)
+    if not len(buffer):
+        raise ConfigError(f"--episodes {args.episodes}: the file holds no episodes")
     counts = np.zeros(len(WORKFLOWS))
     by_workflow: dict[int, list] = {}
     errors: dict[str, int] = {}
@@ -186,7 +192,7 @@ def cmd_analyze(args) -> int:
     frontier = pareto_frontier(points)
     report = {
         "episodes": len(buffer),
-        "mean_reward": float(np.mean([r.reward for r in buffer])) if len(buffer) else 0.0,
+        "mean_reward": float(np.mean([r.reward for r in buffer])),
         "diversity": dataclasses.asdict(diversity_report(counts)),
         "error_histogram": errors,
         "pareto_frontier": [
@@ -204,6 +210,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.episodes < 1:
+        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     cfg = _load_run_config(args)
     env, table, library, struct_policy, prompt_policy = build_components(cfg)
     buffer = collect_episodes(

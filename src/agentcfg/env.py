@@ -14,9 +14,9 @@ import functools
 import hashlib
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -253,19 +253,6 @@ def _execution_draws(seed: int, rounds: int, jitter: int):
     return u, extra, offset
 
 
-def _memo_draws(seed: int, rounds: int, jitter: int, memo: Optional[dict]):
-    """`_execution_draws`, through memo if given: a dict mapping (seed,
-    rounds, jitter) to the draws, so a seed's draws are made once however
-    many configurations run on it."""
-    if memo is None:
-        return _execution_draws(seed, rounds, jitter)
-    key = (seed, rounds, jitter)
-    draws = memo.get(key)
-    if draws is None:
-        draws = memo[key] = _execution_draws(seed, rounds, jitter)
-    return draws
-
-
 def _outcome(query: Query, c: _ConfigTerms, truth, correct: bool, extra: int,
              offset: int) -> ExecutionOutcome:
     """The execution of outcome class (correct, extra, offset): with the
@@ -312,11 +299,10 @@ _TOOLSET_SIZES = np.array([toolset_size(m) for m in range(N_TOOL_SUBSETS)])
 
 
 class _QueryArrays(NamedTuple):
-    """The `_QueryTerms` of a list of queries, one array per field in query
-    order, and the specs they were read from. The jitter is left out: the
+    """The `_QueryTerms` of an env's queries, one array per field in query
+    order (`SyntheticEnv._query_arrays`). The jitter is left out: the
     expected reward is taken at its mean."""
 
-    specs: tuple
     classes: tuple                # the distinct query classes
     qclass: np.ndarray            # index of each query's class in `classes`
     required_tools: np.ndarray
@@ -325,14 +311,6 @@ class _QueryArrays(NamedTuple):
     difficulty: np.ndarray
     needed: np.ndarray
     token_scale: np.ndarray
-
-    @classmethod
-    def of(cls, specs: Sequence[SyntheticQuerySpec]) -> "_QueryArrays":
-        terms = [s.terms for s in specs]
-        classes = tuple(sorted({t.qclass for t in terms}))
-        return cls(tuple(specs), classes, np.array([classes.index(t.qclass) for t in terms]),
-                   **{name: np.array([getattr(t, name) for t in terms])
-                      for name in cls._fields[3:]})
 
 
 def _expected_all(q: _QueryArrays, c: _ConfigTerms, model: SuccessModel,
@@ -418,19 +396,14 @@ def expected_reward(
     each prompt tuple to its `_prompt_terms`, and each combined
     `_ConfigTerms` to its value, so each is computed once. The value reads
     nothing but those terms, so it is the same, bit for bit, with or without
-    the memo. The memo records the four inputs at first use; passing it with
-    any other one raises ContractError."""
+    the memo. The memo records the four inputs; passed with others (compared
+    by value), it starts over."""
     if memo is None:
         c = _config_terms(config, library)
         return _expected(c, _ground_truth(spec.terms, c, model), reward_cfg)
-    if not memo:
-        memo.update(inputs=(spec, model, library, reward_cfg),
-                    structures={}, prompts={}, values={})
-    m_spec, m_model, m_library, m_reward = memo["inputs"]
-    if not (m_spec is spec and m_model is model and m_library is library
-            and m_reward is reward_cfg):
-        raise ContractError(
-            "an expected_reward memo serves one (spec, model, library, reward_cfg)")
+    inputs = (spec, model, library, reward_cfg)
+    if memo.get("inputs") != inputs:
+        memo.update(inputs=inputs, structures={}, prompts={}, values={})
     structures, prompts, values = memo["structures"], memo["prompts"], memo["values"]
     s = structures.get(config.structure)
     if s is None:
@@ -651,34 +624,40 @@ def compact_atom_library() -> tuple[PromptAtom, ...]:
 # ---------------------------------------------------------------------------
 
 
-class _QueryMemo(NamedTuple):
-    spec: SyntheticQuerySpec
-    truth: tuple      # _ground_truth of the spec and the configuration
-    outcomes: dict    # outcome class (correct, extra, offset) -> ExecutionOutcome
-
-
 class _Memo(NamedTuple):
     config: Configuration
-    library: tuple
-    model: SuccessModel
     terms: _ConfigTerms
-    queries: dict     # Query -> _QueryMemo
+    # Query -> (its _ground_truth under the configuration, its spec's token
+    # jitter, {outcome class (correct, extra, offset): ExecutionOutcome})
+    queries: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticEnv:
     """Synthetic environment: embeds queries and executes configurations
-    against the logistic ground truth."""
+    against the logistic ground truth. An env is a value (queries and
+    library tuples, a read-only spec per query id); a changed env is a new
+    one (`dataclasses.replace`), so nothing it keeps goes stale."""
 
-    queries: list[Query]
-    specs: dict[str, SyntheticQuerySpec]
+    queries: tuple[Query, ...]
+    specs: Mapping[str, SyntheticQuerySpec]
     model: SuccessModel = field(default_factory=SuccessModel)
     library: tuple[PromptAtom, ...] = field(default_factory=default_atom_library)
     semantic_dim: int = 64
     _embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _memo: Optional[_Memo] = field(default=None, init=False, repr=False, compare=False)
-    _arrays: Optional[_QueryArrays] = field(default=None, init=False, repr=False,
-                                            compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "queries", tuple(self.queries))
+        object.__setattr__(self, "specs", MappingProxyType(dict(self.specs)))
+        object.__setattr__(self, "library", tuple(self.library))
+        missing = [q.id for q in self.queries if q.id not in self.specs]
+        if missing:
+            raise ContractError(f"queries without a spec: {missing}")
+
+    def __reduce__(self):  # copies and pickles are rebuilt from the fields
+        return SyntheticEnv, (self.queries, dict(self.specs), self.model, self.library,
+                              self.semantic_dim)
 
     def embed(self, query: Query) -> StateEmbedding:
         """The query's embedding, computed once per (id, text) and shared:
@@ -696,24 +675,25 @@ class SyntheticEnv:
         return state
 
     def spec_for(self, query: Query) -> SyntheticQuerySpec:
-        return self.specs[query.id]
+        try:
+            return self.specs[query.id]
+        except KeyError:
+            raise ContractError(f"query {query.id!r} is not one of this env's queries") from None
 
     def _query_memo(self, query: Query, config: Configuration):
-        """The configuration's terms and the query's `_QueryMemo` under it.
+        """The configuration's terms and the query's entry under it.
         The last configuration's terms and, per query, its truth and
         outcomes are kept, so scoring one configuration over many queries
         and seeds computes each once. An entry is keyed by the query, not by
         its spec alone, because an outcome carries the gold answer."""
         memo = self._memo
-        if not (memo and memo.config is config and memo.library is self.library
-                and memo.model is self.model):
-            memo = self._memo = _Memo(config, self.library, self.model,
-                                      _config_terms(config, self.library), {})
-        spec = self.spec_for(query)
+        if memo is None or memo.config is not config:
+            memo = _Memo(config, _config_terms(config, self.library), {})
+            object.__setattr__(self, "_memo", memo)
         entry = memo.queries.get(query)
-        if entry is None or entry.spec is not spec:
-            entry = memo.queries[query] = _QueryMemo(
-                spec, _ground_truth(spec.terms, memo.terms, self.model), {})
+        if entry is None:
+            q = self.spec_for(query).terms
+            entry = memo.queries[query] = (_ground_truth(q, memo.terms, self.model), q.jitter, {})
         return memo.terms, entry
 
     def execute(self, query: Query, config: Configuration, seed: int,
@@ -730,33 +710,42 @@ class SyntheticEnv:
         it; it saves rebuilding the seed's generator when many
         configurations run on one seed (the search harness's common random
         numbers)."""
-        c, entry = self._query_memo(query, config)
-        u, extra, offset = _memo_draws(seed, c.rounds, entry.spec.terms.jitter, memo)
-        key = (u < entry.truth[0], extra, offset)
-        outcome = entry.outcomes.get(key)
+        c, (truth, jitter, outcomes) = self._query_memo(query, config)
+        draws_key = (seed, c.rounds, jitter)
+        if memo is None:
+            draws = _execution_draws(*draws_key)
+        elif (draws := memo.get(draws_key)) is None:
+            draws = memo[draws_key] = _execution_draws(*draws_key)
+        u, extra, offset = draws
+        key = (u < truth[0], extra, offset)
+        outcome = outcomes.get(key)
         if outcome is None:
-            outcome = entry.outcomes[key] = _outcome(query, c, entry.truth, *key)
+            outcome = outcomes[key] = _outcome(query, c, truth, *key)
         return outcome
 
     def expected_reward(self, query: Query, config: Configuration,
                         reward_cfg: RewardConfig) -> float:
         """`expected_reward` on the query's spec."""
-        c, entry = self._query_memo(query, config)
-        return _expected(c, entry.truth, reward_cfg)
+        c, (truth, _, _) = self._query_memo(query, config)
+        return _expected(c, truth, reward_cfg)
+
+    @functools.cached_property
+    def _query_arrays(self) -> _QueryArrays:
+        terms = [self.specs[q.id].terms for q in self.queries]
+        classes = tuple(sorted({t.qclass for t in terms}))
+        return _QueryArrays(classes, np.array([classes.index(t.qclass) for t in terms]),
+                            **{name: np.array([getattr(t, name) for t in terms])
+                               for name in _QueryArrays._fields[2:]})
 
     def expected_rewards(self, config: Configuration, reward_cfg: RewardConfig) -> list[float]:
         """`expected_reward` of one configuration on every query, in query
         order, bit for bit. From `ARRAY_PASS_MIN_QUERIES` queries up they
-        are scored in one array pass over the queries' terms, which are
-        kept as arrays and rebuilt when a query's spec object changes."""
+        are scored in one array pass over the queries' terms, kept as arrays
+        built once."""
         if len(self.queries) < ARRAY_PASS_MIN_QUERIES:
             return [self.expected_reward(q, config, reward_cfg) for q in self.queries]
-        specs = [self.specs[q.id] for q in self.queries]
-        arrays = self._arrays
-        if (arrays is None or len(arrays.specs) != len(specs)
-                or not all(map(operator.is_, arrays.specs, specs))):
-            arrays = self._arrays = _QueryArrays.of(specs)
-        return _expected_all(arrays, _config_terms(config, self.library), self.model, reward_cfg)
+        return _expected_all(self._query_arrays, _config_terms(config, self.library),
+                             self.model, reward_cfg)
 
 
 def build_env(
@@ -777,6 +766,6 @@ def build_env(
         queries=queries,
         specs=specs,
         model=model or SuccessModel(),
-        library=tuple(library) if library is not None else default_atom_library(),
+        library=library if library is not None else default_atom_library(),
         semantic_dim=semantic_dim,
     )

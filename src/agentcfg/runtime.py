@@ -129,6 +129,9 @@ class RunConfig:
     mask_table: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
         if self.mode not in ("synthetic", "real"):
             raise ConfigError(f"mode must be synthetic|real, got {self.mode!r}")
         if self.objective not in ("ppo", "grpo"):

@@ -146,8 +146,9 @@ class TestUtilityAndCost:
     def test_cost(self):
         assert cost_per_episode(1200, 1.0) == pytest.approx(1.2)
         assert cost_per_episode(0, 5.0) == 0.0
-        with pytest.raises(ContractError):
-            cost_per_episode(100, -1.0)
+        for price in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ContractError, match="price must be finite and >= 0"):
+                cost_per_episode(100, price)
 
 
 class TestSafeEvalArithmetic:

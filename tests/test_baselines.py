@@ -249,31 +249,32 @@ class TestHarness:
     @pytest.mark.parametrize("edit", ["reversed queries", "fewer queries", "equal spec",
                                       "other spec"])
     def test_exact_harness_follows_replaced_queries_and_specs(self, edit):
-        # the env keeps its queries' terms as arrays for the array pass; after
-        # the query list or a spec object is replaced, it scores like a
-        # freshly built env
+        # the env keeps its queries' terms as arrays for the array pass; an
+        # env replaced with other queries or specs scores like a freshly
+        # built one, and so does a harness moved onto it, while the first
+        # env scores as before
         grid = default_grid(default_mask_table(), default_atom_library())
         env = build_env(QueryDistribution(tool_prob=0.5), ARRAY_PASS_MIN_QUERIES + 3, seed=1,
                         semantic_dim=8)
         h = Harness(env=env, reward_cfg=REWARD)
-        h.evaluate(grid[3])
+        before = [env.expected_rewards(c, REWARD) for c in grid[:12]]
         qid = env.queries[0].id
-        if edit == "reversed queries":
-            env.queries = env.queries[::-1]
-        elif edit == "fewer queries":
-            env.queries = env.queries[:-2]
-        elif edit == "equal spec":
-            env.specs[qid] = dataclasses.replace(env.specs[qid])
-        else:
-            spec = env.specs[qid]
-            env.specs[qid] = dataclasses.replace(spec, difficulty=1.0 - spec.difficulty,
-                                                 required_tools=0b100)
-        fresh = SyntheticEnv(queries=list(env.queries), specs=dict(env.specs),
+        spec = env.specs[qid]
+        changes = {
+            "reversed queries": {"queries": env.queries[::-1]},
+            "fewer queries": {"queries": env.queries[:-2]},
+            "equal spec": {"specs": {**env.specs, qid: dataclasses.replace(spec)}},
+            "other spec": {"specs": {**env.specs, qid: dataclasses.replace(
+                spec, difficulty=1.0 - spec.difficulty, required_tools=0b100)}},
+        }
+        h.env = changed = dataclasses.replace(env, **changes[edit])
+        fresh = SyntheticEnv(queries=list(changed.queries), specs=dict(changed.specs),
                              library=env.library, semantic_dim=8)
         for c in grid[:12]:
-            assert env.expected_rewards(c, REWARD) == fresh.expected_rewards(c, REWARD) == [
+            assert changed.expected_rewards(c, REWARD) == fresh.expected_rewards(c, REWARD) == [
                 fresh.expected_reward(q, c, REWARD) for q in fresh.queries]
             assert h.evaluate(c) == Harness(env=fresh, reward_cfg=REWARD).evaluate(c)
+        assert [env.expected_rewards(c, REWARD) for c in grid[:12]] == before
 
     def test_budget_validation(self):
         with pytest.raises(ContractError):
@@ -512,9 +513,9 @@ def test_flat_collect_draws_the_rollout_episode_stream(monkeypatch):
     env = build_env(QueryDistribution(), 6, seed=3, library=compact_atom_library(),
                     semantic_dim=8)
     executed = []
-    execute = env.execute
-    monkeypatch.setattr(env, "execute", lambda query, config, seed: (
-        executed.append((query.id, seed)) or execute(query, config, seed)))
+    execute = SyntheticEnv.execute
+    monkeypatch.setattr(SyntheticEnv, "execute", lambda self, query, config, seed: (
+        executed.append((query.id, seed)) or execute(self, query, config, seed)))
     struct = StructurePolicy(13, hidden=(8,), rng=np.random.default_rng(1))
     prompt = PromptPolicy(13, env.library, hidden=(8,), rng=np.random.default_rng(2))
     rollouts = collect_rollouts(struct, prompt, default_mask_table(), env, 10, REWARD,
@@ -735,9 +736,9 @@ def test_flat_collect_matches_a_row_by_row_loop(kind, monkeypatch):
         policy = FlatEpisodePolicy(13, env.library, hidden=(8,), rng=np.random.default_rng(5))
     kw = {} if table is None else {"table": table}
     executed = []
-    execute = env.execute
-    monkeypatch.setattr(env, "execute", lambda query, config, seed: (
-        executed.append((query.id, config, seed)) or execute(query, config, seed)))
+    execute = SyntheticEnv.execute
+    monkeypatch.setattr(SyntheticEnv, "execute", lambda self, query, config, seed: (
+        executed.append((query.id, config, seed)) or execute(self, query, config, seed)))
     episodes = baselines._flat_collect(policy, env, 12, REWARD, 7, 5, 0.9, table)
     got, executed[:] = list(executed), []
     want = []

@@ -1,7 +1,10 @@
 """Synthetic environment: logistic ground truth, cost model, exact oracle."""
 
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -207,14 +210,14 @@ class TestExecution:
 
     def test_env_methods_match_the_module_functions(self):
         # the env keeps the last configuration's terms: interleaved
-        # configurations and queries, and a swapped library, must not see
-        # stale ones
-        env = build_env(QueryDistribution(noise_scale=2.0), 3, seed=2, library=LIB,
-                        semantic_dim=8)
+        # configurations and queries must not see stale ones, and an env
+        # replaced with another library scores with it
+        built = build_env(QueryDistribution(noise_scale=2.0), 3, seed=2, library=LIB,
+                          semantic_dim=8)
         configs = [cfg(7, t1=0b01, budgets=(1, 2, 0), prompts=((1,), (2,))),
                    cfg(0, budgets=(2, 0, 0), prompts=((0,),)), cfg(8, t1=0b11)]
         for library in (LIB, default_atom_library()):
-            env.library = library
+            env = dataclasses.replace(built, library=library)
             for c in configs + configs[::-1]:
                 for q in env.queries:
                     spec = env.spec_for(q)
@@ -248,12 +251,11 @@ class TestExecution:
         one spec whose gold answers differ."""
         env = build_env(QueryDistribution(noise_scale=2.0), 3, seed=5, library=LIB,
                         semantic_dim=8)
+        twins = tuple(Query(id=qid, text="Calculate the total of 2 and 2.", gold_answer=gold)
+                      for qid, gold in (("a", "4"), ("b", "6")))
         spec = SyntheticQuerySpec(0.0, 0, 1)
-        for qid, gold in (("a", "4"), ("b", "6")):
-            env.queries.append(Query(id=qid, text="Calculate the total of 2 and 2.",
-                                     gold_answer=gold))
-            env.specs[qid] = spec
-        return env
+        return dataclasses.replace(env, queries=env.queries + twins,
+                                   specs={**env.specs, **{q.id: spec for q in twins}})
 
     def test_execute_equals_execute_synthetic_on_every_outcome_class(self):
         # the env shares one outcome per (query, configuration, outcome
@@ -278,8 +280,9 @@ class TestExecution:
 
     def test_a_repeated_outcome_class_is_the_same_object(self):
         env = self._twin_gold_env()
-        env.specs = {k: SyntheticQuerySpec(0.4, s.required_tools, s.required_depth,
-                                           noise_scale=1.0) for k, s in env.specs.items()}
+        env = dataclasses.replace(env, specs={
+            k: SyntheticQuerySpec(0.4, s.required_tools, s.required_depth, noise_scale=1.0)
+            for k, s in env.specs.items()})
         correct = set()
         for c in (cfg(0, budgets=(2, 0, 0)), cfg(7, t1=0b01, budgets=(1, 2, 0))):
             for q in env.queries:
@@ -466,22 +469,31 @@ class TestRewardMemo:
                         expected_reward(spec, c, MODEL, library, REWARD))
 
     def test_one_memo_serves_one_set_of_inputs(self):
-        spec = SyntheticQuerySpec(0.2, 0b01, 2)
-        c = cfg(0, t1=0b01, prompts=((1,),))
-        others = {
-            "spec": (SyntheticQuerySpec(0.2, 0b01, 2), MODEL, LIB, REWARD),
-            "model": (spec, SuccessModel(), LIB, REWARD),
-            "library": (spec, MODEL, default_atom_library(), REWARD),
-            "reward": (spec, MODEL, LIB, RewardConfig(eta=0.0)),
-        }
-        for name, (s, model, library, reward_cfg) in others.items():
-            memo = {}
-            expected_reward(spec, c, MODEL, LIB, REWARD, memo)
-            with pytest.raises(ContractError, match="memo"):
-                expected_reward(s, c, model, library, reward_cfg, memo)
-            # the same four objects may keep using it
-            assert expected_reward(spec, c, MODEL, LIB, REWARD, memo) == (
-                expected_reward(spec, c, MODEL, LIB, REWARD))
+        # a memo passed with another spec, model, library or reward config
+        # starts over: every value equals the memo-less one, bit for bit,
+        # and so do the first inputs' values when they come back. Equal
+        # inputs, even other objects, keep it.
+        def score(inputs, c, memo=None):
+            spec, model, library, reward_cfg = inputs
+            return expected_reward(spec, c, model, library, reward_cfg, memo)
+
+        inputs = (SyntheticQuerySpec(0.2, 0, 1), MODEL, LIB, REWARD)
+        space = reduced_space(LIB)
+        memo = {}
+        for c in space:
+            score(inputs, c, memo)
+        values = memo["values"]
+        score((SyntheticQuerySpec(0.2, 0, 1), SuccessModel(), tuple(LIB), RewardConfig()),
+              space[0], memo)
+        assert memo["values"] is values
+        others = (SyntheticQuerySpec(0.6, 0b10, 1), SuccessModel(w_relevance=2.0),
+                  default_atom_library(), RewardConfig(eta=0.0))
+        for position, other in enumerate(others):
+            changed = inputs[:position] + (other,) + inputs[position + 1:]
+            for args in (changed, inputs):
+                assert [score(args, c, memo) for c in space] == [score(args, c) for c in space]
+            # the other input changes some value, so a stale memo would show
+            assert [score(changed, c) for c in space] != [score(inputs, c) for c in space]
 
 
 _weights = st.floats(-6.0, 6.0)
@@ -588,3 +600,43 @@ class TestQueryGeneration:
         for arr in (s.semantic, s.features):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+
+class TestEnvValue:
+    def test_env_is_a_frozen_value(self):
+        env = build_env(QueryDistribution(tool_prob=0.5), ARRAY_PASS_MIN_QUERIES, seed=6,
+                        semantic_dim=8)
+        for name in ("queries", "specs", "model", "library", "semantic_dim"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(env, name, getattr(env, name))
+        with pytest.raises(TypeError):
+            env.specs["q0000"] = SyntheticQuerySpec(0.5, 0, 1)
+        assert isinstance(env.queries, tuple) and isinstance(env.library, tuple)
+        # the env keeps its own copy of the specs it was built from
+        specs = dict(env.specs)
+        kept = SyntheticEnv(queries=env.queries, specs=specs, semantic_dim=8)
+        specs["q0000"] = SyntheticQuerySpec(0.5, 0, 1)
+        assert kept == env
+        c = cfg(7, t1=0b01, budgets=(1, 2, 0))
+        want = env.expected_rewards(c, REWARD)
+        for twin in (copy.deepcopy(env), pickle.loads(pickle.dumps(env))):
+            assert twin == env and twin is not env
+            assert twin.expected_rewards(c, REWARD) == want
+            assert [twin.execute(q, c, 3) for q in twin.queries] == [
+                env.execute(q, c, 3) for q in env.queries]
+            with pytest.raises(TypeError):
+                twin.specs["q0000"] = SyntheticQuerySpec(0.5, 0, 1)
+
+    def test_env_refuses_a_query_without_a_spec(self):
+        queries = [Query(id=qid, text="Describe the art museum.") for qid in ("a", "b", "c")]
+        with pytest.raises(ContractError, match=r"\['a', 'c'\]"):
+            SyntheticEnv(queries=queries, specs={"b": SyntheticQuerySpec(0.5, 0, 1)})
+
+    def test_unknown_query_id_names_it(self):
+        env = build_env(QueryDistribution(), 2, seed=6, semantic_dim=8)
+        stranger = Query(id="q9999", text="Describe the art museum.")
+        c = cfg(0)
+        for call in (lambda: env.spec_for(stranger), lambda: env.execute(stranger, c, 0),
+                     lambda: env.expected_reward(stranger, c, REWARD)):
+            with pytest.raises(ContractError, match="'q9999'"):
+                call()

@@ -801,3 +801,45 @@ def test_eval_refuses_bad_parameter_files(tmp_path, capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "prompt_policy.params: saved net maps" in err
+
+
+@pytest.mark.parametrize("command", ["train", "simulate", "search"])
+def test_negative_seed_fails_as_config_error(tmp_path, capsys, command):
+    from agentcfg import cli
+
+    config = write_yaml(tmp_path, {"seed": -1})
+    extra = ["--method", "grid"] if command == "search" else []
+    for argv in (["--config", str(config)], ["--seed", "-1"]):
+        out = tmp_path / "out"
+        assert cli.main([command, *argv, *extra, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
+    with pytest.raises(ConfigError, match="^seed must be"):
+        RunConfig(seed=1.5)
+
+
+def test_simulate_and_analyze_refuse_no_episodes(tmp_path, capsys):
+    from agentcfg import cli
+
+    out = tmp_path / "episodes.jsonl"
+    assert cli.main(["simulate", "--episodes", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --episodes must be >= 1, got 0\n"
+    assert not out.exists()
+    out.write_text("")
+    assert cli.main(["analyze", "--episodes", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --episodes ") and str(out) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("price", ["nan", "inf", "-1"])
+def test_analyze_refuses_a_bad_price(tmp_path, capsys, price):
+    from agentcfg import cli
+
+    episodes = tmp_path / "episodes.jsonl"
+    config = write_yaml(tmp_path, {"env": {"n_queries": 4, "semantic_dim": 8}})
+    assert cli.main(["simulate", "--config", str(config), "--episodes", "3",
+                     "--out", str(episodes)]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", "--episodes", str(episodes), f"--price={price}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --price: price must be finite and >= 0") and err.count("\n") == 1
