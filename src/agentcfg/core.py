@@ -189,14 +189,20 @@ class StateEmbedding:
         it. A copy or pickle carries no vector and builds its own."""
         return self._vector
 
+    @functools.cached_property
+    def _key(self) -> tuple:
+        return tuple(np.round(self.as_vector(), 6).tolist())
+
+    def key(self) -> tuple:
+        """Quantized hashable key (round to 1e-6) for tabular bookkeeping,
+        built on the first call like `as_vector`."""
+        return self._key
+
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_vector", None)
+        state.pop("_key", None)
         return state
-
-    def key(self) -> tuple:
-        """Quantized hashable key (round to 1e-6) for tabular bookkeeping."""
-        return tuple(np.round(self.as_vector(), 6).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -372,21 +378,17 @@ class EpisodeRecord:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "EpisodeRecord":
-        """The record `to_json_dict` wrote. A missing field, one of another
-        JSON type or shape, or one the constructors refuse raises
-        ContractError naming the field."""
+    def from_json_dict(cls, d: dict, state: Optional[StateEmbedding] = None) -> "EpisodeRecord":
+        """The record `to_json_dict` wrote. Given a state already read, d
+        holds the other fields and the record takes that state as it is. A
+        missing field, one of another JSON type or shape, or one the
+        constructors refuse raises ContractError naming the field."""
         if type(d) is not dict:
             raise ContractError(f"expected a JSON object, got {d!r:.40}")
-        semantic = _json_vector(d, "state_semantic")
-        features = _json_vector(d, "state_features")
+        if state is None:
+            state = state_from_json_dict(d)
         heads = [_json_value(d, name, int) for name in ("workflow", "tools1", "tools2")]
         budgets = _json_list("budgets", _json_value(d, "budgets", list), int)
-        try:
-            state = StateEmbedding(semantic=semantic, features=features)
-        except ContractError as exc:
-            bad = "state_features" if np.isfinite(semantic).all() else "state_semantic"
-            raise ContractError(f"{bad}: {exc}") from exc
         action = StructureAction(*heads, budgets)  # its errors name their field
         outcome = ExecutionOutcome(
             answer_text=_json_value(d, "answer_text", str),
@@ -407,6 +409,18 @@ class EpisodeRecord:
                 "reward_terms", _json_value(d, "reward_terms", list), float)]),
             seed=_json_value(d, "seed", int),
         )
+
+
+def state_from_json_dict(d: dict) -> StateEmbedding:
+    """The state of `to_json_dict`'s "state_semantic" and "state_features"
+    fields; a bad one raises ContractError naming it."""
+    semantic = _json_vector(d, "state_semantic")
+    features = _json_vector(d, "state_features")
+    try:
+        return StateEmbedding(semantic=semantic, features=features)
+    except ContractError as exc:
+        bad = "state_features" if np.isfinite(semantic).all() else "state_semantic"
+        raise ContractError(f"{bad}: {exc}") from exc
 
 
 def _json_value(d: dict, name: str, kind: type):

@@ -32,7 +32,9 @@ from .core import (
     ExperienceBuffer,
     PromptAtom,
     Query,
+    StateEmbedding,
     atomic_write,
+    state_from_json_dict,
     toolset_members,
 )
 from .analysis import diversity_report, safe_eval_arithmetic
@@ -195,11 +197,7 @@ def load_config(path) -> RunConfig:
     """Parse and fully validate a YAML run config; unknown keys anywhere are
     rejected with their path, and every omitted field takes its published
     default."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
+    data = _read_yaml(path, "config file ")
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -239,11 +237,32 @@ def dump_config(cfg: RunConfig) -> dict:
     return plain(cfg)
 
 
+def _read_yaml(path, label: str):
+    """The YAML document in the file at path. A file that is missing or
+    unreadable, is not UTF-8 text or is not YAML raises ConfigError, on one
+    line that starts with label and names the file."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{label}file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{label}{path}: cannot be read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{label}{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        reason = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ConfigError(f"{label}{path}: malformed YAML{where}: {reason}") from None
+
+
 def load_atom_library(path) -> tuple[PromptAtom, ...]:
     """Atom library file: a YAML list of {role, text} entries; ids follow
     file order."""
-    with open(path) as fh:
-        entries = yaml.safe_load(fh)
+    entries = _read_yaml(path, "atom_library: ")
     if not isinstance(entries, list):
         raise ConfigError(f"atom library must be a list: {path}")
     atoms = []
@@ -259,29 +278,93 @@ def load_atom_library(path) -> tuple[PromptAtom, ...]:
 # ---------------------------------------------------------------------------
 
 
+# Each line starts with the record's state, written and read once per distinct
+# state: '{"state_semantic": [...], "state_features": [...], ' and then the
+# other fields.
+_SEMANTIC_HEAD = '{"state_semantic": '
+_FEATURES_HEAD = ', "state_features": '
+_ERRORS = (json.JSONDecodeError, ContractError, KeyError, TypeError, ValueError)
+
+
 def persist_buffer(buffer: ExperienceBuffer, path) -> None:
-    """Write one JSON line per record; an interrupted write leaves any
-    earlier file at path as it was."""
+    """Write one line per record, `json.dumps(record.to_json_dict())`, whose
+    leading state text is encoded once per distinct state; an interrupted
+    write leaves any earlier file at path as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    heads: dict[tuple, str] = {}
     with atomic_write(path) as fh:
         for record in buffer:
-            fh.write(json.dumps(record.to_json_dict()) + "\n")
+            d = record.to_json_dict()
+            semantic, features = d.pop("state_semantic"), d.pop("state_features")
+            s, f = record.state.semantic, record.state.features
+            key = (s.dtype.str, s.shape, s.tobytes(), f.dtype.str, f.tobytes())
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = (f"{_SEMANTIC_HEAD}{json.dumps(semantic)}"
+                                     f"{_FEATURES_HEAD}{json.dumps(features)}, ")
+            fh.write(head + json.dumps(d)[1:] + "\n")
 
 
 def load_buffer(path) -> ExperienceBuffer:
+    """The records of an episode file. Lines that start with the same state
+    text, as `persist_buffer` writes them, share one state with read-only
+    arrays, parsed once. A file that cannot be read or holds a malformed line
+    raises PersistenceError naming the path (and the line)."""
     buffer = ExperienceBuffer()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    states: dict[str, StateEmbedding] = {}
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise PersistenceError(f"{path}: cannot read the episode file: {exc.strerror}") from None
+    with fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise PersistenceError(f"{path}: malformed episode at line {lineno}: not UTF-8 "
+                                       f"text: {exc.reason} at byte {exc.start}") from None
             if not line.strip():
                 continue
-            try:
-                buffer.append(EpisodeRecord.from_json_dict(json.loads(line)))
-            except (json.JSONDecodeError, ContractError, KeyError, TypeError, ValueError) as exc:
-                raise PersistenceError(
-                    f"{path}: malformed episode at line {lineno}: {exc}"
-                ) from exc
+            record = _read_split(line, states)
+            if record is None:
+                try:
+                    record = EpisodeRecord.from_json_dict(json.loads(line))
+                except _ERRORS as exc:
+                    raise PersistenceError(
+                        f"{path}: malformed episode at line {lineno}: {exc}"
+                    ) from exc
+            buffer.append(record)
     return buffer
+
+
+def _read_split(line: str, states: dict) -> Optional[EpisodeRecord]:
+    """The record of a line laid out as `persist_buffer` writes it: its state
+    text, parsed into `states` on its first sight, then the other fields.
+    When both parts parse, the whole line parses to their union, so both
+    readings give one record. None for a line of another layout, or one this
+    reading refuses, so that the whole-line parse reads it and words any
+    error."""
+    if not line.startswith(_SEMANTIC_HEAD):
+        return None
+    mid = line.find(_FEATURES_HEAD, len(_SEMANTIC_HEAD))
+    end = line.find("], ", mid + len(_FEATURES_HEAD)) if mid >= 0 else -1
+    if end < 0:
+        return None
+    head = line[:end + 3]
+    try:
+        state = states.get(head)
+        if state is None:
+            state = state_from_json_dict(json.loads(head[:-2] + "}"))
+            state.semantic.flags.writeable = False
+            state.features.flags.writeable = False
+            states[head] = state
+        rest = json.loads("{" + line[end + 3:])
+        if "state_semantic" in rest or "state_features" in rest:
+            return None  # the whole-line parse keeps a repeated key's last value
+        return EpisodeRecord.from_json_dict(rest, state)
+    except _ERRORS:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -275,3 +275,15 @@ class TestStateEmbedding:
             v = c.as_vector()
             assert v.tobytes() == s.as_vector().tobytes()
             assert c.as_vector() is v and not v.flags.writeable
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_key_is_built_once_and_rebuilt_by_copies(self, clone):
+        rng = np.random.default_rng(6)
+        s = StateEmbedding(rng.normal(size=8), rng.normal(size=5))
+        k = s.key()
+        assert s.key() is k and k == tuple(np.round(s.as_vector(), 6).tolist())
+        c = clone(s)
+        assert "_key" not in vars(c) and "_vector" not in vars(c)
+        assert c.key() == k and c.key() is c.key()

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import pickle
 import re
 import urllib.error
 import urllib.request
@@ -30,6 +31,7 @@ from agentcfg.env import SuccessModel, SyntheticQuerySpec, compact_atom_library,
 from agentcfg.errors import (
     BackendError,
     ConfigError,
+    ContractError,
     PersistenceError,
     ResponseParseError,
 )
@@ -434,6 +436,108 @@ class TestBufferPersistence:
         with pytest.raises(PersistenceError, match="line 1: expected a JSON object"):
             load_buffer(path)
 
+    @pytest.mark.parametrize("states", ["shared", "equal", "signed_zero", "dtypes"])
+    def test_every_line_is_the_json_of_its_record(self, tmp_path, states):
+        base = [make_record(i) for i in range(8)]
+        a = base[0].state
+        pick = {
+            "shared": lambda i: a,
+            "equal": lambda i: StateEmbedding(a.semantic.copy(), a.features.copy()),
+            "signed_zero": lambda i: StateEmbedding(np.zeros(6) * (-1) ** i,
+                                                    np.zeros(5) * (-1) ** (i // 2)),
+            "dtypes": lambda i: StateEmbedding(np.zeros(6, dtype=(np.int64, np.float64)[i % 2]),
+                                               np.zeros(5, dtype=(np.float64, np.int64)[i % 3 > 0])),
+        }[states]
+        records = [dataclasses.replace(r, state=pick(i) if i % 4 else r.state)
+                   for i, r in enumerate(base)]
+        path = tmp_path / "episodes.jsonl"
+        persist_buffer(ExperienceBuffer(records), path)
+        assert path.read_text().splitlines() == [json.dumps(r.to_json_dict()) for r in records]
+
+    @pytest.mark.parametrize("edit", [
+        "reordered", "spaced_everywhere", "spaced_state", "spaced_rest", "second_semantic",
+        "second_features", "bad_second_semantic", "bad_field", "missing_field", "truncated",
+        "no_other_field",
+    ])
+    def test_lines_read_as_the_whole_line_parse_reads_them(self, tmp_path, edit):
+        states = [make_record(i).state for i in range(2)]
+        path = tmp_path / "episodes.jsonl"
+        persist_buffer(ExperienceBuffer([dataclasses.replace(make_record(i), state=states[i % 2])
+                                         for i in range(4)]), path)
+        lines = path.read_text().splitlines()
+        line = lines[2]   # its state text is line 1's
+        record = json.loads(line)
+        head = line[:line.index('"workflow"')]
+        lines[2] = {
+            "reordered": lambda: json.dumps(dict(reversed(record.items()))),
+            "spaced_everywhere": lambda: line.replace(", ", " ,  ").replace(": ", " :  "),
+            "spaced_state": lambda: line.replace("[", "[ ", 1),
+            "spaced_rest": lambda: line.replace('"workflow": ', '"workflow" :   '),
+            "second_semantic": lambda: line[:-1] + ', "state_semantic": [1, 2, 3]}',
+            "second_features": lambda: line[:-1] + ', "state_features": [1, 2, 3, 4, 5]}',
+            "bad_second_semantic": lambda: line[:-1] + ', "state_semantic": "x"}',
+            "bad_field": lambda: line.replace('"correct": ', '"correct": "no", "x": '),
+            "missing_field": lambda: line.replace('"seed": ', '"x": '),
+            "truncated": lambda: line[:len(head) + 20],
+            "no_other_field": lambda: head + "}",
+        }[edit]()
+        path.write_text("\n".join(lines) + "\n")
+        want = read_line_by_line(path)
+        if isinstance(want, str):
+            with pytest.raises(PersistenceError) as info:
+                load_buffer(path)
+            assert str(info.value) == want
+        else:
+            got = load_buffer(path)
+            assert ([json.dumps(r.to_json_dict()) for r in got]
+                    == [json.dumps(r.to_json_dict()) for r in want])
+
+    def test_records_of_one_state_share_it_read_only(self, tmp_path):
+        states = [make_record(i).state for i in range(3)]
+        path = tmp_path / "episodes.jsonl"
+        persist_buffer(ExperienceBuffer([dataclasses.replace(make_record(i), state=states[i % 3])
+                                         for i in range(12)]), path)
+        loaded = load_buffer(path)
+        assert len({id(r.state) for r in loaded}) == 3
+        for i, r in enumerate(loaded):
+            assert r.state is loaded[i % 3].state
+            assert not (r.state.semantic.flags.writeable or r.state.features.flags.writeable)
+        keys = [r.state.key() for r in loaded]
+        assert len({id(k) for k in keys}) == 3 and keys[:3] == [s.key() for s in states]
+        clone = pickle.loads(pickle.dumps(loaded[0].state))
+        assert "_key" not in vars(clone) and clone.key() == keys[0]
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+    def test_an_unreadable_episode_file_is_refused(self, tmp_path, capsys, case):
+        from agentcfg import cli
+
+        path = tmp_path / "episodes.jsonl"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8":
+            persist_buffer(ExperienceBuffer([make_record(0)]), path)
+            path.write_bytes(path.read_bytes() * 2 + b'{"answer_text": "\xff"}\n')
+        with pytest.raises(PersistenceError) as info:
+            load_buffer(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ")
+        assert {"missing": "No such file", "directory": "Is a directory",
+                "not_utf8": "line 3: not UTF-8 text"}[case] in message
+        assert cli.main(["analyze", "--episodes", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def read_line_by_line(path):
+    """What load_buffer reads from path by whole-line parses alone: the
+    records, or the message of its PersistenceError."""
+    records = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(keepends=True), start=1):
+        try:
+            records.append(EpisodeRecord.from_json_dict(json.loads(line)))
+        except (ValueError, ContractError) as exc:
+            return f"{path}: malformed episode at line {lineno}: {exc}"
+    return records
+
 
 # ---------------------------------------------------------------------------
 # Backend adapter
@@ -829,6 +933,37 @@ def test_simulate_and_analyze_refuse_no_episodes(tmp_path, capsys):
     assert cli.main(["analyze", "--episodes", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --episodes ") and str(out) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case, content", [
+    ("directory", None), ("not_utf8", b"seed: 1\nmode: \xff\n"), ("malformed", b"seed: [1\n"),
+])
+@pytest.mark.parametrize("file", ["config", "atom_library"])
+def test_an_unreadable_yaml_file_fails_as_config_error(tmp_path, capsys, file, case, content):
+    from agentcfg import cli
+
+    bad = tmp_path / "bad.yaml"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    if file == "config":
+        argv = ["show-config", "--config", str(bad)]
+        prefix = f"error: config file {bad}: "
+    else:
+        config = write_yaml(tmp_path, {"atom_library": str(bad),
+                                       "env": {"n_queries": 4, "semantic_dim": 8}})
+        argv = ["simulate", "--config", str(config), "--episodes", "1",
+                "--out", str(tmp_path / "episodes.jsonl")]
+        prefix = f"error: atom_library: {bad}: "
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith(prefix) and out.err.count("\n") == 1 and not out.out
+    reason = {"directory": "cannot be read: Is a directory",
+              "not_utf8": "not UTF-8 text: invalid start byte at byte 14",
+              "malformed": "malformed YAML at line 2, column 1: expected ',' or ']'"}[case]
+    assert out.err[len(prefix):].startswith(reason)
+    assert not (tmp_path / "episodes.jsonl").exists()
 
 
 @pytest.mark.parametrize("price", ["nan", "inf", "-1"])
