@@ -282,10 +282,10 @@ class PromptAtom:
     text: str
 
     def __post_init__(self):
-        if self.role not in ROLES:
-            raise ContractError(f"unknown atom role: {self.role}")
-        if not self.text:
-            raise ContractError("atom text must be non-empty")
+        if not (isinstance(self.role, str) and self.role in ROLES):
+            raise ContractError(f"role must be one of {', '.join(ROLES)}, got {self.role!r}")
+        if not (isinstance(self.text, str) and self.text):
+            raise ContractError(f"text must be a non-empty string, got {self.text!r}")
 
 
 # A prompt sequence is the ordered tuple of chosen atom ids; STOP is implicit

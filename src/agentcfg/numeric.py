@@ -176,38 +176,29 @@ class DenseNet:
             activations.append(h)
         return h, activations
 
-    def backward(self, x: np.ndarray, upstream_grad: np.ndarray, cache=None,
+    def backward(self, activations, upstream: np.ndarray,
                  out: Optional[FlatViews] = None) -> FlatViews:
-        """Parameter gradients of sum over rows of (upstream_grad . forward(x)),
-        aligned with `params`: views of one vector in `vector` layout, into
-        which each layer's product and row sum are written directly.
-
-        x is one row (input,) with upstream (output,), or a batch (B, input)
-        with upstream (B, output); gradients are summed over rows. `cache` is
-        the activation list `forward_batch(x)` returned; without it the
-        forward pass runs again. No input gradient is formed. The gradients
-        overwrite out (`params.empty_like()`, say) and out is returned;
-        without it they go to a new vector. An update that steps the net
-        every epoch passes one out to all of them, so a step maps no fresh
-        net-sized vector.
+        """Parameter gradients of sum over rows of (upstream . output), for
+        the (B, input) batch whose `forward_batch` pass returned
+        activations, with upstream (B, output). They are aligned with
+        `params`: views of one vector in `vector` layout, into which each
+        layer's product and row sum are written directly, summed over rows.
+        No input gradient is formed. The gradients overwrite out
+        (`params.empty_like()`, say) and out is returned; without it they go
+        to a new vector. An update that steps the net every epoch passes one
+        out to all of them, so a step maps no fresh net-sized vector.
         """
-        upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
-        one_row = upstream_grad.ndim == 1
-        if one_row:
-            upstream_grad = upstream_grad[None]
-        if upstream_grad.ndim != 2 or upstream_grad.shape[1] != self.output_size:
+        upstream = np.asarray(upstream, dtype=np.float64)
+        if upstream.ndim != 2 or upstream.shape[1] != self.output_size:
             raise ShapeError(
-                f"expected upstream shape (..., {self.output_size}), got {upstream_grad.shape}"
+                f"expected upstream shape (B, {self.output_size}), got {upstream.shape}"
             )
-        if cache is None:
-            x = np.asarray(x, dtype=np.float64)
-            _, cache = self.forward_batch(x[None] if one_row else x)
-        if cache[0].shape[0] != upstream_grad.shape[0]:
+        if activations[0].shape[0] != upstream.shape[0]:
             raise ShapeError("input and upstream gradient differ in row count")
         grads = self.params.empty_like() if out is None else out
-        delta = upstream_grad
+        delta = upstream
         for layer in reversed(range(self.n_layers)):
-            h_in, h_out = cache[layer], cache[layer + 1]
+            h_in, h_out = activations[layer], activations[layer + 1]
             if layer < self.n_layers - 1:
                 delta = delta * (1.0 - h_out * h_out)  # tanh'
             np.matmul(delta.T, h_in, out=grads[2 * layer])
@@ -301,12 +292,21 @@ def masked_categorical(logits: np.ndarray, mask: np.ndarray):
     shape and are 0 on masked entries, entropy (nats) has the leading shape.
     Max-subtraction over the unmasked support keeps large logits finite.
     Every row must leave at least one entry unmasked.
+
+    A row with a nan or +inf valid logit, or with no finite one, has no
+    distribution: all its statistics are nan, which `choice_cdf` refuses,
+    and no floating-point warning is raised. Finite rows keep every bit.
     """
     # ndarray methods rather than np.max/np.sum: on one short row the
     # function wrappers cost more than the arithmetic.
     valid = mask > 0
     z = np.where(valid, logits, -np.inf)
-    z -= z.max(axis=-1, keepdims=True)
+    top = z.max(axis=-1, keepdims=True)
+    # on one row a Python check costs a tenth of the ufunc's
+    if not (math.isfinite(top.item()) if top.size == 1 else np.isfinite(top).all()):
+        # inf - inf would warn; subtracting a nan maximum turns the row nan quietly
+        top[~np.isfinite(top)] = np.nan
+    z -= top
     probs = np.exp(z)
     total = probs.sum(axis=-1, keepdims=True)
     probs /= total
@@ -504,7 +504,7 @@ def score_vjp(cache, dlogp, dentropy, out: Optional[FlatViews] = None) -> FlatVi
     g = categorical_grad_logits(probs, log_probs, ent, actions, dlogp, dentropy)
     if columns is not None:
         g = g.reshape(len(g), columns.table.size)[:, columns.scatter]
-    return net.backward(None, g, activations, out)
+    return net.backward(activations, g, out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -316,21 +316,26 @@ def _conditioned_heads(logits: np.ndarray, layout: HeadLayout, workflow_id: int)
     return logits[_HEAD_COLUMNS.table[1:]], layout.masks[workflow_id, 1:]
 
 
-@dataclass
-class _StateHeads:
-    """What scoring or drawing structures for one state needs, fixed while
+class _WorkflowHeads(NamedTuple):
+    """The five heads a workflow conditions, for one state: what drawing or
+    scoring them needs, from one padded `masked_categorical` pass."""
+
+    dists: list           # five MaskedCategorical views of the pass's rows
+    cdfs: np.ndarray      # (5, widest head): their `choice_cdf`s
+    entropies: list       # the six heads' entropies, workflow head first
+
+
+class _StateHeads(NamedTuple):
+    """What drawing or scoring structures for one state needs, fixed while
     the trunk's parameters and the table stay fixed: an entry of the
-    trunk's cache (see `_state_heads`). The trunk pass and the workflow
-    head are built with the entry; each other part is built the first time
-    a call reads it, so scoring builds no CDF and no entropy."""
+    trunk's cache (see `_state_heads`). The trunk pass, the workflow head
+    and its CDF are built with the entry; each workflow's heads are built
+    whole, the first time a call picks that workflow (`_workflow_heads`)."""
 
     logits: np.ndarray                # the trunk's output
     workflow: MaskedCategorical       # the workflow head
-    conditioned: dict = field(default_factory=dict)  # workflow id -> (five head views,
-                                                     # their padded pass's stats)
-    draws: dict = field(default_factory=dict)        # workflow id -> (five head views,
-                                                     # (5, widest) CDFs, six entropies)
-    workflow_cdf: Optional[np.ndarray] = None        # the workflow head's `choice_cdf`
+    workflow_cdf: np.ndarray          # its `choice_cdf`
+    workflows: dict                   # workflow id -> _WorkflowHeads
 
 
 def _state_entries(trunk: DenseNet, kind: str, table: MaskTable) -> dict:
@@ -346,41 +351,35 @@ def _state_entries(trunk: DenseNet, kind: str, table: MaskTable) -> dict:
 def _state_heads(policy: StructurePolicy, table: MaskTable, s_vec: np.ndarray,
                  kind: str) -> _StateHeads:
     """The cached entry of kind for the state vector s_vec; a new entry
-    takes one trunk pass and the workflow head under the table's mask."""
+    takes one trunk pass, and the workflow head and its CDF under the
+    table's mask. Raises TrainingDivergenceError, as `choice_cdf` does, on
+    a non-finite workflow head."""
     entries = _state_entries(policy.trunk, kind, table)
     key = s_vec.tobytes()
     heads = entries.get(key)
     if heads is None:
         logits = policy.trunk.forward(s_vec)
         wf_logits = logits[head_slice(0)]
-        heads = entries[key] = _StateHeads(logits, MaskedCategorical.view(
-            wf_logits, table.workflow_mask, masked_categorical(wf_logits, table.workflow_mask)))
+        stats = masked_categorical(wf_logits, table.workflow_mask)
+        heads = entries[key] = _StateHeads(
+            logits, MaskedCategorical.view(wf_logits, table.workflow_mask, stats),
+            choice_cdf(stats[0]), {})
     return heads
 
 
-def _conditioned(heads: _StateHeads, layout: HeadLayout, workflow_id: int):
-    """The five heads conditioned on workflow_id, from one padded
-    `masked_categorical` pass, built once per workflow: their views and the
-    pass's stats."""
-    scored = heads.conditioned.get(workflow_id)
-    if scored is None:
+def _workflow_heads(heads: _StateHeads, layout: HeadLayout, workflow_id: int) -> _WorkflowHeads:
+    """The five heads conditioned on workflow_id, built once per workflow:
+    their views and CDFs from one padded `masked_categorical` pass and one
+    `choice_cdf`, and the entropies of all six heads. Raises
+    TrainingDivergenceError on a non-finite head."""
+    got = heads.workflows.get(workflow_id)
+    if got is None:
         logits, masks = _conditioned_heads(heads.logits, layout, workflow_id)
         stats = masked_categorical(logits, masks)
-        scored = heads.conditioned[workflow_id] = (
-            masked_categoricals(logits, masks, stats), stats)
-    return scored
-
-
-def _conditioned_draws(heads: _StateHeads, layout: HeadLayout, workflow_id: int):
-    """`_conditioned`'s heads with what drawing them needs, built once per
-    workflow: their CDFs from one `choice_cdf` over the padded
-    probabilities, and the entropies of all six heads."""
-    drawn = heads.draws.get(workflow_id)
-    if drawn is None:
-        dists, stats = _conditioned(heads, layout, workflow_id)
-        entropies = [entropy(heads.workflow)] + [entropy(d) for d in dists]
-        drawn = heads.draws[workflow_id] = (dists, choice_cdf(stats[0]), entropies)
-    return drawn
+        dists = masked_categoricals(logits, masks, stats)
+        got = heads.workflows[workflow_id] = _WorkflowHeads(
+            dists, choice_cdf(stats[0]), [entropy(heads.workflow)] + [entropy(d) for d in dists])
+    return got
 
 
 def _joint_log_prob(heads: _StateHeads, dists, choices) -> float:
@@ -408,16 +407,14 @@ def sample_structure(
 
     The trunk's cache keeps each state's "sample" `_StateHeads`, which the
     state fixes exactly while the parameters and the table stay fixed:
-    repeated calls for one state run the trunk and score each workflow's
+    repeated calls for one state run the trunk and build each workflow's
     heads once, and draw the same as calls on a fresh copy.
     Returns (action, joint_log_prob, per_head_entropies).
     """
     heads = _state_heads(policy, table, s.as_vector(), "sample")
-    if heads.workflow_cdf is None:
-        heads.workflow_cdf = choice_cdf(heads.workflow.stats[0])
     u = rng.random(len(HEAD_SIZES))
     wf = inverse_cdf(heads.workflow_cdf, u[0])
-    dists, cdfs, entropies = _conditioned_draws(heads, table.layout(), wf)
+    dists, cdfs, entropies = _workflow_heads(heads, table.layout(), wf)
     choices = [wf, *inverse_cdf(cdfs, u[1:]).tolist()]
     return (StructureAction.from_heads(choices), _joint_log_prob(heads, dists, choices),
             list(entropies))
@@ -433,16 +430,17 @@ def log_prob_structure(
     sampling: the workflow head and the five heads it conditions, summed in
     head order as `sample_structure` sums them; errors on any action the
     masks forbid. They come from the state's "score" `_StateHeads` in the
-    trunk's cache, kept apart from the sampling one: a state seen before
-    skips the trunk, a (state, workflow) seen before also the padded pass.
-    No CDF and no entropy is built."""
+    trunk's cache, built as the sampling one is: a state seen before skips
+    the trunk, a (state, workflow) seen before also the padded pass. A
+    trunk that draws would raise TrainingDivergenceError raises it here
+    too."""
     if not table.is_valid(a):
         raise InvalidActionError(
             f"structure action invalid under mask table: {a}"
         )
     heads = _state_heads(policy, table, s.as_vector(), "score")
-    dists, _ = _conditioned(heads, table.layout(), a.workflow_id)
-    return _joint_log_prob(heads, dists, a.heads)
+    return _joint_log_prob(heads, _workflow_heads(heads, table.layout(), a.workflow_id).dists,
+                           a.heads)
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +593,18 @@ def _prompt_logits(policy: PromptPolicy, inputs) -> np.ndarray:
     return policy.net.forward_batch(np.array(inputs))[0]
 
 
-def _prompt_draws(policy: PromptPolicy, inputs, masks):
-    """What drawing a batch of prompt steps needs: their masked-categorical
-    log-probs and their `choice_cdf`s, (rows, atoms + 1) each, from one
-    prompt-net pass and one `choice_cdf`."""
-    probs, log_probs, _ = masked_categorical(_prompt_logits(policy, inputs), np.array(masks))
-    return log_probs, choice_cdf(probs)
+def _fill_steps(policy: PromptPolicy, steps: dict, new: dict) -> None:
+    """Add the steps of new, which maps keys to (input, mask), to steps, the
+    prompt net's step table `params.cache["steps"]`. The table maps a
+    step's input and mask bytes to its (log-prob row, CDF row), from one
+    `DenseNet.forward_rows` pass: each row gets the bits of its one-row
+    pass, whatever else the pass holds, while the parameters stay fixed.
+    Raises TrainingDivergenceError, as `choice_cdf` does, on a non-finite
+    row."""
+    inputs, masks = zip(*new.values())
+    probs, log_probs, _ = masked_categorical(policy.net.forward_rows(np.array(inputs)),
+                                             np.array(masks))
+    steps.update(zip(new, zip(log_probs, choice_cdf(probs))))
 
 
 def _given_chooser(policy: PromptPolicy, actions, sequences):
@@ -637,28 +641,27 @@ def sample_prompts_lockstep(
     in the order `sample_prompts` would: each step takes one uniform from
     each row's generator and picks every row with one `inverse_cdf`.
 
-    A one-episode walk reads the prompt net's "sample" cache instead, which
-    maps a step's input and mask bytes to its (log-prob row, CDF row), the
-    bits of the step's one-row pass while the parameters stay fixed: a step
-    it holds is read from it, another is scored and joins it. A walk of
-    several episodes keeps its one batched pass per step and bypasses the
-    cache, since its rows need not have one-row bits. Returns each
-    episode's (sequences, steps)."""
-    cache = policy.net.params.cache.setdefault("sample", {}) if len(states) == 1 else None
+    A one-episode walk reads the prompt net's step table instead (see
+    `_fill_steps`), which `log_prob_prompts` shares: a step it holds is
+    read from it, another is scored and joins it. A walk of several
+    episodes keeps its one batched pass per step and bypasses the table,
+    since its rows need not have one-row bits. Returns each episode's
+    (sequences, steps)."""
+    steps = policy.net.params.cache.setdefault("steps", {}) if len(states) == 1 else None
 
     def drawn(rows, agents, positions, inputs, masks):
         u = [rngs[e].random() for e in rows]
-        if cache is None:
-            log_probs, cdfs = _prompt_draws(policy, inputs, masks)
-            picked = inverse_cdf(cdfs, np.array(u))
+        if steps is None:
+            probs, log_probs, _ = masked_categorical(_prompt_logits(policy, inputs),
+                                                     np.array(masks))
+            picked = inverse_cdf(choice_cdf(probs), np.array(u))
             return picked.tolist(), log_probs[np.arange(len(rows)), picked].tolist()
         key = inputs[0].tobytes() + masks[0].tobytes()
-        scored = cache.get(key)
-        if scored is None:
-            log_probs, cdfs = _prompt_draws(policy, inputs, masks)
-            scored = cache[key] = (log_probs[0], cdfs[0])
-        picked = inverse_cdf(scored[1], u[0])
-        return [picked], [scored[0].item(picked)]
+        if key not in steps:
+            _fill_steps(policy, steps, {key: (inputs[0], masks[0])})
+        log_probs, cdf = steps[key]
+        picked = inverse_cdf(cdf, u[0])
+        return [picked], [log_probs.item(picked)]
 
     return _walk_prompts(policy, [s.as_vector() for s in states], actions, drawn)
 
@@ -672,7 +675,8 @@ def sample_prompts(
     """One STOP-terminated sequence per active agent; agent i takes role
     ROLES[i]. Returns (sequences, steps) with stepwise log-probs recorded.
     Steps seen before under the same parameters come from the prompt net's
-    cache (see `sample_prompts_lockstep`), and draw as on a fresh copy."""
+    step table (see `sample_prompts_lockstep`), and draw as on a fresh
+    copy."""
     return sample_prompts_lockstep(policy, [s], [a_struct], [rng])[0]
 
 
@@ -770,25 +774,24 @@ def log_prob_prompts(
 ) -> float:
     """Total log-probability of given sequences (including each STOP).
 
-    The prompt net's "score" cache, kept apart from the sampling one, maps
-    a step's input and mask bytes to the step's masked-categorical log-prob
-    row. The walk records no `PromptStep`: each step's key is read off the
-    live input and mask, and only the steps the cache misses are copied.
-    Steps it holds are read from it; the others are scored in one
-    `DenseNet.forward_rows` pass after the walk and join it. That pass
-    gives each row the bits of its one-row pass, so a score does not depend
-    on what the cache held, and each step's term is the log-prob a
-    one-episode `sample_prompts` records for it. The terms are summed in
-    step order."""
-    cache = policy.net.params.cache.setdefault("score", {})
+    The steps come from the prompt net's step table, which one-episode
+    sampling shares (see `_fill_steps`). The walk records no `PromptStep`:
+    each step's key is read off the live input and mask, and only the steps
+    the table misses are copied. Steps it holds are read from it; the
+    others are scored in one `_fill_steps` pass after the walk and join it.
+    So a score does not depend on what the table held, and each step's
+    term is the log-prob a one-episode `sample_prompts` records for it. The
+    terms are summed in step order. A net that draws would raise
+    TrainingDivergenceError raises it here too."""
+    steps = policy.net.params.cache.setdefault("steps", {})
     given = _given_chooser(policy, [a_struct], [sequences])
     keys, actions = [], []
-    new: dict = {}  # key -> (input, mask) copies of the steps the cache misses
+    new: dict = {}  # key -> (input, mask) copies of the steps the table misses
 
     def scored(rows, agents, positions, inputs, masks):
         picked, log_probs = given(rows, agents, positions, inputs, masks)
         key = inputs[0].tobytes() + masks[0].tobytes()
-        if key not in cache and key not in new:
+        if key not in steps and key not in new:
             new[key] = (inputs[0].copy(), masks[0].copy())
         keys.append(key)
         actions.append(picked[0])
@@ -796,11 +799,8 @@ def log_prob_prompts(
 
     _walk_prompts(policy, [s.as_vector()], [a_struct], scored, record=False)
     if new:
-        inputs, masks = zip(*new.values())
-        _, log_probs, _ = masked_categorical(policy.net.forward_rows(np.array(inputs)),
-                                             np.array(masks))
-        cache.update(zip(new, log_probs))
-    return float(np.array([cache[key][a] for key, a in zip(keys, actions)]).sum())
+        _fill_steps(policy, steps, new)
+    return float(np.array([steps[key][0][a] for key, a in zip(keys, actions)]).sum())
 
 
 # ---------------------------------------------------------------------------

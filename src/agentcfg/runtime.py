@@ -216,8 +216,8 @@ def load_config(path) -> RunConfig:
             hints = typing.get_type_hints(RunConfig)
             kwargs[key] = _coerce(value, hints[key], key)
     cfg = RunConfig(**kwargs)
-    if cfg.atom_library is not None and not Path(cfg.atom_library).exists():
-        raise ConfigError(f"atom_library: file not found: {cfg.atom_library}")
+    if cfg.atom_library is not None:
+        load_atom_library(cfg.atom_library)  # raises naming the file and a bad entry
     return cfg
 
 
@@ -261,15 +261,22 @@ def _read_yaml(path, label: str):
 
 def load_atom_library(path) -> tuple[PromptAtom, ...]:
     """Atom library file: a YAML list of {role, text} entries; ids follow
-    file order."""
+    file order. A file that is not such a list, or an entry that is not a
+    valid `PromptAtom`, raises ConfigError on one line naming atom_library,
+    the file and the entry's index."""
     entries = _read_yaml(path, "atom_library: ")
     if not isinstance(entries, list):
-        raise ConfigError(f"atom library must be a list: {path}")
+        raise ConfigError(f"atom_library: {path}: expected a list of {{role, text}} "
+                          f"entries, got {type(entries).__name__}")
     atoms = []
     for i, entry in enumerate(entries):
+        where = f"atom_library: {path}: entry {i}"
         if not isinstance(entry, dict) or set(entry) != {"role", "text"}:
-            raise ConfigError(f"atom library entry {i} must have exactly role and text")
-        atoms.append(PromptAtom(i, entry["role"], entry["text"]))
+            raise ConfigError(f"{where}: expected exactly role and text, got {entry!r}")
+        try:
+            atoms.append(PromptAtom(i, entry["role"], entry["text"]))
+        except ContractError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return tuple(atoms)
 
 

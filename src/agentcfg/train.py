@@ -318,7 +318,7 @@ def _value_regression(net: DenseNet, inputs, targets, scale: float, out=None):
     scale times it, written to out if given (see `DenseNet.backward`)."""
     v, activations = net.forward_batch(inputs)
     err = v[:, 0] - targets
-    grads = net.backward(inputs, (2.0 * scale * err)[:, None], activations, out)
+    grads = net.backward(activations, (2.0 * scale * err)[:, None], out)
     return float(err @ err), grads
 
 

@@ -147,7 +147,7 @@ class TestDenseNetBackward:
             net = DenseNet(sizes, rng=rng)
             x = rng.normal(size=sizes[0])
             upstream = rng.normal(size=sizes[-1])
-            grads = net.backward(x, upstream)
+            grads = net.backward(net.forward_batch(x[None])[1], upstream[None])
             flat_analytic = np.concatenate([g.ravel() for g in grads])
             flat0 = net.get_flat()
             h = 1e-5
@@ -172,16 +172,17 @@ class TestDenseNetBackward:
         net = DenseNet([5, 32, 4], rng=np.random.default_rng(3))
         X = np.random.default_rng(4).normal(size=(6, 5))
         upstream = np.random.default_rng(5).normal(size=(6, 4))
-        fresh = net.backward(X, upstream)
+        activations = net.forward_batch(X)[1]
+        fresh = net.backward(activations, upstream)
         out = net.params.empty_like()
         out.vector[...] = np.nan
-        assert net.backward(X, upstream, out=out) is out
+        assert net.backward(activations, upstream, out=out) is out
         assert np.array_equal(out.vector, fresh.vector)
         assert not np.shares_memory(out.vector, net.vector)
 
     def test_zero_upstream(self):
         net = DenseNet([3, 5, 2], rng=np.random.default_rng(2))
-        grads = net.backward(np.ones(3), np.zeros(2))
+        grads = net.backward(net.forward_batch(np.ones((1, 3)))[1], np.zeros((1, 2)))
         assert all(np.allclose(g, 0.0) for g in grads)
 
 
@@ -211,7 +212,7 @@ def adam_steps(net, k, seed=0):
     state = AdamState.for_params(net.params)
     for _ in range(k):
         X = rng.normal(size=(5, net.input_size))
-        grads = net.backward(X, rng.normal(size=(5, net.output_size)))
+        grads = net.backward(net.forward_batch(X)[1], rng.normal(size=(5, net.output_size)))
         adam_step(net.params, clip_grad_norm(grads, 0.5), state, 1e-2)
 
 
@@ -671,7 +672,7 @@ def test_flat_update_matches_the_per_array_reference(sizes):
     branches = set()
     for t, max_norm in enumerate((1e9, 0.5, 1e9, 0.05, 0.5, 1e9), start=1):
         X = rng.normal(size=(6, net.input_size))
-        grads = net.backward(X, rng.normal(size=(6, net.output_size)))
+        grads = net.backward(net.forward_batch(X)[1], rng.normal(size=(6, net.output_size)))
         branches.add(np.sqrt(sum(float(np.sum(g * g)) for g in grads)) > max_norm)
         want = reference_clip_grad_norm([g.copy() for g in grads], max_norm)
         got = clip_grad_norm(grads, max_norm)

@@ -29,6 +29,7 @@ from agentcfg.errors import (ContractError, InvalidActionError, InvalidMaskError
                              PersistenceError, ShapeError, TrainingDivergenceError)
 from agentcfg.numeric import (MaskedCategorical, entropy, log_prob, masked_categorical,
                               masked_softmax, sample)
+from agentcfg import numeric
 from agentcfg import policy as policy_module
 from agentcfg.numeric import DEFAULT_HIDDEN, AdamState, DenseNet, adam_step
 from agentcfg.policy import (
@@ -483,9 +484,9 @@ class TestPromptPolicy:
         policy = PromptPolicy(STATE_DIM, default_atom_library(), hidden=(16,),
                               rng=np.random.default_rng(32))
         pick = np.random.default_rng(33)
-        forward_batch = policy.net.forward_batch
+        forward_rows = policy.net.forward_rows
         passes = []
-        policy.net.forward_batch = lambda x: passes.append(len(x)) or forward_batch(x)
+        policy.net.forward_rows = lambda x: passes.append(len(x)) or forward_rows(x)
         cached_passes = fresh_passes = 0
         for i in range(300):
             s = make_state(i % 3)
@@ -504,7 +505,7 @@ class TestPromptPolicy:
                 assert np.array_equal(step.mask, fresh.mask)
             assert rng.bit_generator.state == twin.bit_generator.state
         # each distinct step ran through the net once, then came from the cache
-        assert cached_passes == len(policy.net.params.cache["sample"]) < fresh_passes / 2
+        assert cached_passes == len(policy.net.params.cache["steps"]) < fresh_passes / 2
 
     def test_non_finite_prompt_net_raises_divergence(self):
         policy = PromptPolicy(STATE_DIM, compact_atom_library(), hidden=(16,),
@@ -601,10 +602,44 @@ def test_log_prob_prompts_records_no_steps_and_copies_only_misses(monkeypatch):
     prompt.net.forward_rows = lambda x: rows.append(len(x)) or forward_rows(x)
     cache = prompt.net.params.cache
     assert log_prob_prompts(prompt, s, a, seqs) == want
-    assert rows == [len(cache["score"])] == [sum(len(q) + 1 for q in seqs)]
+    assert rows == [len(cache["steps"])] == [sum(len(q) + 1 for q in seqs)]
     # a second scoring reads every step from the cache: no pass, no copy
     assert log_prob_prompts(prompt, s, a, seqs) == want
-    assert rows == [len(cache["score"])] and built == []
+    assert rows == [len(cache["steps"])] and built == []
+
+
+def test_sampling_and_scoring_share_one_step_table():
+    prompt = PromptPolicy(STATE_DIM, compact_atom_library(), hidden=(16,),
+                          rng=np.random.default_rng(42))
+    scorer, pristine = copy.deepcopy(prompt), copy.deepcopy(prompt)
+
+    def counted(policy):
+        """The row counts of policy's `forward_rows` passes, as they run."""
+        rows, forward_rows = [], policy.net.forward_rows
+        policy.net.forward_rows = lambda x: rows.append(len(x)) or forward_rows(x)
+        return rows
+
+    s, a = make_state(4), StructureAction(2, 0, 0, (0, 0, 0))
+    # a score after a sample reads every step the sample filled: no pass
+    rows = counted(prompt)
+    seqs, steps = sample_prompts(prompt, s, a, np.random.default_rng(43))
+    filled = len(prompt.net.params.cache["steps"])
+    assert log_prob_prompts(prompt, s, a, seqs) == np.array([st.log_prob for st in steps]).sum()
+    assert sum(rows) == filled == len(prompt.net.params.cache["steps"])
+    # a sample after a score passes only the steps the score did not fill,
+    # and draws as a fresh copy does
+    rows = counted(scorer)
+    log_prob_prompts(scorer, s, a, seqs)
+    table = scorer.net.params.cache["steps"]
+    for seed in range(44, 54):
+        before, held = len(rows), set(table)
+        got_seqs, got = sample_prompts(scorer, s, a, np.random.default_rng(seed))
+        want_seqs, want = sample_prompts(copy.deepcopy(pristine), s, a,
+                                         np.random.default_rng(seed))
+        assert got_seqs == want_seqs
+        assert [st.log_prob for st in got] == [st.log_prob for st in want]
+        misses = {st.input_vec.tobytes() + st.mask.tobytes() for st in got} - held
+        assert len(rows) - before == len(misses)
 
 
 @pytest.mark.parametrize("table", [
@@ -639,12 +674,10 @@ def test_shared_memos_score_as_fresh_calls(table):
         assert prompt_lp == log_prob_prompts(copy.deepcopy(prompt), s, a, seqs)
         # each step scores as the one-row pass that drew it
         assert prompt_lp == np.array([st.log_prob for st in steps]).sum()
-    # one trunk pass per state and one net row per distinct step; scoring
-    # built no CDF and no entropy
+    # one trunk pass per state and one net row per distinct step
     scored = policy_module._state_entries(struct.trunk, "score", table)
     assert cached_passes == len(scored) == len(states)
-    assert cached_rows == len(prompt.net.params.cache["score"]) < n_steps / 2
-    assert all(h.workflow_cdf is None and not h.draws for h in scored.values())
+    assert cached_rows == len(prompt.net.params.cache["steps"]) < n_steps / 2
     # sampling keeps entries of its own beside the scoring ones, draws as a
     # fresh copy does, and leaves the scores as they were
     for i in range(100):
@@ -888,6 +921,162 @@ class TestMode:
         # rows to the probabilities; equal maxima are decided by the scan.
         near = ((z >= top - policy_module._NEAR_TIE) & (z < top)).any()
         assert len(calls) == int(near)
+
+
+@st.composite
+def logit_row(draw, width):
+    """width logits, all finite or, in a mixed row, each one finite, +inf,
+    -inf or nan; finite ones are 1e-3..1e300 in magnitude, either sign."""
+    mixed = draw(st.booleans())
+    kinds = ("finite",) * 4 + (("inf", "-inf", "nan") if mixed else ())
+    row = []
+    for _ in range(width):
+        kind = draw(st.sampled_from(kinds))
+        row.append(float(kind) if kind != "finite" else
+                   draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-3.0, 300.0)))
+    return row
+
+
+@st.composite
+def net_outputs(draw, n_prompt_outputs):
+    """The trunk's output, drawn head by head, and the prompt net's; one
+    case in two is finite throughout."""
+    finite = draw(st.booleans())
+    rows = [draw(logit_row(size)) for size in HEAD_SIZES] + [draw(logit_row(n_prompt_outputs))]
+    if finite:
+        rows = [[x if math.isfinite(x) else 1.0 for x in row] for row in rows]
+    return np.concatenate(rows[:-1]), np.array(rows[-1])
+
+
+class TestOneFinitenessRule:
+    """A masked categorical is drawn, its mode read and its entries scored
+    under one rule: a row whose valid logits hold a nan or +inf, or no
+    finite one, raises TrainingDivergenceError everywhere, with no numpy
+    warning; any other row draws and scores alike on a warm cache and on a
+    fresh copy."""
+
+    TABLE = default_mask_table()
+    LIBRARY = default_atom_library()
+
+    @staticmethod
+    def diverges(logits, mask) -> bool:
+        """Whether a row, or any row of a block, has no distribution."""
+        return not np.isfinite(np.where(mask > 0, logits, -np.inf).max(axis=-1)).all()
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return call()
+        except TrainingDivergenceError:
+            return "diverged"
+
+    def policies(self, trunk_out, prompt_out):
+        """Policies whose nets output the given logits for every input: zero
+        last-layer weights and the logits as the output bias."""
+        struct = StructurePolicy(STATE_DIM, hidden=(4,), rng=np.random.default_rng(70))
+        prompt = PromptPolicy(STATE_DIM, self.LIBRARY, hidden=(4,), rng=np.random.default_rng(71))
+        for net, out in ((struct.trunk, trunk_out), (prompt.net, prompt_out)):
+            net.params[-2][...] = 0.0
+            net.params[-1][...] = out
+        return struct, prompt
+
+    def check_row_functions(self, logits, mask, rng):
+        """masked_categorical, numeric.draw and _mode on one row or a
+        padded block of rows."""
+        probs = masked_categorical(logits, mask)[0]
+        if self.diverges(logits, mask):
+            with pytest.raises(TrainingDivergenceError):
+                numeric.choice_cdf(probs) if logits.ndim == 2 else numeric.draw(probs, rng)
+            with pytest.raises(TrainingDivergenceError):
+                policy_module._mode(logits, mask)
+        else:
+            picks = [numeric.draw(p, rng) for p in np.atleast_2d(probs)]
+            modes = policy_module._mode(logits, mask)
+            for m, pick, best in zip(np.atleast_2d(mask), picks, np.atleast_1d(modes)):
+                assert m[pick] > 0 and m[best] > 0
+
+    @given(net_outputs(len(default_atom_library()) + 1), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_draws_modes_and_scores_follow_one_rule(self, outputs, seed):
+        trunk_out, prompt_out = outputs
+        struct, prompt = self.policies(trunk_out, prompt_out)
+        rng = np.random.default_rng(seed)
+        layout = self.TABLE.layout()
+        wf_row = (trunk_out[policy_module.head_slice(0)], self.TABLE.workflow_mask)
+        self.check_row_functions(*wf_row, rng)
+        workflows = np.flatnonzero(self.TABLE.workflow_mask)
+        bad_workflow = {}
+        for wf in workflows:
+            block = policy_module._conditioned_heads(trunk_out, layout, wf)
+            self.check_row_functions(*block, rng)
+            for row in zip(*block):
+                self.check_row_functions(*row, rng)
+            bad_workflow[wf] = self.diverges(*wf_row) or self.diverges(*block)
+        s = make_state(seed % 7)
+
+        def warm_equals_fresh(policy, call):
+            """call(policy) on a warm cache, checked against a fresh copy."""
+            call(policy)  # fills the cache, unless it raises
+            warm = call(policy)
+            assert warm == call(copy.deepcopy(policy))
+            return warm
+
+        def sampled(sampler, k):
+            """An outcome of sampler(policy, generator [seed, k]) and the
+            generator's state after it."""
+            def call(policy):
+                gen = np.random.default_rng([seed, k])
+                return self.outcome(lambda: sampler(policy, gen)), str(gen.bit_generator.state)
+            return call
+
+        def prompt_sampler(policy, gen):
+            seqs, steps = sample_prompts(policy, s, action, gen)
+            return seqs, [(st.agent, st.action, st.log_prob, st.mask.tobytes()) for st in steps]
+
+        for wf in workflows:
+            action = StructureAction.from_heads(
+                [wf] + [int(rng.choice(c)) for c in self.TABLE.supports(wf)[1:]])
+            lp = warm_equals_fresh(struct, lambda pol: self.outcome(
+                lambda: log_prob_structure(pol, self.TABLE, s, action)))
+            assert (lp == "diverged") == bad_workflow[wf]
+
+            sequences, masks = [], []
+            for agent in range(action.workflow.agents_active):
+                pool = [a.id for a in self.LIBRARY if a.role == ROLES[agent]]
+                seq = tuple(pool[: int(rng.integers(0, min(len(pool), MAX_PROMPT_LEN) + 1))])
+                sequences.append(seq)
+                masks += [prompt.step_mask(ROLES[agent], seq[:j], j) for j in range(len(seq) + 1)]
+            lp = warm_equals_fresh(prompt, lambda pol: self.outcome(
+                lambda: log_prob_prompts(pol, s, action, sequences)))
+            assert (lp == "diverged") == any(self.diverges(prompt_out, m) for m in masks)
+
+            got, _ = warm_equals_fresh(struct, sampled(
+                lambda pol, gen: sample_structure(pol, self.TABLE, s, gen), wf))
+            if got == "diverged":
+                assert any(bad_workflow.values())
+            else:
+                assert not bad_workflow[got[0].workflow_id]
+
+            got, _ = warm_equals_fresh(prompt, sampled(prompt_sampler, wf))
+            if got == "diverged":
+                assert not np.isfinite(prompt_out).all()
+            else:
+                assert not any(self.diverges(prompt_out, np.frombuffer(m)) for *_, m in got[1])
+                assert not self.diverges(prompt_out, prompt.step_mask(ROLES[0], (), 0))
+
+    def test_a_nan_trunk_weight_fails_scoring(self):
+        struct, _ = TestParameterCache.policies()
+        struct.trunk.params[0][3, 2] = np.nan
+        with pytest.raises(TrainingDivergenceError):
+            log_prob_structure(struct, self.TABLE, make_state(1),
+                               StructureAction(2, 1, 0, (0, 2, 1)))
+
+    def test_a_nan_prompt_net_weight_fails_scoring(self):
+        _, prompt = TestParameterCache.policies()
+        prompt.net.params[2][1, 0] = np.nan
+        with pytest.raises(TrainingDivergenceError):
+            log_prob_prompts(prompt, make_state(1), StructureAction(2, 1, 0, (0, 2, 1)),
+                             ((0, 1), (2,), (3,)))
 
 
 class TestLoadParameters:

@@ -966,6 +966,43 @@ def test_an_unreadable_yaml_file_fails_as_config_error(tmp_path, capsys, file, c
     assert not (tmp_path / "episodes.jsonl").exists()
 
 
+@pytest.mark.parametrize("command, library, reason", [
+    ("simulate", [{"role": "reasoner", "text": 5}],
+     "entry 0: text must be a non-empty string, got 5"),
+    ("train", [{"role": "reasoner", "text": ["a"]}],
+     "entry 0: text must be a non-empty string, got ['a']"),
+    ("simulate", [{"role": "reasoner", "text": "a"}, {"role": "boss", "text": "b"}],
+     "entry 1: role must be one of reasoner, verifier, answerer, got 'boss'"),
+    ("show-config", None, "cannot be read: Is a directory"),
+    ("show-config", b"- role: reasoner\n  text: \xff\n", "not UTF-8 text"),
+    ("show-config", {"role": "reasoner", "text": "a"},
+     "expected a list of {role, text} entries, got dict"),
+    ("show-config", [{"role": "reasoner", "text": "a"}, {"role": "answerer"}],
+     "entry 1: expected exactly role and text, got {'role': 'answerer'}"),
+], ids=["int-text", "list-text", "unknown-role", "directory", "not-utf8", "mapping",
+        "bad-entry"])
+def test_a_bad_atom_library_fails_as_config_error(tmp_path, capsys, command, library, reason):
+    from agentcfg import cli
+
+    bad = tmp_path / "atoms.yaml"
+    if library is None:
+        bad.mkdir()
+    elif isinstance(library, bytes):
+        bad.write_bytes(library)
+    else:
+        bad.write_text(yaml.safe_dump(library))
+    config = write_yaml(tmp_path, {"atom_library": str(bad),
+                                   "env": {"n_queries": 4, "semantic_dim": 8}})
+    out = tmp_path / "out"
+    extra = ["--episodes", "1"] if command == "simulate" else []
+    assert cli.main([command, "--config", str(config), "--out", str(out), *extra]) == 1
+    printed = capsys.readouterr()
+    prefix = f"error: atom_library: {bad}: "
+    assert printed.err.startswith(prefix) and printed.err.count("\n") == 1 and not printed.out
+    assert printed.err[len(prefix):].startswith(reason)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("price", ["nan", "inf", "-1"])
 def test_analyze_refuses_a_bad_price(tmp_path, capsys, price):
     from agentcfg import cli

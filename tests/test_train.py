@@ -709,6 +709,18 @@ class TestDPO:
         assert after > before
         assert losses[-1] < losses[0] < math.log(2.0) + 1e-9
 
+    @pytest.mark.parametrize("diverged", ["trunk", "prompt net"])
+    def test_a_non_finite_net_raises_before_any_net_moves(self, diverged):
+        # the reference scores refuse the net, as drawing from it does
+        struct, prompt = make_policies(18)
+        (struct.trunk if diverged == "trunk" else prompt.net).params[0][0, 0] = np.nan
+        nets = (struct.trunk, struct.value_net, prompt.net, prompt.value_net)
+        before = [net.get_flat() for net in nets]
+        with pytest.raises(TrainingDivergenceError, match="non-finite logits"):
+            dpo_update(struct, prompt, TABLE, self._pair_buffer(), DPOConfig(epochs=3))
+        for net, flat in zip(nets, before):
+            assert np.array_equal(net.vector, flat, equal_nan=True)
+
     def test_gradient_finite_differences(self):
         struct, prompt = make_policies(23)
         pairs = [
@@ -919,6 +931,11 @@ def _row_categorical(logits, mask, action, dlogp, dentropy):
     return float(logp[action]), h, dlogp * (onehot - p) - dentropy * p * (logp + h)
 
 
+def _row_backward(net, x, upstream):
+    """net's parameter gradients of upstream . net(x) for one input row."""
+    return net.backward(net.forward_batch(x[None])[1], np.asarray(upstream)[None])
+
+
 def _row_config_terms(struct, prompt, table, record, dlogp, dentropy, grads):
     """Per-row reference: log-prob and entropy of one configuration, one
     decision at a time, adding the gradient of dlogp * logp + dentropy * H
@@ -939,7 +956,7 @@ def _row_config_terms(struct, prompt, table, record, dlogp, dentropy, grads):
             out[head_slice(head)], m, c, dlogp[0], dentropy[0])
         s_lp += lp
         s_h += h
-    for acc, g in zip(grads["struct_trunk"], struct.trunk.backward(s_vec, dlogits)):
+    for acc, g in zip(grads["struct_trunk"], _row_backward(struct.trunk, s_vec, dlogits)):
         acc += g
     step_lps, step_hs, j = [], [], 0
     for agent, seq in enumerate(record.prompt_actions):
@@ -949,7 +966,7 @@ def _row_config_terms(struct, prompt, table, record, dlogp, dentropy, grads):
             lp, h, g = _row_categorical(
                 prompt.net.forward(x), prompt.step_mask(ROLES[agent], chosen, len(chosen)),
                 atom, dlogp[1][j], dentropy[1][j])
-            for acc, gg in zip(grads["prompt_net"], prompt.net.backward(x, g)):
+            for acc, gg in zip(grads["prompt_net"], _row_backward(prompt.net, x, g)):
                 acc += gg
             step_lps.append(lp)
             step_hs.append(h)
@@ -999,8 +1016,8 @@ def reference_ppo(struct, prompt, table, rollouts, cfg, use_value_loss):
             for net, x, target, n, name in pairs:
                 err = net.forward(x)[0] - target
                 loss += cfg.value_coef * err * err / n
-                for acc, g in zip(grads[name], net.backward(
-                        x, np.array([2.0 * cfg.value_coef * err / n]))):
+                for acc, g in zip(grads[name], _row_backward(
+                        net, x, np.array([2.0 * cfg.value_coef * err / n]))):
                     acc += g
     return loss, grads
 
