@@ -1,5 +1,5 @@
 """Command-line entry point: train / eval / search / analyze / simulate /
-enumerate-masks over the synthetic (or real) environment."""
+enumerate-masks / show-config over the synthetic environment."""
 
 from __future__ import annotations
 
@@ -34,11 +34,11 @@ from .policy import (
     enumerate_valid,
     enumerate_valid_exhaustive,
     greedy_configuration,
+    mask_table_from_config,
 )
 from .runtime import (
     RunConfig,
     build_components,
-    build_mask_table,
     dump_config,
     load_buffer,
     load_config,
@@ -54,8 +54,6 @@ def _load_run_config(args) -> RunConfig:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "mode", None):
-        overrides["mode"] = args.mode
     if getattr(args, "objective", None):
         overrides["objective"] = args.objective
     if getattr(args, "refinement", None):
@@ -126,12 +124,15 @@ def cmd_search(args) -> int:
         if unread:
             raise ConfigError(f"search --method {args.method} does not read "
                               f"{', '.join(unread)}")
+    try:
+        budget = (SearchBudget() if args.max_evaluations is None
+                  else SearchBudget(max_evaluations=args.max_evaluations))
+    except ContractError as exc:
+        raise ConfigError(f"--max-evaluations: {exc}") from None
     cfg = _load_run_config(args)
     env, table, library, _, _ = build_components(cfg)
     harness = Harness(env=env, reward_cfg=cfg.reward, seed=cfg.seed,
                       expected_mode=not args.sampled)
-    budget = (SearchBudget() if args.max_evaluations is None
-              else SearchBudget(max_evaluations=args.max_evaluations))
     trace_rows = []
     if args.method == "grid":
         best, value, trace = grid_search(harness, default_grid(table, library), budget)
@@ -229,7 +230,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_enumerate_masks(args) -> int:
     cfg = _load_run_config(args)
-    table = build_mask_table(cfg)
+    table = mask_table_from_config(cfg.mask_table)
     report = {
         "all_ones": enumerate_valid(all_ones_mask_table()),
         "configured_closed_form": enumerate_valid(table),
@@ -252,12 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mode=True):
+    def common(p):
         p.add_argument("--config", help="YAML run config path")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output path")
-        if mode:
-            p.add_argument("--mode", choices=["synthetic", "real"])
 
     p = sub.add_parser("train", help="run the full training pipeline")
     common(p)

@@ -135,11 +135,7 @@ class QueryFeatures:
         )
 
 
-def extract_features(
-    text: str,
-    multi_step_keywords: Sequence[str] = MULTI_STEP_KEYWORDS,
-    tool_keywords: Sequence[str] = TOOL_KEYWORDS,
-) -> QueryFeatures:
+def extract_features(text: str) -> QueryFeatures:
     """Deterministic hand-crafted features of a query text.
 
     Tokenization is whitespace splitting; numerical density counts tokens
@@ -153,8 +149,8 @@ def extract_features(
         char_length=len(text),
         word_count=word_count,
         numerical_density=n_numeric / max(word_count, 1),
-        multi_step_flag=any(k in lowered for k in multi_step_keywords),
-        tool_flag=any(k in lowered for k in tool_keywords),
+        multi_step_flag=any(k in lowered for k in MULTI_STEP_KEYWORDS),
+        tool_flag=any(k in lowered for k in TOOL_KEYWORDS),
     )
 
 

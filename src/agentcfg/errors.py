@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field checks that
+every config dataclass raises ConfigError through."""
+
+import dataclasses
+import math
+from typing import Callable
 
 
 class AgentCfgError(Exception):
@@ -23,6 +28,23 @@ class ContractError(AgentCfgError):
 
 class ConfigError(AgentCfgError):
     """Run configuration failed to load or validate."""
+
+
+def require(section: str, cfg, rule: str, holds: Callable, *names) -> None:
+    """Raise ConfigError naming the first field of names whose value fails
+    holds; rule says what holds accepts."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not holds(value):
+            raise ConfigError(f"{section}.{name} must be {rule}, got {value!r}")
+
+
+def require_finite(section: str, cfg) -> None:
+    """Every float field of a config dataclass must be a finite number."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{section}.{f.name} must be finite, got {value!r}")
 
 
 class EmptyEliteError(AgentCfgError):

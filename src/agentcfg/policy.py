@@ -288,10 +288,6 @@ class StructurePolicy:
         self.trunk = DenseNet([state_dim, *hidden, STRUCT_LOGITS_SIZE], rng=rng)
         self.value_net = DenseNet([state_dim, *hidden, 1], rng=rng)
 
-    def head_logits(self, s_vec: np.ndarray) -> list[np.ndarray]:
-        out = self.trunk.forward(s_vec)
-        return [out[head_slice(i)] for i in range(len(HEAD_SIZES))]
-
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)

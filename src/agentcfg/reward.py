@@ -3,11 +3,10 @@ asymmetric tool shaping."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import ExecutionOutcome
-from .errors import ConfigError
+from .errors import require, require_finite
 
 
 @dataclass(frozen=True)
@@ -22,12 +21,10 @@ class RewardConfig:
     t_max: int = 4096
 
     def __post_init__(self):
-        for name in ("alpha", "beta_s", "beta_t", "eta", "delta1", "delta2", "delta3"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"reward.{name} must be finite and >= 0, got {value!r}")
-        if self.t_max <= 0:
-            raise ConfigError(f"reward.t_max must be >= 1, got {self.t_max!r}")
+        require_finite("reward", self)
+        require("reward", self, ">= 0", lambda v: v >= 0,
+                "alpha", "beta_s", "beta_t", "eta", "delta1", "delta2", "delta3")
+        require("reward", self, ">= 1", lambda v: v >= 1, "t_max")
 
 
 def tool_shaping(n_used: int, n_alloc: int, correct: bool, cfg: RewardConfig) -> float:

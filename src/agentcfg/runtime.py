@@ -47,6 +47,8 @@ from .errors import (
     NoPairsError,
     PersistenceError,
     ResponseParseError,
+    require,
+    require_finite,
 )
 from .core import ExecutionOutcome
 from .policy import (
@@ -60,8 +62,6 @@ from .train import (
     DPOConfig,
     PPOConfig,
     SFTConfig,
-    _require,
-    _require_finite,
     dpo_update,
     filter_elite,
     kl_to_empirical,
@@ -82,7 +82,7 @@ class EnvConfig(QueryDistribution):
     semantic_dim: int = 64
 
     def __post_init__(self):
-        _require("env", self, ">= 1", lambda v: v >= 1, "n_queries", "semantic_dim")
+        require("env", self, ">= 1", lambda v: v >= 1, "n_queries", "semantic_dim")
         probs = self.depth_probs
         if (len(probs) != 3 or any(isinstance(p, bool) or not isinstance(p, (int, float))
                                    or not p >= 0 for p in probs)
@@ -90,9 +90,9 @@ class EnvConfig(QueryDistribution):
             raise ConfigError(
                 f"env.depth_probs must be 3 non-negative numbers summing to 1, got {probs!r}"
             )
-        _require("env", self, "in [0, 1]", lambda v: 0.0 <= v <= 1.0, "tool_prob")
-        _require("env", self, "a whole number >= 0",
-                 lambda v: v >= 0 and float(v).is_integer(), "noise_scale")
+        require("env", self, "in [0, 1]", lambda v: 0.0 <= v <= 1.0, "tool_prob")
+        require("env", self, "a whole number >= 0",
+                lambda v: v >= 0 and float(v).is_integer(), "noise_scale")
         if not self.difficulty_low <= self.difficulty_high:
             raise ConfigError(
                 f"env.difficulty_low ({self.difficulty_low!r}) must not exceed "
@@ -110,14 +110,16 @@ class BackendEndpoint:
     temperature: float = 0.0
 
     def __post_init__(self):
-        _require_finite("backend", self)
-        _require("backend", self, "> 0", lambda v: v > 0, "timeout")
-        _require("backend", self, ">= 0", lambda v: v >= 0, "max_retries")
+        require_finite("backend", self)
+        require("backend", self, "> 0", lambda v: v > 0, "timeout")
+        require("backend", self, ">= 0", lambda v: v >= 0, "max_retries")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    mode: str = "synthetic"
+    """A whole run, checked whole when it is built: a bad mask_table or
+    atom_library raises here, as it does through `load_config`."""
+
     seed: int = 0
     objective: str = "ppo"
     refinement: str = "sft"
@@ -134,23 +136,15 @@ class RunConfig:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-        if self.mode not in ("synthetic", "real"):
-            raise ConfigError(f"mode must be synthetic|real, got {self.mode!r}")
         if self.objective not in ("ppo", "grpo"):
             raise ConfigError(f"objective must be ppo|grpo, got {self.objective!r}")
         if self.refinement not in ("sft", "dpo", "none"):
             raise ConfigError(
                 f"refinement must be sft|dpo|none, got {self.refinement!r}"
             )
-
-
-_SECTION_TYPES = {
-    "env": EnvConfig,
-    "reward": RewardConfig,
-    "ppo": PPOConfig,
-    "sft": SFTConfig,
-    "dpo": DPOConfig,
-}
+        mask_table_from_config(self.mask_table)  # raises naming a bad rule's path
+        if self.atom_library is not None:
+            load_atom_library(self.atom_library)  # raises naming the file and a bad entry
 
 
 def _coerce(value, hint, path: str):
@@ -170,6 +164,8 @@ def _coerce(value, hint, path: str):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a list, got {value!r}")
         return tuple(value)
+    if hint is dict:  # an empty section reads as the empty mapping
+        return {} if value is None else value
     if typing.get_origin(hint) is typing.Union:  # Optional[...]
         args = [a for a in typing.get_args(hint) if a is not type(None)]
         if value is None:
@@ -178,18 +174,25 @@ def _coerce(value, hint, path: str):
     return value
 
 
-def _build_dataclass(cls, data: dict, path: str):
+def _build_dataclass(cls, data, path: str = ""):
+    """cls from a mapping of its field names to values, an empty section
+    (None) giving every default. A dataclass-typed field is built the same
+    way from its own mapping. An unknown key or a value of the wrong type
+    raises ConfigError naming its dotted path."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {data!r}")
+        raise ConfigError(f"{path or 'top-level config'}: expected a mapping, got {data!r}")
     hints = typing.get_type_hints(cls)
     names = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
+        where = f"{path}.{key}" if path else str(key)
         if key not in names:
-            raise ConfigError(f"unknown config key: {path}.{key}")
-        kwargs[key] = _coerce(value, hints[key], f"{path}.{key}")
+            raise ConfigError(f"unknown config key: {where}")
+        hint = hints[key]
+        kwargs[key] = (_build_dataclass(hint, value, where) if dataclasses.is_dataclass(hint)
+                       else _coerce(value, hint, where))
     return cls(**kwargs)
 
 
@@ -197,28 +200,7 @@ def load_config(path) -> RunConfig:
     """Parse and fully validate a YAML run config; unknown keys anywhere are
     rejected with their path, and every omitted field takes its published
     default."""
-    data = _read_yaml(path, "config file ")
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError("top-level config must be a mapping")
-    top_fields = {f.name for f in dataclasses.fields(RunConfig)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in top_fields:
-            raise ConfigError(f"unknown config key: {key}")
-        if key in _SECTION_TYPES:
-            kwargs[key] = _build_dataclass(_SECTION_TYPES[key], value, key)
-        elif key == "mask_table":
-            kwargs[key] = {} if value is None else value
-            mask_table_from_config(kwargs[key])  # raises naming a bad rule's path
-        else:
-            hints = typing.get_type_hints(RunConfig)
-            kwargs[key] = _coerce(value, hints[key], key)
-    cfg = RunConfig(**kwargs)
-    if cfg.atom_library is not None:
-        load_atom_library(cfg.atom_library)  # raises naming the file and a bad entry
-    return cfg
+    return _build_dataclass(RunConfig, _read_yaml(path, "config file "))
 
 
 def dump_config(cfg: RunConfig) -> dict:
@@ -639,29 +621,19 @@ class TrainingArtifacts:
     env: SyntheticEnv
 
 
-def build_mask_table(cfg: RunConfig) -> MaskTable:
-    return mask_table_from_config(cfg.mask_table)
-
-
 def build_components(cfg: RunConfig):
-    """(env, table, library, policies) from a validated RunConfig. Only the
-    synthetic environment exists so far: real mode is reached through
-    `execute_real`, so a real-mode config is refused here."""
-    if cfg.mode != "synthetic":
-        raise ConfigError(
-            f"mode: {cfg.mode} is not supported yet: train, simulate, eval and search "
-            "support only mode: synthetic (real mode runs through execute_real)"
-        )
+    """(env, table, library, policies) of the synthetic environment from a
+    RunConfig. Real mode runs through `execute_real`."""
     library = (
         load_atom_library(cfg.atom_library)
-        if cfg.atom_library
+        if cfg.atom_library is not None
         else default_atom_library()
     )
     env = build_env(
         cfg.env, cfg.env.n_queries, cfg.seed, library=library,
         semantic_dim=cfg.env.semantic_dim,
     )
-    table = build_mask_table(cfg)
+    table = mask_table_from_config(cfg.mask_table)
     state_dim = cfg.env.semantic_dim + 5
     struct_policy = StructurePolicy(state_dim, rng=np.random.default_rng([cfg.seed, 1]))
     prompt_policy = PromptPolicy(state_dim, library, rng=np.random.default_rng([cfg.seed, 2]))

@@ -9,7 +9,6 @@ parameters so gradient correctness is testable against finite differences.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -31,6 +30,8 @@ from .errors import (
     EmptyEliteError,
     NoPairsError,
     TrainingDivergenceError,
+    require,
+    require_finite,
 )
 from .numeric import AdamState, DenseNet, adam_step, clip_grad_norm
 from .numeric import log_prob  # noqa: F401  (re-exported: train.log_prob is public)
@@ -56,23 +57,6 @@ from .reward import RewardConfig, shaped_reward
 # ---------------------------------------------------------------------------
 
 
-def _require(section: str, cfg, rule: str, holds: Callable, *names) -> None:
-    """Raise ConfigError naming the first field of names whose value fails
-    holds; rule says what holds accepts."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not holds(value):
-            raise ConfigError(f"{section}.{name} must be {rule}, got {value!r}")
-
-
-def _require_finite(section: str, cfg) -> None:
-    """Every float field of a config dataclass must be a finite number."""
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{section}.{f.name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PPOConfig:
     """Clipped-surrogate hyperparameters of the RL phase, for both
@@ -91,13 +75,13 @@ class PPOConfig:
     total_episodes: int = 4000
 
     def __post_init__(self):
-        _require_finite("ppo", self)
-        _require("ppo", self, ">= 1", lambda v: v >= 1, "batch_size", "epochs_per_batch",
-                 "total_episodes")
-        _require("ppo", self, "> 0", lambda v: v > 0, "clip_eps", "max_grad_norm")
-        _require("ppo", self, ">= 0", lambda v: v >= 0, "lr_struct", "lr_prompt",
-                 "entropy_coef", "value_coef")
-        _require("ppo", self, "in [0, 1]", lambda v: 0 <= v <= 1, "gamma")
+        require_finite("ppo", self)
+        require("ppo", self, ">= 1", lambda v: v >= 1, "batch_size", "epochs_per_batch",
+                "total_episodes")
+        require("ppo", self, "> 0", lambda v: v > 0, "clip_eps", "max_grad_norm")
+        require("ppo", self, ">= 0", lambda v: v >= 0, "lr_struct", "lr_prompt",
+                "entropy_coef", "value_coef")
+        require("ppo", self, "in [0, 1]", lambda v: 0 <= v <= 1, "gamma")
 
 
 @dataclass(frozen=True)
@@ -110,10 +94,10 @@ class SFTConfig:
     epochs: int = 10
 
     def __post_init__(self):
-        _require_finite("sft", self)
-        _require("sft", self, "in (0, 1]", lambda v: 0 < v <= 1, "elite_fraction")
-        _require("sft", self, ">= 1", lambda v: v >= 1, "epochs")
-        _require("sft", self, ">= 0", lambda v: v >= 0, "lr_struct", "lr_prompt", "entropy_reg")
+        require_finite("sft", self)
+        require("sft", self, "in (0, 1]", lambda v: 0 < v <= 1, "elite_fraction")
+        require("sft", self, ">= 1", lambda v: v >= 1, "epochs")
+        require("sft", self, ">= 0", lambda v: v >= 0, "lr_struct", "lr_prompt", "entropy_reg")
 
 
 @dataclass(frozen=True)
@@ -127,10 +111,10 @@ class DPOConfig:
     negative_reward: float = 2.0
 
     def __post_init__(self):
-        _require_finite("dpo", self)
-        _require("dpo", self, ">= 1", lambda v: v >= 1, "epochs")
-        _require("dpo", self, "> 0", lambda v: v > 0, "beta", "max_grad_norm")
-        _require("dpo", self, ">= 0", lambda v: v >= 0, "lr_struct", "lr_prompt")
+        require_finite("dpo", self)
+        require("dpo", self, ">= 1", lambda v: v >= 1, "epochs")
+        require("dpo", self, "> 0", lambda v: v > 0, "beta", "max_grad_norm")
+        require("dpo", self, ">= 0", lambda v: v >= 0, "lr_struct", "lr_prompt")
         # Disjoint positives and negatives: no record can pair with itself.
         if not self.positive_reward > self.negative_reward:
             raise ConfigError(
@@ -536,30 +520,45 @@ def action_key(structure: StructureAction, prompts) -> tuple:
 
 @dataclass
 class EliteSet:
-    """Correct, above-threshold episodes plus their empirical distribution
-    over quantized state keys, indexed once by `filter_elite`."""
+    """Correct, above-threshold episodes, and `index`, built once by
+    `filter_elite`: quantized state key -> action key -> the records of that
+    action in that state. States, actions and records keep buffer order."""
 
     records: list[EpisodeRecord]
     tau_eff: float
-    state_counts: dict
-    action_counts: dict          # (state_key, action_key) -> count
-    state_examples: dict         # state_key -> StateEmbedding
-    action_examples: dict        # (state_key, action_key) -> EpisodeRecord
-    actions_by_state: dict = field(default_factory=dict)  # state_key -> {action_key: count}
-    action_rewards: dict = field(default_factory=dict)    # (state_key, action_key) -> rewards
+    index: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.records)
 
+    @property
+    def state_counts(self) -> dict:
+        """state_key -> number of elite records in that state."""
+        return {s_key: sum(map(len, by_action.values()))
+                for s_key, by_action in self.index.items()}
+
+    @property
+    def action_counts(self) -> dict:
+        """(state_key, action_key) -> number of elite records."""
+        return {(s_key, a_key): len(rs) for s_key, by_action in self.index.items()
+                for a_key, rs in by_action.items()}
+
+    @property
+    def state_examples(self) -> dict:
+        """state_key -> the state of its first elite record."""
+        return {s_key: next(iter(by_action.values()))[0].state
+                for s_key, by_action in self.index.items()}
+
     def p_hat(self, state_key) -> dict:
-        n_s = self.state_counts[state_key]
-        return {a_key: count / n_s for a_key, count in self.actions_by_state[state_key].items()}
+        by_action = self.index[state_key]
+        n_s = sum(map(len, by_action.values()))
+        return {a_key: len(rs) / n_s for a_key, rs in by_action.items()}
 
     def elite_actions(self, state_key) -> set:
-        return set(self.actions_by_state.get(state_key, ()))
+        return set(self.index.get(state_key, ()))
 
     def rewards_for(self, state_key, a_key) -> list[float]:
-        return list(self.action_rewards.get((state_key, a_key), ()))
+        return [r.reward for r in self.index.get(state_key, {}).get(a_key, ())]
 
 
 def filter_elite(buffer: ExperienceBuffer, cfg: SFTConfig) -> EliteSet:
@@ -575,17 +574,10 @@ def filter_elite(buffer: ExperienceBuffer, cfg: SFTConfig) -> EliteSet:
         raise EmptyEliteError(
             f"no correct episodes with reward >= {tau_eff:.4f} among {len(buffer)}"
         )
-    elite = EliteSet(records, tau_eff, {}, {}, {}, {})
+    elite = EliteSet(records, tau_eff)
     for r in records:
-        s_key = r.state.key()
-        a_key = action_key(r.structure_action, r.prompt_actions)
-        elite.state_counts[s_key] = elite.state_counts.get(s_key, 0) + 1
-        elite.action_counts[(s_key, a_key)] = elite.action_counts.get((s_key, a_key), 0) + 1
-        by_state = elite.actions_by_state.setdefault(s_key, {})
-        by_state[a_key] = by_state.get(a_key, 0) + 1
-        elite.action_rewards.setdefault((s_key, a_key), []).append(r.reward)
-        elite.state_examples.setdefault(s_key, r.state)
-        elite.action_examples.setdefault((s_key, a_key), r)
+        by_action = elite.index.setdefault(r.state.key(), {})
+        by_action.setdefault(action_key(r.structure_action, r.prompt_actions), []).append(r)
     return elite
 
 
@@ -746,7 +738,7 @@ def _require_count(name: str, value: int) -> None:
 def _require_elite(elite: EliteSet) -> None:
     """A guarantee check does not pass on no evidence: it needs an elite
     state to sample."""
-    if not elite.state_examples:
+    if not elite.index:
         raise EmptyEliteError("a guarantee check requires a non-empty elite set")
 
 
@@ -799,19 +791,18 @@ def verify_reward_floor(
     `verify_support_restriction` does."""
     _require_count("n_samples", n_samples)
     _require_elite(elite)
-    reward_lookup = {
-        key: float(np.mean(rewards)) for key, rewards in elite.action_rewards.items()
-    }
-    total_weight = sum(elite.state_counts.values())
+    counts = elite.state_counts
     estimate = 0.0
     n_violations = 0
     for s_key, state in elite.state_examples.items():
-        weight = elite.state_counts[s_key] / total_weight
+        weight = counts[s_key] / len(elite)
+        reward_lookup = {a_key: float(np.mean([r.reward for r in rs]))
+                         for a_key, rs in elite.index[s_key].items()}
         acc = 0.0
         for a_key in _sample_config_keys(struct_policy, prompt_policy, table, state,
                                          n_samples, rng):
-            if (s_key, a_key) in reward_lookup:
-                acc += reward_lookup[(s_key, a_key)]
+            if a_key in reward_lookup:
+                acc += reward_lookup[a_key]
             else:
                 n_violations += 1
         estimate += weight * acc / n_samples
@@ -829,10 +820,10 @@ def kl_to_empirical(
     probabilities floored at 1e-12 so the report stays finite. Raises
     EmptyEliteError on an empty elite set."""
     _require_elite(elite)
-    total = sum(elite.state_counts.values())
+    counts = elite.state_counts
     terms = [
-        (elite.state_counts[s_key] / total, p, elite.action_examples[(s_key, a_key)])
-        for s_key in elite.state_examples
+        (counts[s_key] / len(elite), p, elite.index[s_key][a_key][0])
+        for s_key in elite.index
         for a_key, p in elite.p_hat(s_key).items()
     ]
     batch = replay_batch(prompt_policy, table, [record for _, _, record in terms])

@@ -57,7 +57,8 @@ def reference_structure(policy, table, s, pick):
     """Per-head reference: one MaskedCategorical per head, workflow first;
     pick(dist) returns (choice, log-prob). Returns (action, joint log-prob,
     per-head entropies)."""
-    logits = policy.head_logits(s.as_vector())
+    out = policy.trunk.forward(s.as_vector())
+    logits = [out[policy_module.head_slice(i)] for i in range(len(HEAD_SIZES))]
     wf_dist = MaskedCategorical(logits[0], table.workflow_mask)
     wf, joint_lp = pick(wf_dist)
     dists = [wf_dist] + [MaskedCategorical(z, m)

@@ -106,8 +106,7 @@ class TestRunConfig:
             load_config(path)
 
     def test_invalid_enums(self, tmp_path):
-        for field, value in (("mode", "dreams"), ("objective", "sgd"),
-                             ("refinement", "rlhf")):
+        for field, value in (("objective", "sgd"), ("refinement", "rlhf")):
             path = write_yaml(tmp_path, {field: value})
             with pytest.raises(ConfigError):
                 load_config(path)
@@ -274,14 +273,44 @@ class TestRunConfig:
         assert main([command, "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
 
-    def test_real_mode_refused_until_a_real_env_exists(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["real", "synthetic"])
+    def test_mode_is_neither_a_config_key_nor_a_flag(self, tmp_path, capsys, mode):
         from agentcfg.cli import main
 
-        with pytest.raises(ConfigError, match="only mode: synthetic"):
-            run_training(RunConfig(mode="real"))
-        assert main(["train", "--mode", "real", "--out", str(tmp_path / "out")]) == 1
-        assert "only mode: synthetic" in capsys.readouterr().err
+        path = write_yaml(tmp_path, {"mode": mode})
+        with pytest.raises(ConfigError, match="^unknown config key: mode$"):
+            load_config(path)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: unknown config key: mode\n"
+        for command in (["train"], ["eval", "--params", str(tmp_path)],
+                        ["search", "--method", "grid"], ["simulate"], ["enumerate-masks"],
+                        ["show-config"]):
+            with pytest.raises(SystemExit) as exit_:
+                main([*command, "--mode", mode, "--out", str(tmp_path / "out")])
+            assert exit_.value.code == 2
+            assert "unrecognized arguments: --mode" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("data", [
+        {"mask_table": {"Nope": {}}},
+        {"mask_table": {"Direct": {"tools1": [99]}}},
+        {"mask_table": ["Direct"]},
+        {"atom_library": ""},
+        {"atom_library": "atoms"},
+    ], ids=["unknown-workflow", "bad-rule", "not-a-mapping", "empty-library",
+            "library-directory"])
+    def test_run_config_is_checked_whole_when_built(self, tmp_path, monkeypatch, data):
+        """RunConfig(...), dataclasses.replace and load_config refuse a bad
+        mask_table or atom_library with one message."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "atoms").mkdir()
+        with pytest.raises(ConfigError) as from_yaml:
+            load_config(write_yaml(tmp_path, data))
+        message = f"^{re.escape(str(from_yaml.value))}$"
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**data)
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(RunConfig(), **data)
 
     def test_api_key_is_env_indirection_only(self):
         # the config names an environment variable, never a secret value
@@ -878,6 +907,19 @@ def test_search_budget_defaults_to_the_search_budget(tmp_path, capsys):
     assert cli.main(["search", "--config", str(config), "--method", "grid",
                      "--max-evaluations", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["evaluations"] == 3
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_search_names_a_bad_max_evaluations_flag(tmp_path, capsys, value):
+    from agentcfg import cli
+
+    out = tmp_path / "search.jsonl"
+    assert cli.main(["search", "--method", "grid", "--max-evaluations", value,
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: --max-evaluations: max_evaluations must be an integer >= 1, "
+                   f"got {value}\n")
+    assert not out.exists()
 
 
 def test_eval_refuses_bad_parameter_files(tmp_path, capsys):

@@ -490,7 +490,7 @@ class TestSFT:
         struct, prompt = make_policies(13)
         from agentcfg.train import EliteSet
 
-        empty = EliteSet([], 4.0, {}, {}, {}, {})
+        empty = EliteSet([], 4.0)
         with pytest.raises(EmptyEliteError):
             sft_update(struct, prompt, TABLE, empty, SFTConfig())
 
@@ -552,7 +552,7 @@ class TestVerification:
         from agentcfg.train import EliteSet
 
         struct, prompt = make_policies(14)
-        empty = EliteSet([], 4.0, {}, {}, {}, {})
+        empty = EliteSet([], 4.0)
         for check in (verify_support_restriction, verify_reward_floor):
             rng = np.random.default_rng(2)
             with pytest.raises(EmptyEliteError):
